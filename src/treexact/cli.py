@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .conditions import CheckReport, check_all
@@ -110,19 +111,24 @@ def _resolve_policy(args) -> Policy:
         eps = float(args.eps)
     except ValueError:
         raise _UsageError(f"--eps must be a number, got {args.eps!r}")
+    if not math.isfinite(eps):
+        raise _UsageError(f"--eps must be finite, got {args.eps!r}")
     if eps <= 0:
         raise _UsageError("--eps must be positive")
     return FloatPolicy(eps)
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        source = "standard input" if path == "-" else path
+        raise _UsageError(f"{source} is not UTF-8 text: {exc}")
 
 
 def _sniff_matrix_format(text: str) -> str:

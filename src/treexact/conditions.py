@@ -12,7 +12,9 @@ points iff it passes three checks:
   distances factor additively (with the companion sum identities).
 
 Checks report every witness and order them deterministically, so identical
-inputs produce byte-identical reports.
+inputs produce byte-identical reports. Under the exact policy `check_all`
+first tries `realizing_tree` (O(n^2)) and returns the all-ok report when it
+succeeds; the O(n^5) scan runs only to explain an unrealizable input.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from itertools import combinations
 from .core import DissimilarityMatrix
 from .errors import DuplicateIndex, TooSmall, UniquenessViolation
 from .numeric import ExactPolicy, Scalar
+from .reconstruct import realizing_tree
 
 __all__ = [
     "QuadrupleKind",
@@ -388,9 +391,18 @@ class CheckReport:
 
 
 def check_all(m: DissimilarityMatrix, early_exit: bool = False) -> CheckReport:
-    """Run all three checks; realizable means every one of them passed."""
+    """Run all three checks; realizable means every one of them passed.
+
+    Under the exact policy a matrix that `realizing_tree` realizes passes all
+    three checks without witnesses, so that report is returned after the
+    O(n^2) construction. Every other input, and every float-policy input,
+    pays for the O(n^5) scan that finds the witnesses.
+    """
     if m.n < 3:
         raise TooSmall(f"realizability checks need n >= 3, got n = {m.n}")
+    if isinstance(m.policy, ExactPolicy) and realizing_tree(m) is not None:
+        ok = CheckFragment(ok=True, witnesses=())
+        return CheckReport(four_point=ok, condition_i=ok, condition_ii=ok)
     fp = four_point_check(m, early_exit=early_exit)
     ci = condition_i_check(m, four_point_ok=fp.ok, early_exit=early_exit)
     cii = condition_ii_check(m, four_point_ok=fp.ok, early_exit=early_exit)

@@ -37,8 +37,13 @@ class Edge(NamedTuple):
     w: Scalar
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (JSON `true` must not count as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_label(label: int, n: int) -> None:
-    if not isinstance(label, int) or isinstance(label, bool) or not 1 <= label <= n:
+    if not _is_int(label) or not 1 <= label <= n:
         raise UnknownVertex(label, n)
 
 
@@ -199,12 +204,12 @@ class WeightedTree:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable, policy: Policy = EXACT) -> "WeightedTree":
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise InvalidTree(f"vertex count must be a positive integer, got {n!r}")
         normalized = []
         for item in edges:
             u, v, w = item
-            if not isinstance(u, int) or not isinstance(v, int):
+            if not _is_int(u) or not _is_int(v):
                 raise InvalidTree(f"non-integer endpoint in edge {item!r}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InvalidTree(f"edge ({u},{v}) has an endpoint outside 1..{n}")
@@ -299,7 +304,12 @@ def parse_matrix(text: str, fmt: str = "csv", policy: Policy = EXACT) -> Dissimi
         if not isinstance(obj, dict) or "n" not in obj or "d" not in obj:
             raise MalformedInput('matrix JSON must be an object with "n" and "d"')
         n, rows = obj["n"], obj["d"]
-        if not isinstance(n, int) or not isinstance(rows, list) or len(rows) != n:
+        if (
+            not _is_int(n)
+            or not isinstance(rows, list)
+            or len(rows) != n
+            or not all(isinstance(row, list) for row in rows)
+        ):
             raise MalformedInput('"d" must be an n-row array matching "n"')
         return DissimilarityMatrix.from_rows(rows, policy)
     raise MalformedInput(f"unknown matrix format {fmt!r}")
@@ -315,7 +325,7 @@ def parse_tree(text: str, policy: Policy = EXACT) -> WeightedTree:
         obj = obj["tree"]
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise MalformedInput('tree JSON must be an object with "n" and "edges"')
-    if not isinstance(obj["n"], int) or not isinstance(obj["edges"], list):
+    if not _is_int(obj["n"]) or not isinstance(obj["edges"], list):
         raise MalformedInput('"n" must be an integer and "edges" an array')
     triples = []
     for k, entry in enumerate(obj["edges"]):

@@ -64,6 +64,8 @@ class ExactPolicy:
         return Fraction(text.strip())
 
     def coerce(self, value) -> Fraction:
+        if isinstance(value, bool):
+            raise TypeError(f"boolean {value!r} is not a number")
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
@@ -106,8 +108,12 @@ class FloatPolicy:
     name: ClassVar[str] = "float"
 
     def __post_init__(self):
-        if not (isinstance(self.epsilon, (int, float)) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be a positive real, got {self.epsilon!r}")
+        if not (
+            isinstance(self.epsilon, (int, float))
+            and math.isfinite(self.epsilon)
+            and self.epsilon > 0
+        ):
+            raise ValueError(f"epsilon must be a finite positive real, got {self.epsilon!r}")
 
     def parse(self, text: str) -> float:
         value = float(text)
@@ -116,6 +122,8 @@ class FloatPolicy:
         return value
 
     def coerce(self, value) -> float:
+        if isinstance(value, bool):
+            raise TypeError(f"boolean {value!r} is not a number")
         out = float(value)
         if not math.isfinite(out):
             raise ValueError(f"non-finite value {value!r}")

@@ -1,7 +1,13 @@
 """Build the unique positive-weighted tree on exactly {1..n} realizing a
 dissimilarity matrix, or fail with a witness.
 
-The algorithm peels one pendant vertex per step: it picks a triple (a, b, c)
+Under the exact policy a realizable matrix is decided and built in O(n^2) by
+`realizing_tree`: the realizing tree is the unique minimum spanning tree of
+the matrix (Hakimi and Yau, 1965), grown by Prim and checked entry by entry
+as it grows. The pendant peel below explains the failures, and it is the
+only path under the float policy.
+
+The peel removes one pendant vertex per step: it picks a triple (a, b, c)
 maximizing d(a,c) + d(b,c) - d(a,b), orients it so the implied pendant edge
 weight alpha = (d(a,c) + d(a,b) - d(b,c)) / 2 is positive, certifies the
 support neighbor l of a (the argmin of d(a, .), fully verified against every
@@ -19,17 +25,19 @@ from itertools import combinations
 from .core import DissimilarityMatrix, WeightedTree, all_pairs_weights
 from .errors import (
     NoMiddleVertex,
+    PolicyMismatch,
     SupportVerificationFailure,
     TooSmall,
     UnknownVertex,
 )
-from .numeric import Scalar
+from .numeric import ExactPolicy, Scalar
 
 __all__ = [
     "PendantCertificate",
     "UnrealizableWitness",
     "solve_base3",
     "find_pendant",
+    "realizing_tree",
     "reconstruct",
 ]
 
@@ -170,13 +178,57 @@ def find_pendant(m: DissimilarityMatrix, active) -> PendantCertificate:
     return PendantCertificate(a=a, l=support, alpha=m.rows[a][support], b=b, c=c)
 
 
+def realizing_tree(m: DissimilarityMatrix) -> WeightedTree | None:
+    """Return the tree on exactly {1..n} realizing an exact-policy matrix, or
+    None when no such tree exists. O(n^2).
+
+    In a realizing tree every edge (u, v) weighs d(u, v), and every other
+    pair is strictly heavier than each edge on its path, so the tree is the
+    unique minimum spanning tree of d. Prim grows it from vertex 1. When v
+    joins through p, v is a leaf of the grown subtree, so its path to every
+    x already in the subtree passes through p: d(v, x) = d(v, p) + d(p, x)
+    must hold, and the first mismatch proves d unrealizable. By induction a
+    full pass proves that the tree reproduces every entry. All arithmetic is
+    on the integer grid of `comparison_view`, so nothing is rounded.
+    """
+    if not isinstance(m.policy, ExactPolicy):
+        raise PolicyMismatch(
+            f"realizing_tree needs the exact policy, got {m.policy.name!r}"
+        )
+    grid, _, _ = m.comparison_view()
+    joined = [1]
+    outside = list(range(2, m.n + 1))
+    key = list(grid[1])  # key[x]: least distance from x to the grown subtree
+    parent = [1] * (m.n + 1)
+    edges = []
+    while outside:
+        v = min(outside, key=key.__getitem__)
+        outside.remove(v)
+        p = parent[v]
+        row_v, row_p = grid[v], grid[p]
+        d_vp = row_v[p]
+        for x in joined:
+            if x != p and row_v[x] != d_vp + row_p[x]:
+                return None
+        joined.append(v)
+        edges.append((v, p, m.rows[v][p]))
+        for x in outside:
+            if row_v[x] < key[x]:
+                key[x] = row_v[x]
+                parent[x] = v
+    return WeightedTree.from_edges(m.n, edges, m.policy)
+
+
 def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
     """Return the unique realizing tree, or a witness explaining the failure.
 
-    Single vertices and single edges are handled directly. Otherwise pendants
-    are peeled until three vertices remain, the base path is solved, and the
-    assembled tree is verified entry-wise against the input; a verified tree
-    is returned unconditionally sound.
+    Single vertices and single edges are handled directly. Under the exact
+    policy a realizable matrix is built by `realizing_tree` in O(n^2). The
+    other inputs, and every float-policy input, go through the O(n^4) peel:
+    pendants are peeled until three vertices remain, the base path is solved,
+    and the assembled tree is verified entry-wise against the input, so a
+    returned tree is sound and a failure carries the stage and indices that
+    explain it.
     """
     n = m.n
     policy = m.policy
@@ -184,6 +236,10 @@ def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
         return WeightedTree.from_edges(1, [], policy)
     if n == 2:
         return WeightedTree.from_edges(2, [(1, 2, m.rows[1][2])], policy)
+    if isinstance(policy, ExactPolicy):
+        tree = realizing_tree(m)
+        if tree is not None:
+            return tree
 
     active = list(range(1, n + 1))
     edges: list[tuple[int, int, Scalar]] = []

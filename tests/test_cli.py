@@ -271,6 +271,67 @@ class TestPolicyFlags:
         assert json.loads(out)["n"] == 4
 
 
+class TestInputBoundary:
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_eps_invalid(self, tmp_path, capsys, eps):
+        code, out, err = run_cli(
+            capsys,
+            ["check", "--mode", "float", f"--eps={eps}", "-i", write(tmp_path, "m.csv", STAR_CSV)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --eps must be finite") and err.count("\n") == 1
+
+    def test_non_utf8_file_invalid(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xff\xfe0,1\n1,0\n")
+        code, out, err = run_cli(capsys, ["reconstruct", "-i", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "not UTF-8" in err and err.count("\n") == 1
+
+    def test_non_utf8_stdin_invalid(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        stdin = io.TextIOWrapper(io.BytesIO(b"0,\xff\n\xff,0\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(capsys, ["check", "-i", "-"])
+        assert code == 2
+        assert err.startswith("error: standard input is not UTF-8 text:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": True, "d": [[0]]},
+            {"n": 2, "d": [[0, True], [True, 0]]},
+            {"n": 2, "d": [[False, 1], [1, 0]]},
+        ],
+    )
+    def test_json_booleans_in_matrix_invalid(self, tmp_path, capsys, mode, doc):
+        code, out, _ = run_cli(
+            capsys,
+            ["reconstruct", "--mode", mode, "-i", write(tmp_path, "m.json", json.dumps(doc))],
+        )
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": True, "edges": []},
+            {"n": 2, "edges": [{"u": True, "v": 2, "w": "1"}]},
+            {"n": 2, "edges": [{"u": 1, "v": 2, "w": True}]},
+        ],
+    )
+    def test_json_booleans_in_tree_invalid(self, tmp_path, capsys, doc):
+        code, out, _ = run_cli(capsys, ["weights", "-i", write(tmp_path, "t.json", json.dumps(doc))])
+        assert code == 2
+        assert out == ""
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv_builder",

@@ -87,6 +87,17 @@ class TestParseMatrix:
         with pytest.raises(MalformedInput):
             parse_matrix("")
 
+    @pytest.mark.parametrize("policy", [EXACT, FloatPolicy()])
+    def test_json_booleans_rejected(self, policy):
+        with pytest.raises(MalformedInput):
+            parse_matrix('{"n": true, "d": [[0]]}', fmt="json", policy=policy)
+        with pytest.raises(MalformedInput):
+            parse_matrix('{"n": 2, "d": [[0, true], [true, 0]]}', fmt="json", policy=policy)
+
+    def test_json_rows_must_be_arrays(self):
+        with pytest.raises(MalformedInput):
+            parse_matrix('{"n": 2, "d": [1, 2]}', fmt="json")
+
     def test_float_policy_parse(self):
         m = parse_matrix("0,1.5\n1.5,0", policy=FloatPolicy())
         assert isinstance(m.d(1, 2), float)
@@ -150,6 +161,16 @@ class TestWeightedTree:
             WeightedTree.from_edges(2, [(1, 1, 1), (1, 2, 1)])
         with pytest.raises(InvalidTree):
             WeightedTree.from_edges(2, [(1, 5, 1)])
+
+    def test_rejects_boolean_fields(self):
+        with pytest.raises(InvalidTree):
+            WeightedTree.from_edges(True, [])
+        with pytest.raises(InvalidTree):
+            WeightedTree.from_edges(2, [(True, 2, 1)])
+        with pytest.raises(InvalidTree):
+            WeightedTree.from_edges(2, [(1, 2, True)])
+        with pytest.raises(MalformedInput):
+            parse_tree('{"n": true, "edges": []}')
 
     def test_rejects_parallel_edges(self):
         with pytest.raises(InvalidTree):
@@ -256,6 +277,10 @@ class TestFloatPolicy:
             FloatPolicy(0.0)
         with pytest.raises(ValueError):
             FloatPolicy(-1e-9)
+        with pytest.raises(ValueError):
+            FloatPolicy(float("inf"))
+        with pytest.raises(ValueError):
+            FloatPolicy(float("nan"))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
