@@ -121,7 +121,10 @@ def _resolve_policy(args) -> Policy:
 def _read_input(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # Decode the bytes strictly: a text stdin may carry its own error
+            # handler (surrogateescape under a POSIX locale).
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:

@@ -14,7 +14,12 @@ points iff it passes three checks:
 Checks report every witness and order them deterministically, so identical
 inputs produce byte-identical reports. Under the exact policy `check_all`
 first tries `realizing_tree` (O(n^2)) and returns the all-ok report when it
-succeeds; the O(n^5) scan runs only to explain an unrealizable input.
+succeeds. Otherwise one scan serves all three checks: an O(n^3) build of the
+between-masks (for each pair u, v the set of l with d(u,l) + d(l,v) = d(u,v))
+and one O(n^4) pass that classifies each quadruple once and reads centers and
+medians off the masks. Under the float policy a median candidate must also
+pass the companion sum identities, which hold by arithmetic under the exact
+policy.
 """
 
 from __future__ import annotations
@@ -144,62 +149,156 @@ class CheckFragment:
     caveat: bool = False
 
 
-def four_point_check(m: DissimilarityMatrix, early_exit: bool = False) -> CheckFragment:
-    """Verify the four-point pattern on all quadruples and every triangle
-    inequality (the quadruple rule with a repeated index)."""
+def _between_masks(grid, eq, n):
+    """`B[u][v]` for u != v: the bitmask of every l with d(u,v) = d(u,l) + d(v,l),
+    bit l standing for label l. O(n^3)."""
+    labels = range(1, n + 1)
+    between = [[0] * (n + 1) for _ in range(n + 1)]
+    for u in labels:
+        row_u = grid[u]
+        for v in range(u + 1, n + 1):
+            duv, row_v = row_u[v], grid[v]
+            mask = 0
+            for l in labels:
+                if eq(duv, row_u[l] + row_v[l]):
+                    mask |= 1 << l
+            between[u][v] = between[v][u] = mask
+    return between
+
+
+def _scan(m: DissimilarityMatrix, early_exit: bool):
+    """Classify every quadruple once and collect the witnesses of all three
+    checks, unsorted: (four_point, condition_i, condition_ii, twin).
+
+    With `early_exit` each check keeps only its first witness in scan order,
+    and the pass stops once all three have one. `twin` is the first
+    quadruple with two centers, and its two smallest centers, met while
+    condition_i was still collecting; whether it is an error depends on the
+    four-point verdict the caller trusts.
+    """
     grid, eq, lt = m.comparison_view()
     n = m.n
-    witnesses = []
-    for i, j, k, t in combinations(range(1, n + 1), 4):
-        sums = (
-            grid[i][j] + grid[k][t],
-            grid[i][k] + grid[j][t],
-            grid[i][t] + grid[j][k],
+    labels = range(1, n + 1)
+    b = _between_masks(grid, eq, n)
+    exact = isinstance(m.policy, ExactPolicy)
+    medians = {}  # triple -> 0 if it has a median, else its best failing l
+
+    # Under the exact policy each companion sum equals d(u,l) + d(v,l) + d(w,l)
+    # once the three factorizations hold, so a common mask bit is a median.
+    def median_failure(triple) -> int:
+        u, v, w = triple
+        gu, gv, gw = grid[u], grid[v], grid[w]
+        masks = (b[u][v], b[u][w], b[v][w])
+
+        def companions(l):  # x1 = x2, x2 = x3, x1 = x3
+            x1, x2, x3 = gu[v] + gw[l], gu[w] + gv[l], gu[l] + gv[w]
+            return eq(x1, x2), eq(x2, x3), eq(x1, x3)
+
+        candidates = masks[0] & masks[1] & masks[2]
+        if candidates and (
+            exact or any(all(companions(l)) for l in labels if candidates >> l & 1)
+        ):
+            return 0
+        return max(
+            labels,
+            key=lambda l: sum(mask >> l & 1 for mask in masks) + sum(companions(l)[:2]),
         )
-        kind, _ = _classify_sums(sums, eq)
-        if kind is QuadrupleKind.VIOLATION:
-            witnesses.append(
-                Witness("four_point", "quadruple_max_once", quadruple=(i, j, k, t))
+
+    four_point, centers, median = [], [], []
+    twin = None
+    fp_open = ci_open = cii_open = True
+    if n == 3:
+        best = median_failure((1, 2, 3))
+        if best:
+            median.append(
+                Witness("condition_ii", "no_median_vertex", triple=(1, 2, 3), best_l=best)
             )
-            if early_exit:
-                break
-    if not (early_exit and witnesses):
-        for i, j, k in combinations(range(1, n + 1), 3):
+    for quad in combinations(labels, 4):
+        i, j, k, t = quad
+        gi, gj = grid[i], grid[j]
+        s1, s2, s3 = gi[j] + grid[k][t], gi[k] + gj[t], gi[t] + gj[k]
+        top = max(s1, s2, s3)
+        # _classify_sums inlined (a call per quadruple was much of the pass's
+        # cost): hits 1, 3 and 2 are VIOLATION, ALL_THREE_EQUAL and
+        # TWO_EQUAL_MAX.
+        hits = eq(s1, top) + eq(s2, top) + eq(s3, top)
+        if hits == 1:
+            if fp_open:
+                four_point.append(
+                    Witness("four_point", "quadruple_max_once", quadruple=quad)
+                )
+                fp_open = not early_exit
+        elif hits == 3:
+            if ci_open:
+                bi, bj, bk = b[i], b[j], b[k]
+                masks = (bi[j], bi[k], bi[t], bj[k], bj[t], bk[t])
+                common = masks[0] & masks[1] & masks[2] & masks[3] & masks[4] & masks[5]
+                if not common:
+                    best = max(labels, key=lambda l: sum(mask >> l & 1 for mask in masks))
+                    centers.append(
+                        Witness("condition_i", "no_center_vertex", quadruple=quad, best_l=best)
+                    )
+                    ci_open = not early_exit
+                elif twin is None and common & (common - 1):
+                    twin = (quad, *[l for l in labels if common >> l & 1][:2])
+        elif cii_open:
+            bi, bj, bk = b[i], b[j], b[k]
+            bij, bik, bit, bjk, bjt, bkt = bi[j], bi[k], bi[t], bj[k], bj[t], bk[t]
+            if exact and (
+                bij & bik & bjk and bij & bit & bjt and bik & bit & bkt and bjk & bjt & bkt
+            ):
+                continue  # every triple has a median: skip the memo
+            for triple in ((i, j, k), (i, j, t), (i, k, t), (j, k, t)):
+                best = medians.get(triple)
+                if best is None:
+                    best = medians[triple] = median_failure(triple)
+                if best:
+                    median.append(
+                        Witness(
+                            "condition_ii", "no_median_vertex",
+                            quadruple=quad, triple=triple, best_l=best,
+                        )
+                    )
+                    if early_exit:
+                        cii_open = False
+                        break
+        if not (fp_open or ci_open or cii_open):
+            break
+    if fp_open:
+        for i, j, k in combinations(labels, 3):
             broken = (
                 lt(grid[i][j] + grid[j][k], grid[i][k])
                 or lt(grid[i][k] + grid[k][j], grid[i][j])
                 or lt(grid[j][i] + grid[i][k], grid[j][k])
             )
             if broken:
-                witnesses.append(
+                four_point.append(
                     Witness("four_point", "triangle_violation", triple=(i, j, k))
                 )
                 if early_exit:
                     break
+    return four_point, centers, median, twin
+
+
+def _fragment(witnesses, caveat: bool = False) -> CheckFragment:
     witnesses.sort(key=_witness_key)
-    return CheckFragment(ok=not witnesses, witnesses=tuple(witnesses))
+    return CheckFragment(ok=not witnesses, witnesses=tuple(witnesses), caveat=caveat)
 
 
-def _center_holds(grid, eq, quad, l) -> bool:
-    for u, v in combinations(quad, 2):
-        if not eq(grid[u][v], grid[u][l] + grid[v][l]):
-            return False
-    return True
+def _center_fragment(m, witnesses, twin, four_point_ok: bool) -> CheckFragment:
+    if twin is not None and four_point_ok and isinstance(m.policy, ExactPolicy):
+        quad, first, second = twin
+        raise UniquenessViolation(
+            f"quadruple {quad} admits two centers {first} and {second} "
+            "although the four-point check passed"
+        )
+    return _fragment(witnesses, caveat=not four_point_ok)
 
 
-def _center_score(grid, eq, quad, l) -> int:
-    return sum(
-        1 for u, v in combinations(quad, 2) if eq(grid[u][v], grid[u][l] + grid[v][l])
-    )
-
-
-def _best_failing(grid, eq, points, n, score) -> int:
-    best, best_hits = 1, -1
-    for l in range(1, n + 1):
-        hits = score(grid, eq, points, l)
-        if hits > best_hits:
-            best, best_hits = l, hits
-    return best
+def four_point_check(m: DissimilarityMatrix, early_exit: bool = False) -> CheckFragment:
+    """Verify the four-point pattern on all quadruples and every triangle
+    inequality (the quadruple rule with a repeated index)."""
+    return _fragment(_scan(m, early_exit)[0])
 
 
 def condition_i_check(
@@ -212,78 +311,13 @@ def condition_i_check(
 
     When a center exists it is provably unique as long as the four-point
     check passes; under the exact policy that uniqueness is enforced and a
-    second center raises UniquenessViolation.
+    second center raises UniquenessViolation. `four_point_ok` defaults to
+    the verdict of the four-point check.
     """
+    four_point, centers, _, twin = _scan(m, early_exit)
     if four_point_ok is None:
-        four_point_ok = four_point_check(m, early_exit=True).ok
-    caveat = not four_point_ok
-    grid, eq, _ = m.comparison_view()
-    n = m.n
-    enforce_unique = four_point_ok and isinstance(m.policy, ExactPolicy)
-    witnesses = []
-    for quad in combinations(range(1, n + 1), 4):
-        i, j, k, t = quad
-        sums = (
-            grid[i][j] + grid[k][t],
-            grid[i][k] + grid[j][t],
-            grid[i][t] + grid[j][k],
-        )
-        kind, _ = _classify_sums(sums, eq)
-        if kind is not QuadrupleKind.ALL_THREE_EQUAL:
-            continue
-        centers = []
-        for l in range(1, n + 1):
-            if _center_holds(grid, eq, quad, l):
-                centers.append(l)
-                if not enforce_unique:
-                    break
-        if len(centers) > 1:
-            raise UniquenessViolation(
-                f"quadruple {quad} admits two centers {centers[0]} and {centers[1]} "
-                "although the four-point check passed"
-            )
-        if not centers:
-            witnesses.append(
-                Witness(
-                    "condition_i",
-                    "no_center_vertex",
-                    quadruple=quad,
-                    best_l=_best_failing(grid, eq, quad, n, _center_score),
-                )
-            )
-            if early_exit:
-                break
-    witnesses.sort(key=_witness_key)
-    return CheckFragment(ok=not witnesses, witnesses=tuple(witnesses), caveat=caveat)
-
-
-def _median_holds(grid, eq, triple, l) -> bool:
-    u, v, w = triple
-    if not (
-        eq(grid[u][v], grid[u][l] + grid[v][l])
-        and eq(grid[u][w], grid[u][l] + grid[w][l])
-        and eq(grid[v][w], grid[v][l] + grid[w][l])
-    ):
-        return False
-    x1 = grid[u][v] + grid[w][l]
-    x2 = grid[u][w] + grid[v][l]
-    x3 = grid[u][l] + grid[v][w]
-    return eq(x1, x2) and eq(x2, x3) and eq(x1, x3)
-
-
-def _median_score(grid, eq, triple, l) -> int:
-    u, v, w = triple
-    x1 = grid[u][v] + grid[w][l]
-    x2 = grid[u][w] + grid[v][l]
-    x3 = grid[u][l] + grid[v][w]
-    checks = (
-        eq(grid[u][v], grid[u][l] + grid[v][l]),
-        eq(grid[u][w], grid[u][l] + grid[w][l]),
-        eq(grid[v][w], grid[v][l] + grid[w][l]),
-        eq(x1, x2),
-        eq(x2, x3),
-    )
-    return sum(checks)
+        four_point_ok = not four_point
+    return _center_fragment(m, centers, twin, four_point_ok)
 
 
 def condition_ii_check(
@@ -300,49 +334,10 @@ def condition_ii_check(
     points leaves no vertex to sit between the other two), so for n == 3 the
     lone triple is checked directly.
     """
+    four_point, _, median, _ = _scan(m, early_exit)
     if four_point_ok is None:
-        four_point_ok = four_point_check(m, early_exit=True).ok
-    caveat = not four_point_ok
-    grid, eq, _ = m.comparison_view()
-    n = m.n
-    witnesses = []
-
-    def scan_triple(quad, triple) -> bool:
-        for l in range(1, n + 1):
-            if _median_holds(grid, eq, triple, l):
-                return True
-        witnesses.append(
-            Witness(
-                "condition_ii",
-                "no_median_vertex",
-                quadruple=quad,
-                triple=triple,
-                best_l=_best_failing(grid, eq, triple, n, _median_score),
-            )
-        )
-        return False
-
-    if n == 3:
-        scan_triple(None, (1, 2, 3))
-    done = False
-    for quad in combinations(range(1, n + 1), 4):
-        i, j, k, t = quad
-        sums = (
-            grid[i][j] + grid[k][t],
-            grid[i][k] + grid[j][t],
-            grid[i][t] + grid[j][k],
-        )
-        kind, _ = _classify_sums(sums, eq)
-        if kind is not QuadrupleKind.TWO_EQUAL_MAX:
-            continue
-        for triple in combinations(quad, 3):
-            if not scan_triple(quad, triple) and early_exit:
-                done = True
-                break
-        if done:
-            break
-    witnesses.sort(key=_witness_key)
-    return CheckFragment(ok=not witnesses, witnesses=tuple(witnesses), caveat=caveat)
+        four_point_ok = not four_point
+    return _fragment(median, caveat=not four_point_ok)
 
 
 @dataclass(frozen=True)
@@ -396,14 +391,18 @@ def check_all(m: DissimilarityMatrix, early_exit: bool = False) -> CheckReport:
     Under the exact policy a matrix that `realizing_tree` realizes passes all
     three checks without witnesses, so that report is returned after the
     O(n^2) construction. Every other input, and every float-policy input,
-    pays for the O(n^5) scan that finds the witnesses.
+    pays for the one scan that finds the witnesses of all three checks:
+    O(n^3) to build the between-masks plus O(n^4) over the quadruples.
     """
     if m.n < 3:
         raise TooSmall(f"realizability checks need n >= 3, got n = {m.n}")
     if isinstance(m.policy, ExactPolicy) and realizing_tree(m) is not None:
         ok = CheckFragment(ok=True, witnesses=())
         return CheckReport(four_point=ok, condition_i=ok, condition_ii=ok)
-    fp = four_point_check(m, early_exit=early_exit)
-    ci = condition_i_check(m, four_point_ok=fp.ok, early_exit=early_exit)
-    cii = condition_ii_check(m, four_point_ok=fp.ok, early_exit=early_exit)
-    return CheckReport(four_point=fp, condition_i=ci, condition_ii=cii)
+    four_point, centers, median, twin = _scan(m, early_exit)
+    fp = _fragment(four_point)
+    return CheckReport(
+        four_point=fp,
+        condition_i=_center_fragment(m, centers, twin, fp.ok),
+        condition_ii=_fragment(median, caveat=not fp.ok),
+    )

@@ -273,6 +273,17 @@ class WeightedTree:
         return f"WeightedTree(n={self.n}, edges={len(self.edges)}, policy={self.policy.name})"
 
 
+def _load_json(text: str, policy: Policy):
+    try:
+        return json.loads(text, parse_float=policy.json_parse_float)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"invalid JSON: {exc}")
+    except ValueError as exc:  # a number literal refused by the policy or by int()
+        raise MalformedInput(f"bad number in JSON: {exc}")
+    except RecursionError:
+        raise MalformedInput("invalid JSON: nested too deeply")
+
+
 def parse_matrix(text: str, fmt: str = "csv", policy: Policy = EXACT) -> DissimilarityMatrix:
     """Parse CSV or JSON text into a validated DissimilarityMatrix.
 
@@ -295,10 +306,7 @@ def parse_matrix(text: str, fmt: str = "csv", policy: Policy = EXACT) -> Dissimi
             raw_rows.append([cell.strip() for cell in line.split(",")])
         return DissimilarityMatrix.from_rows(raw_rows, policy)
     if kind == "json":
-        try:
-            obj = json.loads(text, parse_float=policy.json_parse_float)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"invalid JSON: {exc}")
+        obj = _load_json(text, policy)
         if isinstance(obj, dict) and "d" not in obj and isinstance(obj.get("matrix"), dict):
             obj = obj["matrix"]
         if not isinstance(obj, dict) or "n" not in obj or "d" not in obj:
@@ -317,10 +325,7 @@ def parse_matrix(text: str, fmt: str = "csv", policy: Policy = EXACT) -> Dissimi
 
 def parse_tree(text: str, policy: Policy = EXACT) -> WeightedTree:
     """Parse tree JSON ``{"n": int, "edges": [{"u","v","w"}, ...]}``."""
-    try:
-        obj = json.loads(text, parse_float=policy.json_parse_float)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"invalid JSON: {exc}")
+    obj = _load_json(text, policy)
     if isinstance(obj, dict) and "edges" not in obj and isinstance(obj.get("tree"), dict):
         obj = obj["tree"]
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:

@@ -54,6 +54,27 @@ def _fraction_to_text(value: Fraction) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
+_MAX_DIGITS = 1000
+_MAX_EXPONENT = 1000
+
+
+def _bounded_fraction(text: str) -> Fraction:
+    """`Fraction(text)` for at most _MAX_DIGITS digits and a decimal exponent
+    of at most _MAX_EXPONENT in size. `Fraction` builds 10**exponent, so a
+    few bytes could otherwise demand unbounded time and memory."""
+    text = text.strip()
+    if len(text) > _MAX_DIGITS and sum(ch.isdigit() for ch in text) > _MAX_DIGITS:
+        raise ValueError(f"more than {_MAX_DIGITS} digits in an exact number")
+    if "e" in text or "E" in text:
+        try:
+            size = abs(int(text.lower().partition("e")[2]))
+        except ValueError:
+            size = 0  # not a number; Fraction reports the literal
+        if size > _MAX_EXPONENT:
+            raise ValueError(f"exponent beyond +/-{_MAX_EXPONENT} in an exact number")
+    return Fraction(text)
+
+
 @dataclass(frozen=True)
 class ExactPolicy:
     """Exact rational arithmetic; equality and order are literal."""
@@ -61,7 +82,7 @@ class ExactPolicy:
     name: ClassVar[str] = "exact"
 
     def parse(self, text: str) -> Fraction:
-        return Fraction(text.strip())
+        return _bounded_fraction(text)
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, bool):
@@ -71,7 +92,7 @@ class ExactPolicy:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
-            return Fraction(value.strip())
+            return _bounded_fraction(value)
         if isinstance(value, float):
             # Read the decimal literal, not the binary expansion.
             return Fraction(str(value))
@@ -96,7 +117,7 @@ class ExactPolicy:
         return _fraction_to_text(value)
 
     # json.loads hook receiving the raw float literal text
-    json_parse_float = Fraction
+    json_parse_float = staticmethod(_bounded_fraction)
 
 
 @dataclass(frozen=True)

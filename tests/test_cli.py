@@ -301,6 +301,55 @@ class TestInputBoundary:
         assert err.startswith("error: standard input is not UTF-8 text:")
         assert err.count("\n") == 1
 
+    def test_non_utf8_stdin_with_lenient_handler_invalid(self, capsys, monkeypatch):
+        """A text stdin that turns bad bytes into surrogates (as under a POSIX
+        locale) is still read as bytes and refused as non-UTF-8."""
+        import io
+        import sys
+
+        stdin = io.TextIOWrapper(
+            io.BytesIO(b"\xff\xfe0,1\n1,0\n"), encoding="utf-8", errors="surrogateescape"
+        )
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(capsys, ["reconstruct", "-i", "-"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: standard input is not UTF-8 text:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("m.csv", "0,1e-99999999\n1e-99999999,0\n"),
+            ("m.csv", "0,1E+99999999\n1E+99999999,0\n"),
+            ("m.csv", "0,1" + "0" * 1000 + "\n1" + "0" * 1000 + ",0\n"),
+            ("m.json", '{"n": 2, "d": [[0, 1e-99999999], [1e-99999999, 0]]}'),
+            ("m.json", '{"n": 2, "d": [[0, "1e-99999999"], ["1e-99999999", 0]]}'),
+            ("m.json", '{"n": 2, "d": [[0, 1' + "0" * 5000 + "], [1, 0]]}"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["check", "reconstruct"])
+    def test_oversized_exact_number_invalid(self, tmp_path, capsys, name, text, command):
+        code, out, err = run_cli(capsys, [command, "-i", write(tmp_path, name, text)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["check", "weights"])
+    def test_deeply_nested_json_invalid(self, tmp_path, capsys, command):
+        doc = '{"n": 1, "d": ' + "[" * 100000 + "]" * 100000 + "}"
+        code, out, err = run_cli(capsys, [command, "-i", write(tmp_path, "m.json", doc)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid JSON: nested too deeply\n"
+
+    def test_oversized_exact_tree_weight_invalid(self, tmp_path, capsys):
+        doc = '{"n": 2, "edges": [{"u": 1, "v": 2, "w": 1e-99999999}]}'
+        code, out, err = run_cli(capsys, ["weights", "-i", write(tmp_path, "t.json", doc)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize(
         "doc",

@@ -104,6 +104,36 @@ class TestParseMatrix:
         assert m.d(1, 2) == 1.5
 
 
+class TestExactBounds:
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("9.999", Fraction(9999, 1000)),
+            ("1e-1000", Fraction(1, 10**1000)),
+            (" 2E+1000 ", 2 * 10**1000),
+            ("9" * 1000, 10**1000 - 1),
+        ],
+    )
+    def test_within_bounds(self, text, value):
+        assert EXACT.parse(text) == value
+        assert EXACT.coerce(text) == value
+        assert EXACT.json_parse_float(text) == value
+
+    @pytest.mark.parametrize(
+        "text", ["1e-1001", "1e99999999", "1" * 1001, "0." + "0" * 1000 + "1", "1e" + "0" * 1000]
+    )
+    def test_beyond_bounds(self, text):
+        for read in (EXACT.parse, EXACT.coerce, EXACT.json_parse_float):
+            with pytest.raises(ValueError):
+                read(text)
+
+    def test_json_float_literal_beyond_bounds(self):
+        with pytest.raises(MalformedInput):
+            parse_matrix('{"n": 2, "d": [[0, 1e-1001], [1e-1001, 0]]}', fmt="json")
+        with pytest.raises(MalformedInput):
+            parse_tree('{"n": 2, "edges": [{"u": 1, "v": 2, "w": 1e-1001}]}')
+
+
 class TestMatrixValidation:
     def test_from_pairs_missing_pair(self):
         with pytest.raises(InvalidMatrix):

@@ -1,0 +1,359 @@
+"""Differential test of the one-pass witness scan against the naive per-l loops.
+
+The reference below is the scan as it was written before the between-mask
+pass: three separate walks over the quadruples, each testing every candidate
+l with the pairwise factorizations (and, for a median, the companion sum
+identities) directly. It is kept here only as the reference the program is
+compared against.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from treexact import (
+    CheckFragment,
+    CheckReport,
+    DissimilarityMatrix,
+    EXACT,
+    FloatPolicy,
+    QuadrupleKind,
+    UniquenessViolation,
+    Witness,
+    check_all,
+    condition_i_check,
+    condition_ii_check,
+    four_point_check,
+)
+from treexact.numeric import ExactPolicy
+
+# ---------------------------------------------------------------- reference
+
+_RANK = {"four_point": 0, "condition_i": 1, "condition_ii": 2}
+
+
+def _key(w):
+    return (_RANK[w.condition], w.quadruple or (), w.triple or ())
+
+
+def _kind(sums, eq):
+    top = max(sums)
+    hits = sum(eq(s, top) for s in sums)
+    if hits == 3:
+        return QuadrupleKind.ALL_THREE_EQUAL
+    if hits == 2:
+        return QuadrupleKind.TWO_EQUAL_MAX
+    return QuadrupleKind.VIOLATION
+
+
+def _quad_kind(grid, eq, i, j, k, t):
+    return _kind(
+        (grid[i][j] + grid[k][t], grid[i][k] + grid[j][t], grid[i][t] + grid[j][k]), eq
+    )
+
+
+def _best(n, score):
+    best, best_hits = 1, -1
+    for l in range(1, n + 1):
+        hits = score(l)
+        if hits > best_hits:
+            best, best_hits = l, hits
+    return best
+
+
+def ref_four_point(m, early_exit=False):
+    grid, eq, lt = m.comparison_view()
+    n = m.n
+    witnesses = []
+    for quad in combinations(range(1, n + 1), 4):
+        if _quad_kind(grid, eq, *quad) is QuadrupleKind.VIOLATION:
+            witnesses.append(Witness("four_point", "quadruple_max_once", quadruple=quad))
+            if early_exit:
+                break
+    if not (early_exit and witnesses):
+        for i, j, k in combinations(range(1, n + 1), 3):
+            if (
+                lt(grid[i][j] + grid[j][k], grid[i][k])
+                or lt(grid[i][k] + grid[k][j], grid[i][j])
+                or lt(grid[j][i] + grid[i][k], grid[j][k])
+            ):
+                witnesses.append(Witness("four_point", "triangle_violation", triple=(i, j, k)))
+                if early_exit:
+                    break
+    witnesses.sort(key=_key)
+    return CheckFragment(ok=not witnesses, witnesses=tuple(witnesses))
+
+
+def _center_hits(grid, eq, quad, l):
+    return sum(
+        1 for u, v in combinations(quad, 2) if eq(grid[u][v], grid[u][l] + grid[v][l])
+    )
+
+
+def ref_condition_i(m, four_point_ok=None, early_exit=False):
+    if four_point_ok is None:
+        four_point_ok = ref_four_point(m, early_exit=True).ok
+    grid, eq, _ = m.comparison_view()
+    n = m.n
+    enforce_unique = four_point_ok and isinstance(m.policy, ExactPolicy)
+    witnesses = []
+    for quad in combinations(range(1, n + 1), 4):
+        if _quad_kind(grid, eq, *quad) is not QuadrupleKind.ALL_THREE_EQUAL:
+            continue
+        centers = []
+        for l in range(1, n + 1):
+            if _center_hits(grid, eq, quad, l) == 6:
+                centers.append(l)
+                if not enforce_unique:
+                    break
+        if len(centers) > 1:
+            raise UniquenessViolation(f"{quad} {centers}")
+        if not centers:
+            best = _best(n, lambda l: _center_hits(grid, eq, quad, l))
+            witnesses.append(
+                Witness("condition_i", "no_center_vertex", quadruple=quad, best_l=best)
+            )
+            if early_exit:
+                break
+    witnesses.sort(key=_key)
+    return CheckFragment(ok=not witnesses, witnesses=tuple(witnesses), caveat=not four_point_ok)
+
+
+def _median_checks(grid, eq, triple, l):
+    u, v, w = triple
+    x1 = grid[u][v] + grid[w][l]
+    x2 = grid[u][w] + grid[v][l]
+    x3 = grid[u][l] + grid[v][w]
+    return (
+        eq(grid[u][v], grid[u][l] + grid[v][l]),
+        eq(grid[u][w], grid[u][l] + grid[w][l]),
+        eq(grid[v][w], grid[v][l] + grid[w][l]),
+        eq(x1, x2),
+        eq(x2, x3),
+        eq(x1, x3),
+    )
+
+
+def ref_condition_ii(m, four_point_ok=None, early_exit=False):
+    if four_point_ok is None:
+        four_point_ok = ref_four_point(m, early_exit=True).ok
+    grid, eq, _ = m.comparison_view()
+    n = m.n
+    witnesses = []
+
+    def scan_triple(quad, triple):
+        if any(all(_median_checks(grid, eq, triple, l)) for l in range(1, n + 1)):
+            return True
+        best = _best(n, lambda l: sum(_median_checks(grid, eq, triple, l)[:5]))
+        witnesses.append(
+            Witness(
+                "condition_ii", "no_median_vertex", quadruple=quad, triple=triple, best_l=best
+            )
+        )
+        return False
+
+    if n == 3:
+        scan_triple(None, (1, 2, 3))
+    done = False
+    for quad in combinations(range(1, n + 1), 4):
+        if _quad_kind(grid, eq, *quad) is not QuadrupleKind.TWO_EQUAL_MAX:
+            continue
+        for triple in combinations(quad, 3):
+            if not scan_triple(quad, triple) and early_exit:
+                done = True
+                break
+        if done:
+            break
+    witnesses.sort(key=_key)
+    return CheckFragment(ok=not witnesses, witnesses=tuple(witnesses), caveat=not four_point_ok)
+
+
+def ref_check_all(m, early_exit=False):
+    fp = ref_four_point(m, early_exit=early_exit)
+    ci = ref_condition_i(m, four_point_ok=fp.ok, early_exit=early_exit)
+    cii = ref_condition_ii(m, four_point_ok=fp.ok, early_exit=early_exit)
+    return CheckReport(four_point=fp, condition_i=ci, condition_ii=cii)
+
+
+# ---------------------------------------------------------------- inputs
+
+
+def _tree_metric(rng, n, hidden, weights):
+    """Path sums of a random tree on n + hidden vertices, restricted to n of
+    them (0-based n x n rows)."""
+    size = n + hidden
+    adj = {v: [] for v in range(size)}
+    for v in range(1, size):
+        u = rng.randrange(v)
+        w = rng.choice(weights)
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    dist = []
+    for src in range(size):
+        seen = {src: 0}
+        stack = [src]
+        while stack:
+            here = stack.pop()
+            for nxt, w in adj[here]:
+                if nxt not in seen:
+                    seen[nxt] = seen[here] + w
+                    stack.append(nxt)
+        dist.append(seen)
+    keep = rng.sample(range(size), n)
+    return [[dist[a][b] for b in keep] for a in keep]
+
+
+def _perturb(rng, rows, delta):
+    n = len(rows)
+    i, j = rng.sample(range(n), 2)
+    if rows[i][j] + delta > 0:
+        rows[i][j] = rows[j][i] = rows[i][j] + delta
+    return rows
+
+
+def _random_rows(rng, n, top):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.randint(1, top)
+    return rows
+
+
+def _integer_rows(rng, n):
+    family = rng.randrange(4)
+    if family == 3:
+        return _random_rows(rng, n, rng.choice((2, 4)))
+    rows = _tree_metric(rng, n, rng.randrange(4), (1, 1, 2, 3))
+    if family == 2:
+        rows = _perturb(rng, rows, rng.choice((-1, 1)))
+    return rows
+
+
+def _jitter(rng, rows, eps):
+    """Multiply every pair by 1 + r * eps with |r| <= 1.2: equalities of the
+    integer matrix become near-ties that the epsilon rule may or may not see."""
+    n = len(rows)
+    out = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i][j] = out[j][i] = rows[i][j] * (1 + rng.uniform(-1.2, 1.2) * eps)
+    return out
+
+
+def _matrices(count, seed):
+    rng = random.Random(seed)
+    for index in range(count):
+        n = 3 + index % 6
+        rows = _integer_rows(rng, n)
+        if index % 3 == 0:
+            yield DissimilarityMatrix.from_rows(rows, EXACT)
+        elif index % 3 == 1:
+            yield DissimilarityMatrix.from_rows(rows, FloatPolicy())
+        else:
+            eps = rng.choice((0.01, 0.05))
+            yield DissimilarityMatrix.from_rows(_jitter(rng, rows, eps), FloatPolicy(eps))
+
+
+def _outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except UniquenessViolation as exc:
+        return type(exc)
+
+
+# ---------------------------------------------------------------- tests
+
+def _companion_decided(m):
+    """Triples whose three factorizations hold through some l while no l
+    passes the companion identities too."""
+    grid, eq, _ = m.comparison_view()
+    count = 0
+    for triple in combinations(range(1, m.n + 1), 3):
+        checks = [_median_checks(grid, eq, triple, l) for l in range(1, m.n + 1)]
+        if any(all(c[:3]) for c in checks) and not any(all(c) for c in checks):
+            count += 1
+    return count
+
+
+def test_scan_matches_naive_loops():
+    """1200 seeded matrices, n = 3..8, exact and float: every public check,
+    with and without early exit and with each `four_point_ok`, gives the
+    reference's fragment or raises the same exception class. The corpus
+    fails every check somewhere, including medians that only the companion
+    identities reject."""
+    codes, companion_decided = set(), 0
+    for m in _matrices(1200, seed=7100):
+        for early_exit in (False, True):
+            fp = ref_four_point(m, early_exit=early_exit)
+            ci = {ok: _outcome(ref_condition_i, m, ok, early_exit) for ok in (False, True)}
+            cii = {ok: ref_condition_ii(m, ok, early_exit) for ok in (False, True)}
+            want = CheckReport(four_point=fp, condition_i=ci[fp.ok], condition_ii=cii[fp.ok])
+            got = check_all(m, early_exit=early_exit)
+            assert got == want, (m.rows, early_exit)
+            assert got.to_json() == want.to_json()
+            assert four_point_check(m, early_exit=early_exit) == fp
+            for fp_ok, ok in ((None, fp.ok), (False, False), (True, True)):
+                assert _outcome(condition_i_check, m, fp_ok, early_exit) == ci[ok]
+                assert condition_ii_check(m, fp_ok, early_exit) == cii[ok]
+        codes.update(w.code for w in want.witnesses)
+        if isinstance(m.policy, FloatPolicy) and m.n >= 4:
+            companion_decided += _companion_decided(m)
+    assert codes == {
+        "quadruple_max_once", "triangle_violation", "no_center_vertex", "no_median_vertex",
+    }
+    assert companion_decided > 0
+
+
+def test_companion_identities_reject_a_float_median():
+    """Star with center 4 and arms 10 (to 1), 1 (to 2) and 1 (to 3), where
+    d(1,2) and d(1,3) sit just inside the tolerance on opposite sides: every
+    factorization through 4 holds, but x1 = 12.11 and x2 = 11.891 differ by
+    more than eps * 12.11, so 4 is no median of {1,2,3}."""
+    eps = 0.01
+    rows = [
+        [0, 11.11, 10.891, 10, 14],
+        [11.11, 0, 2, 1, 5],
+        [10.891, 2, 0, 1, 5],
+        [10, 1, 1, 0, 4],
+        [14, 5, 5, 4, 0],
+    ]
+    m = DissimilarityMatrix.from_rows(rows, FloatPolicy(eps))
+    grid, eq, _ = m.comparison_view()
+    assert all(_median_checks(grid, eq, (1, 2, 3), 4)[:3])
+    assert not all(_median_checks(grid, eq, (1, 2, 3), 4))
+    for early_exit in (False, True):
+        assert check_all(m, early_exit=early_exit) == ref_check_all(m, early_exit=early_exit)
+        assert condition_ii_check(m, early_exit=early_exit) == ref_condition_ii(
+            m, early_exit=early_exit
+        )
+    assert any(w.triple == (1, 2, 3) for w in check_all(m).condition_ii.witnesses)
+
+
+def test_strict_triangle_on_three_points():
+    m = DissimilarityMatrix.from_rows([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
+    for early_exit in (False, True):
+        for fp_ok in (None, False):
+            got = condition_ii_check(m, four_point_ok=fp_ok, early_exit=early_exit)
+            assert got == ref_condition_ii(m, four_point_ok=fp_ok, early_exit=early_exit)
+        assert check_all(m, early_exit=early_exit) == ref_check_all(m, early_exit=early_exit)
+    (witness,) = check_all(m).witnesses
+    assert (witness.quadruple, witness.triple) == (None, (1, 2, 3))
+
+
+def test_two_centers_raise_only_when_four_point_is_trusted():
+    """Labels 5 and 6 are both centers of {1,2,3,4}; the quadruple {1,2,5,6}
+    breaks the four-point rule, which is what makes a second center possible."""
+    pairs = {(i, j): 2 for i, j in combinations(range(1, 5), 2)}
+    pairs.update({(i, c): 1 for i in range(1, 5) for c in (5, 6)})
+    pairs[(5, 6)] = 2
+    m = DissimilarityMatrix.from_pairs(6, pairs)
+    assert not four_point_check(m).ok
+    assert condition_i_check(m).ok == ref_condition_i(m).ok
+    for early_exit in (False, True):
+        with pytest.raises(UniquenessViolation, match=r"\(1, 2, 3, 4\) admits two centers 5 and 6"):
+            condition_i_check(m, four_point_ok=True, early_exit=early_exit)
+        assert condition_ii_check(m, four_point_ok=True, early_exit=early_exit) == (
+            ref_condition_ii(m, four_point_ok=True, early_exit=early_exit)
+        )
+        assert check_all(m, early_exit=early_exit) == ref_check_all(m, early_exit=early_exit)
