@@ -73,6 +73,10 @@ class DissimilarityMatrix:
         if n < 1:
             raise InvalidMatrix("matrix must have at least one row")
         cells: list[list[Scalar]] = []
+        # Each distinct string is read once, so a mirror cell and a repeated
+        # value share one object. Only strings are keys: `True == 1 == 1.0`
+        # and they hash alike, yet must be coerced apart.
+        parsed_text: dict[str, Scalar] = {}
         for i, row in enumerate(raw_rows, start=1):
             row = list(row)
             if len(row) != n:
@@ -82,9 +86,15 @@ class DissimilarityMatrix:
             parsed = []
             for j, cell in enumerate(row, start=1):
                 try:
-                    parsed.append(policy.coerce(cell))
+                    if type(cell) is str:
+                        value = parsed_text.get(cell)
+                        if value is None:
+                            value = parsed_text[cell] = policy.parse(cell)
+                    else:
+                        value = policy.coerce(cell)
                 except (ValueError, TypeError, ZeroDivisionError) as exc:
                     raise MalformedInput(f"bad entry {cell!r}: {exc}", row=i, col=j)
+                parsed.append(value)
             cells.append(parsed)
         zero = policy.zero()
         for i in range(1, n + 1):
@@ -94,7 +104,8 @@ class DissimilarityMatrix:
                     if not policy.eq(x, zero):
                         raise InvalidMatrix("nonzero diagonal entry", row=i, col=i)
                     continue
-                if not policy.eq(x, cells[j - 1][i - 1]):
+                y = cells[j - 1][i - 1]
+                if x is not y and not policy.eq(x, y):
                     raise InvalidMatrix("asymmetric entry", row=i, col=j)
                 if not policy.is_positive(x):
                     raise InvalidMatrix("non-positive off-diagonal entry", row=i, col=j)
@@ -173,11 +184,10 @@ class DissimilarityMatrix:
         if cached is not None:
             return cached
         if isinstance(self.policy, ExactPolicy):
-            scale = 1
-            for _, _, value in self.pairs():
-                scale = scale * value.denominator // math.gcd(scale, value.denominator)
+            scale = math.lcm(*{cell.denominator for row in self.rows for cell in row})
             grid = tuple(
-                tuple(int(cell * scale) for cell in row) for row in self.rows
+                tuple(cell.numerator * (scale // cell.denominator) for cell in row)
+                for row in self.rows
             )
             view = (grid, operator.eq, operator.lt)
         else:

@@ -14,6 +14,7 @@ Mixing objects built under different policies in one computation raises
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
@@ -56,6 +57,9 @@ def _fraction_to_text(value: Fraction) -> str:
 
 _MAX_DIGITS = 1000
 _MAX_EXPONENT = 1000
+# A plain ASCII decimal. Every other literal, digits of other scripts
+# included, goes through `Fraction(text)`.
+_PLAIN_DECIMAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]*))?")
 
 
 def _bounded_fraction(text: str) -> Fraction:
@@ -65,6 +69,12 @@ def _bounded_fraction(text: str) -> Fraction:
     text = text.strip()
     if len(text) > _MAX_DIGITS and sum(ch.isdigit() for ch in text) > _MAX_DIGITS:
         raise ValueError(f"more than {_MAX_DIGITS} digits in an exact number")
+    plain = _PLAIN_DECIMAL.fullmatch(text)
+    if plain:
+        # A plain decimal is an integer over a power of ten; this skips the
+        # general literal grammar that `Fraction(text)` walks.
+        whole, frac = plain.group(1), plain.group(2) or ""
+        return Fraction(int(whole + frac), 10 ** len(frac))
     if "e" in text or "E" in text:
         try:
             size = abs(int(text.lower().partition("e")[2]))

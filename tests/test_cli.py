@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, formats, round trips, determinism."""
 
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treexact import parse_matrix, parse_tree, reconstruct, trees_equal
 from treexact.cli import main
@@ -16,9 +20,6 @@ PATH_TREE_JSON = json.dumps(
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
-        import sys
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
     captured = capsys.readouterr()
@@ -405,3 +406,48 @@ class TestDeterminism:
         code2, out2, _ = run_cli(capsys, list(argv))
         assert code1 == code2
         assert out1 == out2
+
+
+def run_on_stdin(argv, data: bytes):
+    """Run the CLI on `data` as standard input; return (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+CSV_LIKE = st.text(alphabet="0123456789+-.,\n", max_size=120)
+
+
+@st.composite
+def symmetric_csv(draw):
+    """A zero-diagonal symmetric grid, so the verdicts 0 and 1 are reached."""
+    n = draw(st.integers(1, 7))
+    cells = st.sampled_from(["1", "2", "3", "4", "1.5", "0.5", "1/3", "2e0", "0", "-1", "."])
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(cells)
+    return "\n".join(",".join(row) for row in rows)
+
+
+class TestExitCodeContract:
+    """Any input ends in exit 0-3, never a traceback, and exit 2 writes one
+    stderr line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from(["check", "reconstruct"]),
+        mode=st.sampled_from(["exact", "float"]),
+        data=st.binary(max_size=120) | (CSV_LIKE | symmetric_csv()).map(str.encode),
+    )
+    def test_any_input_keeps_the_contract(self, command, mode, data):
+        code, _, err = run_on_stdin([command, "--mode", mode], data)
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
