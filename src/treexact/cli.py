@@ -11,6 +11,7 @@ from the first non-blank character.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -39,7 +40,9 @@ class _UsageError(Exception):
     """Bad flag combination or unsupported format; maps to exit 2."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="treexact",
         description=(

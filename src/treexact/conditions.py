@@ -13,13 +13,15 @@ points iff it passes three checks:
 
 Checks report every witness and order them deterministically, so identical
 inputs produce byte-identical reports. Under the exact policy `check_all`
-first tries `realizing_tree` (O(n^2)) and returns the all-ok report when it
-succeeds. Otherwise one scan serves all three checks: an O(n^3) build of the
-between-masks (for each pair u, v the set of l with d(u,l) + d(l,v) = d(u,v))
+first runs `reconstruct` (O(n^2)) and returns the all-ok report when it
+builds a tree. Otherwise one scan serves all three checks: an O(n^3) build of
+the between-masks (for each pair u, v the set of l with d(u,l) + d(l,v) = d(u,v))
 and one O(n^4) pass that classifies each quadruple once and reads centers and
 medians off the masks. Under the float policy a median candidate must also
 pass the companion sum identities, which hold by arithmetic under the exact
-policy.
+policy. The float policy has no shortcut: its checks are defined by the
+scan's epsilon rules, which can reject a matrix that `reconstruct` builds
+within epsilon.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .core import DissimilarityMatrix
+from .core import DissimilarityMatrix, WeightedTree
 from .errors import DuplicateIndex, TooSmall, UniquenessViolation
 from .numeric import ExactPolicy, Scalar
-from .reconstruct import realizing_tree
+from .reconstruct import reconstruct
 
 __all__ = [
     "QuadrupleKind",
@@ -388,7 +390,7 @@ class CheckReport:
 def check_all(m: DissimilarityMatrix, early_exit: bool = False) -> CheckReport:
     """Run all three checks; realizable means every one of them passed.
 
-    Under the exact policy a matrix that `realizing_tree` realizes passes all
+    Under the exact policy a matrix that `reconstruct` realizes passes all
     three checks without witnesses, so that report is returned after the
     O(n^2) construction. Every other input, and every float-policy input,
     pays for the one scan that finds the witnesses of all three checks:
@@ -396,7 +398,7 @@ def check_all(m: DissimilarityMatrix, early_exit: bool = False) -> CheckReport:
     """
     if m.n < 3:
         raise TooSmall(f"realizability checks need n >= 3, got n = {m.n}")
-    if isinstance(m.policy, ExactPolicy) and realizing_tree(m) is not None:
+    if isinstance(m.policy, ExactPolicy) and isinstance(reconstruct(m), WeightedTree):
         ok = CheckFragment(ok=True, witnesses=())
         return CheckReport(four_point=ok, condition_i=ok, condition_ii=ok)
     four_point, centers, median, twin = _scan(m, early_exit)

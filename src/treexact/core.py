@@ -128,10 +128,11 @@ class DissimilarityMatrix:
             if i == j:
                 raise InvalidMatrix("diagonal pair in pair mapping", row=i, col=j)
             key = (min(i, j), max(i, j))
-            if key in seen and grid[key[0] - 1][key[1] - 1] != policy.coerce(value):
+            value = policy.coerce(value)
+            if key in seen and not policy.eq(grid[i - 1][j - 1], value):
                 raise InvalidMatrix("conflicting values for one pair", row=i, col=j)
             seen.add(key)
-            grid[i - 1][j - 1] = grid[j - 1][i - 1] = policy.coerce(value)
+            grid[i - 1][j - 1] = grid[j - 1][i - 1] = value
         missing = [
             (i, j)
             for i in range(1, n + 1)
@@ -239,7 +240,7 @@ class WeightedTree:
             if (prev.u, prev.v) == (cur.u, cur.v):
                 raise InvalidTree(f"parallel edges between {cur.u} and {cur.v}")
         tree = cls(n, tuple(normalized), policy)
-        if n > 1 and len(tree._reachable_from(1)) != n:
+        if n > 1 and len(_path_weights(tree.adjacency(), 1, policy.zero())) != n:
             raise InvalidTree("edges do not connect all vertices into one tree")
         return tree
 
@@ -249,18 +250,6 @@ class WeightedTree:
             adj[u].append((v, w))
             adj[v].append((u, w))
         return adj
-
-    def _reachable_from(self, start: int) -> set[int]:
-        adj = self.adjacency()
-        seen = {start}
-        stack = [start]
-        while stack:
-            here = stack.pop()
-            for nxt, _ in adj[here]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -350,24 +339,26 @@ def parse_tree(text: str, policy: Policy = EXACT) -> WeightedTree:
     return WeightedTree.from_edges(obj["n"], triples, policy)
 
 
+def _path_weights(adj, src: int, zero: Scalar) -> dict[int, Scalar]:
+    """Path weight from src to every vertex reachable from it, by one
+    depth-first walk of the adjacency lists `adj`."""
+    dist = {src: zero}
+    stack = [src]
+    while stack:
+        here = stack.pop()
+        base = dist[here]
+        for nxt, w in adj[here]:
+            if nxt not in dist:
+                dist[nxt] = base + w
+                stack.append(nxt)
+    return dist
+
+
 def path_weight(tree: WeightedTree, i: int, j: int) -> Scalar:
     """Total weight of the unique path between i and j; zero when i == j."""
     _check_label(i, tree.n)
     _check_label(j, tree.n)
-    if i == j:
-        return tree.policy.zero()
-    adj = tree.adjacency()
-    dist = {i: tree.policy.zero()}
-    stack = [i]
-    while stack:
-        here = stack.pop()
-        if here == j:
-            return dist[j]
-        for nxt, w in adj[here]:
-            if nxt not in dist:
-                dist[nxt] = dist[here] + w
-                stack.append(nxt)
-    return dist[j]
+    return _path_weights(tree.adjacency(), i, tree.policy.zero())[j]
 
 
 def all_pairs_weights(tree: WeightedTree) -> DissimilarityMatrix:
@@ -381,16 +372,8 @@ def all_pairs_weights(tree: WeightedTree) -> DissimilarityMatrix:
     zero = tree.policy.zero()
     grid = [[zero] * (n + 1) for _ in range(n + 1)]
     for src in range(1, n + 1):
-        dist = {src: zero}
-        stack = [src]
-        while stack:
-            here = stack.pop()
-            for nxt, w in adj[here]:
-                if nxt not in dist:
-                    dist[nxt] = dist[here] + w
-                    stack.append(nxt)
         row = grid[src]
-        for dst, value in dist.items():
+        for dst, value in _path_weights(adj, src, zero).items():
             if dst > src:
                 row[dst] = value
                 grid[dst][src] = value

@@ -66,27 +66,6 @@ class BadRange(TreexactError):
     """Generator parameters are out of range (size, weight bounds, or empty grid)."""
 
 
-class NoMiddleVertex(TreexactError):
-    """No vertex of a 3-point restriction sits metrically between the other two."""
-
-    def __init__(self, triple: tuple[int, int, int]):
-        super().__init__(
-            f"no middle vertex among {set(triple)}: no relabeling (x,y,z) "
-            "satisfies d(x,y) = d(x,z) + d(z,y)"
-        )
-        self.triple = triple
-
-
-class SupportVerificationFailure(TreexactError):
-    """A pendant candidate has no neighbor through which all its distances factor."""
-
-    def __init__(self, a: int, l: int, detail: tuple[int, ...], message: str):
-        super().__init__(message)
-        self.a = a
-        self.l = l
-        self.detail = detail
-
-
 class UniquenessViolation(TreexactError):
     """Two distinct vertices satisfied an identity that admits at most one solution.
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treexact import parse_matrix, parse_tree, reconstruct, trees_equal
-from treexact.cli import main
+from treexact.cli import build_parser, main
 
 STAR_CSV = "0,3,1,5\n3,0,2,6\n1,2,0,4\n5,6,4,0\n"
 ALL_TWO_CSV = "0,2,2,2\n2,0,2,2\n2,2,0,2\n2,2,2,0\n"
@@ -270,6 +270,20 @@ class TestPolicyFlags:
         )
         assert code == 0
         assert json.loads(out)["n"] == 4
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_float_flags_do_not_leak_into_the_next_call(self, tmp_path, capsys):
+        noisy = write(tmp_path, "m.csv", "0,3.0001,1,5\n3.0001,0,2,6\n1,2,0,4\n5,6,4,0\n")
+        code, out, _ = run_cli(capsys, ["check", "--mode", "float", "--eps", "1e-3", "-i", noisy])
+        assert code == 0
+        assert json.loads(out)["realizable"] is True
+        code, out, err = run_cli(capsys, ["check", "-i", noisy])
+        assert (code, err) == (1, "")
+        assert json.loads(out)["realizable"] is False
+        args = build_parser().parse_args(["check"])
+        assert (args.mode, args.eps, args.input) == ("exact", None, "-")
 
 
 class TestInputBoundary:

@@ -139,6 +139,20 @@ class TestMatrixValidation:
         with pytest.raises(InvalidMatrix):
             DissimilarityMatrix.from_pairs(3, {(1, 2): 1, (1, 3): 1})
 
+    def test_from_pairs_repeated_pair_compares_by_policy(self):
+        pairs = {(1, 2): 1.0, (2, 1): 1.0 + 1e-12}
+        m = DissimilarityMatrix.from_pairs(2, pairs, FloatPolicy())
+        assert m.policy.eq(m.d(1, 2), 1.0)
+        rows = [[0, 1.0], [1.0 + 1e-12, 0]]  # from_rows accepts the same asymmetry
+        assert DissimilarityMatrix.from_rows(rows, FloatPolicy()).n == 2
+        with pytest.raises(InvalidMatrix, match="conflicting"):
+            DissimilarityMatrix.from_pairs(2, {(1, 2): 1.0, (2, 1): 1.001}, FloatPolicy())
+        with pytest.raises(InvalidMatrix, match="conflicting"):
+            DissimilarityMatrix.from_pairs(2, {(1, 2): "1", (2, 1): "1.000000000001"})
+        # one value in two spellings is one value
+        m = DissimilarityMatrix.from_pairs(2, {(1, 2): "0.5", (2, 1): Fraction(1, 2)})
+        assert m.d(1, 2) == Fraction(1, 2)
+
     def test_unknown_vertex_lookup(self):
         m = parse_matrix("0,1\n1,0")
         with pytest.raises(UnknownVertex):

@@ -1,6 +1,8 @@
-"""Prim construction: agreement with the three checks, the peel and the oracle."""
+"""Prim construction in `reconstruct`: agreement with the three checks and the
+oracle, float against exact on grid inputs, and noisy float inputs."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +10,7 @@ from treexact import (
     CheckReport,
     DissimilarityMatrix,
     FloatPolicy,
-    PolicyMismatch,
+    UnrealizableWitness,
     WeightedTree,
     all_pairs_weights,
     check_all,
@@ -17,7 +19,6 @@ from treexact import (
     count_realizations,
     four_point_check,
     random_weighted_tree,
-    realizing_tree,
     reconstruct,
     trees_equal,
 )
@@ -40,55 +41,143 @@ def _rows(m):
     return [list(row[1:]) for row in m.rows[1:]]
 
 
-def _matrix(rng, n, kind):
-    """One exact matrix on n points with small integer entries (many ties)."""
+def _as_float(m, eps=1e-9):
+    """The same matrix under the float policy, read from its decimal text."""
+    fmt = m.policy.format
+    return DissimilarityMatrix.from_rows(
+        [[fmt(x) for x in row] for row in _rows(m)], FloatPolicy(eps)
+    )
+
+
+def _matrix(rng, n, kind, high=3, step=1):
+    """One exact matrix on n points: tree weights lie in [1, high], and
+    `step` is both the perturbation and the unit of the random kind's
+    entries, drawn from 1..4 steps (many ties)."""
     if kind == "tree":
-        return all_pairs_weights(random_weighted_tree(n, 1, 3, rng.randrange(2**32)))
+        return all_pairs_weights(random_weighted_tree(n, 1, high, rng.randrange(2**32)))
     if kind == "hidden":
         # a tree on more vertices restricted to n of them: unrealizable when
         # a hidden vertex is a branch point
         big = n + rng.randint(1, 3)
-        full = all_pairs_weights(random_weighted_tree(big, 1, 3, rng.randrange(2**32)))
+        full = all_pairs_weights(random_weighted_tree(big, 1, high, rng.randrange(2**32)))
         keep = sorted(rng.sample(range(1, big + 1), n))
         return DissimilarityMatrix.from_rows([[full.rows[i][j] for j in keep] for i in keep])
     if kind == "perturbed":
-        rows = _rows(all_pairs_weights(random_weighted_tree(n, 1, 4, rng.randrange(2**32))))
+        rows = _rows(all_pairs_weights(random_weighted_tree(n, 1, high + 1, rng.randrange(2**32))))
         i, j = rng.sample(range(n), 2)
-        delta = 1 if rows[i][j] == 1 else rng.choice((-1, 1))
+        delta = step if rows[i][j] <= step else rng.choice((-step, step))
         rows[i][j] += delta
         rows[j][i] += delta
         return DissimilarityMatrix.from_rows(rows)
-    pairs = {(i, j): rng.randint(1, 4) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    pairs = {
+        (i, j): rng.randint(1, 4) * step for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    }
     return DissimilarityMatrix.from_pairs(n, pairs)
+
+
+KINDS = ("tree", "hidden", "perturbed", "random")
 
 
 def _corpus():
     rng = random.Random(2718)
-    kinds = ("tree", "hidden", "perturbed", "random")
     for k in range(240):
-        yield _matrix(rng, 3 + k % 4, kinds[k // 4 % 4])
+        yield _matrix(rng, 3 + k % 4, KINDS[k // 4 % 4])
     for k in range(8):
-        yield _matrix(rng, 7, kinds[k % 4])
+        yield _matrix(rng, 7, KINDS[k % 4])
 
 
-def test_agreement_with_checks_peel_and_oracle():
+def _grid_corpus():
+    """Exact matrices on the 1/1000 grid, n 3..10, every kind."""
+    rng = random.Random(1414)
+    step = Fraction(1, 1000)
+    for k in range(160):
+        yield _matrix(rng, 3 + k % 8, KINDS[k // 8 % 4], 10, step)
+
+
+def test_agreement_with_checks_and_oracle():
     realizable = 0
     for m in _corpus():
-        tree = realizing_tree(m)
+        result = reconstruct(m)
         census = count_realizations(m)
-        verdict = tree is not None
+        verdict = isinstance(result, WeightedTree)
         assert census.count in (0, 1)
         assert verdict == (census.count == 1)
         assert verdict == check_all(m).realizable == _scan_report(m).realizable
-        # the float policy still peels; integer entries are exact in floats
-        peeled = reconstruct(DissimilarityMatrix.from_rows(_rows(m), FloatPolicy()))
-        assert isinstance(peeled, WeightedTree) == verdict
         if verdict:
             realizable += 1
-            assert trees_equal(tree, census.realizations[0])
-            assert trees_equal(tree, reconstruct(m))
+            assert trees_equal(result, census.realizations[0])
+        else:
+            assert result.stage == "support_verification"
     # the corpus has both answers in bulk
     assert 60 < realizable < 188
+
+
+@pytest.mark.parametrize("corpus", [_corpus, _grid_corpus])
+def test_float_equals_exact_on_grid_inputs(corpus):
+    """Grid values are exact in decimal text, so the float policy must give
+    the same verdict, the same edges and the same witness as exact."""
+    trees = witnesses = 0
+    for m in corpus():
+        exact, floating = reconstruct(m), reconstruct(_as_float(m))
+        assert type(floating) is type(exact)
+        if isinstance(exact, WeightedTree):
+            trees += 1
+            assert [(e.u, e.v) for e in floating.edges] == [(e.u, e.v) for e in exact.edges]
+            assert [e.w for e in floating.edges] == [float(e.w) for e in exact.edges]
+        else:
+            witnesses += 1
+            assert floating == exact
+    assert trees > 30 and witnesses > 30
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_noisy_float_tree_matches_every_entry_within_eps(eps):
+    """Each entry of a tree metric is moved by up to 1.5 eps (relative); a
+    returned tree reproduces every entry of the noisy input within eps."""
+    rng = random.Random(int(1 / eps))
+    trees = 0
+    for _ in range(300):
+        n = rng.randint(3, 10)
+        m = all_pairs_weights(random_weighted_tree(n, 1, 10, rng.randrange(2**32)))
+        rows = [[float(x) for x in row] for row in _rows(m)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rows[i][j] * (1 + rng.uniform(-1.5, 1.5) * eps)
+        noisy = DissimilarityMatrix.from_rows(rows, FloatPolicy(eps))
+        result = reconstruct(noisy)
+        if isinstance(result, UnrealizableWitness):
+            assert result.stage == "support_verification"
+            continue
+        trees += 1
+        back = all_pairs_weights(result)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                assert noisy.policy.eq(back.rows[i][j], noisy.rows[i][j]), (i, j)
+    assert trees > 10  # the property is not vacuous
+
+
+def test_companion_identity_star():
+    """A star realizes this float matrix within eps, yet the median of
+    {1,2,3} fails the scan's companion identities: reconstruct builds the
+    star while check, whose epsilon rules define it, reports no median."""
+    rows = [
+        [0, 11.11, 10.891, 10, 14],
+        [11.11, 0, 2, 1, 5],
+        [10.891, 2, 0, 1, 5],
+        [10, 1, 1, 0, 4],
+        [14, 5, 5, 4, 0],
+    ]
+    m = DissimilarityMatrix.from_rows(rows, FloatPolicy(0.01))
+    star = WeightedTree.from_edges(
+        5, [(1, 4, 10), (2, 4, 1), (3, 4, 1), (4, 5, 4)], FloatPolicy(0.01)
+    )
+    assert trees_equal(reconstruct(m), star)
+    report = check_all(m)
+    assert not report.realizable
+    assert any(
+        w.code == "no_median_vertex" and w.triple == (1, 2, 3)
+        for w in report.condition_ii.witnesses
+    )
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -102,16 +191,12 @@ def test_report_equals_direct_scan_at_n24(seed):
 
 def test_fixtures():
     assert trees_equal(
-        realizing_tree(star_matrix()),
+        reconstruct(star_matrix()),
         WeightedTree.from_edges(4, [(1, 3, 1), (2, 3, 2), (3, 4, 4)]),
     )
-    assert realizing_tree(all_two_matrix()) is None
-    assert realizing_tree(all_two_matrix(n=3)) is None
+    for m in (all_two_matrix(), all_two_matrix(n=3)):
+        witness = reconstruct(m)
+        assert (witness.stage, witness.indices) == ("support_verification", (3, 1, 2))
     # four-point consistent, yet the two branch points are hidden
-    assert realizing_tree(caterpillar_outer_matrix()) is None
-    assert realizing_tree(DissimilarityMatrix.from_rows([[0]])).edges == ()
-
-
-def test_float_policy_is_refused():
-    with pytest.raises(PolicyMismatch):
-        realizing_tree(star_matrix(FloatPolicy()))
+    assert isinstance(reconstruct(caterpillar_outer_matrix()), UnrealizableWitness)
+    assert reconstruct(DissimilarityMatrix.from_rows([[0]])).edges == ()

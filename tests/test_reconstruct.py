@@ -1,73 +1,72 @@
-"""Pendant peeling: base cases, certificates, full reconstruction."""
+"""Reconstruction by Prim: small cases, pendant leaves, witnesses, round trips."""
 
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from treexact import (
     DissimilarityMatrix,
-    NoMiddleVertex,
-    SupportVerificationFailure,
-    TooSmall,
     UnrealizableWitness,
     WeightedTree,
     all_pairs_weights,
     check_all,
-    find_pendant,
     random_weighted_tree,
     reconstruct,
-    solve_base3,
     trees_equal,
 )
 
 from helpers import all_two_matrix, matrices_entrywise_equal, path3_matrix, star_matrix
 
 
+def _leaf_edge(tree, a):
+    """The one edge at vertex a, as (a, neighbor, weight); a must be a leaf."""
+    assert a in tree.leaves()
+    (edge,) = [e for e in tree.edges if a in (e.u, e.v)]
+    return (a, edge.v if edge.u == a else edge.u, edge.w)
+
+
 class TestSolveBase3:
+    """Three points: the base case, where a middle vertex must exist."""
+
     def test_middle_three(self):
-        edges = solve_base3(path3_matrix(), (1, 2, 3))
-        assert edges == ((1, 3, 1), (3, 2, 2))
+        tree = reconstruct(path3_matrix())
+        assert tree.edges == ((1, 3, 1), (2, 3, 2))
 
     def test_no_middle(self):
-        with pytest.raises(NoMiddleVertex):
-            solve_base3(all_two_matrix(n=3), (1, 2, 3))
+        result = reconstruct(all_two_matrix(n=3))
+        assert isinstance(result, UnrealizableWitness)
+        assert (result.stage, result.indices) == ("support_verification", (3, 1, 2))
 
     def test_middle_one(self):
         m = DissimilarityMatrix.from_pairs(3, {(1, 2): 5, (1, 3): 5, (2, 3): 10})
-        edges = solve_base3(m, (1, 2, 3))
-        assert edges == ((2, 1, 5), (1, 3, 5))
-
-    def test_wrong_active_count(self):
-        with pytest.raises(TooSmall):
-            solve_base3(star_matrix(), (1, 2, 3, 4))
+        assert reconstruct(m).edges == ((1, 2, 5), (1, 3, 5))
 
 
 class TestFindPendant:
+    """Pendant vertices: each leaf of the built tree hangs from its support,
+    the vertex through which all of its distances factor."""
+
     def test_star_certificate(self):
-        cert = find_pendant(star_matrix(), (1, 2, 3, 4))
-        assert (cert.a, cert.l, cert.alpha) == (1, 3, 1)
-        assert (cert.b, cert.c) == (2, 4)  # maximizer value 5 + 6 - 3 = 8
+        assert _leaf_edge(reconstruct(star_matrix()), 1) == (1, 3, 1)
 
     def test_path3_certificate(self):
-        cert = find_pendant(path3_matrix(), (1, 2, 3))
-        assert (cert.a, cert.l, cert.alpha) == (1, 3, 1)
+        assert _leaf_edge(reconstruct(path3_matrix()), 1) == (1, 3, 1)
 
     def test_all_two_fails_support_verification(self):
-        with pytest.raises(SupportVerificationFailure) as err:
-            find_pendant(all_two_matrix(), (1, 2, 3, 4))
-        assert err.value.detail == (1, 2, 3)  # d(1,3) != d(1,2) + d(2,3)
+        result = reconstruct(all_two_matrix())
+        assert result.stage == "support_verification"
+        assert result.indices == (3, 1, 2)  # d(3,2) != d(3,1) + d(1,2)
+        assert result.message.startswith("d(3,2) != d(3,1) + d(1,2);")
 
     def test_subset_of_labels(self):
         # restricting the star to {2,3,4} leaves the path 2-3-4
-        cert = find_pendant(star_matrix(), (2, 3, 4))
-        assert cert.a == 2
-        assert cert.l == 3
-
-    def test_needs_three_active(self):
-        with pytest.raises(TooSmall):
-            find_pendant(star_matrix(), (1, 2))
+        star = star_matrix()
+        keep = (2, 3, 4)
+        m = DissimilarityMatrix.from_rows([[star.rows[i][j] for j in keep] for i in keep])
+        tree = reconstruct(m)
+        assert tree.edges == ((1, 2, 2), (2, 3, 4))
+        assert _leaf_edge(tree, 1) == (1, 2, 2)
 
 
 class TestReconstruct:
@@ -89,13 +88,13 @@ class TestReconstruct:
         result = reconstruct(all_two_matrix())
         assert isinstance(result, UnrealizableWitness)
         assert result.stage == "support_verification"
-        assert result.indices == (1, 2, 3)
+        assert result.indices == (3, 1, 2)
 
     def test_three_points_without_middle(self):
         result = reconstruct(all_two_matrix(n=3))
         assert isinstance(result, UnrealizableWitness)
-        assert result.stage == "condition_check"
-        assert result.indices == (1, 2, 3)
+        assert result.stage == "support_verification"
+        assert result.indices == (3, 1, 2)
 
     def test_single_vertex(self):
         tree = reconstruct(DissimilarityMatrix.from_rows([[0]]))
@@ -114,7 +113,7 @@ class TestReconstruct:
     def test_witness_json(self):
         doc = reconstruct(all_two_matrix()).to_json_dict()
         assert doc["stage"] == "support_verification"
-        assert doc["indices"] == [1, 2, 3]
+        assert doc["indices"] == [3, 1, 2]
         assert doc["realized"] is False
 
     def test_deterministic_witness(self):
@@ -123,8 +122,8 @@ class TestReconstruct:
         assert a == b
 
     def test_final_verification_witness_contract(self):
-        # the per-peel checks make this stage unreachable from reconstruct;
-        # the serialized shape is still part of the interface
+        # reconstruct reports only "support_verification" now; a witness of
+        # any stage still serializes in the same shape
         w = UnrealizableWitness("final_verification", (1, 4), "pair (1,4) disagrees")
         doc = w.to_json_dict()
         assert doc["stage"] == "final_verification"
@@ -145,37 +144,28 @@ def test_round_trip_recovers_the_generating_tree(n, seed):
 
 @given(st.integers(4, 9), st.integers(0, 2**31 - 1))
 def test_certified_pendant_is_a_leaf_with_unique_support(n, seed):
-    t = random_weighted_tree(n, "0.001", "10", seed)
-    m = all_pairs_weights(t)
-    active = list(range(1, n + 1))
+    m = all_pairs_weights(random_weighted_tree(n, "0.001", "10", seed))
     tree = reconstruct(m)
-    first = True
-    while len(active) > 3:
-        cert = find_pendant(m, active)
-        if first:
-            # the first certified pendant is a leaf of the full tree
-            assert cert.a in tree.leaves()
-            first = False
-        # a pendant of the active restriction never sits strictly between
-        # two other active vertices
-        for x in active:
-            for y in active:
-                if len({x, y, cert.a}) == 3:
-                    assert m.rows[x][y] < m.rows[x][cert.a] + m.rows[cert.a][y]
-        assert cert.alpha > 0
-        # exactly one active vertex can factor all of a's distances
-        supports = []
-        for cand in active:
-            if cand == cert.a:
-                continue
-            if all(
-                m.rows[cert.a][x] == m.rows[cert.a][cand] + m.rows[cand][x]
-                for x in active
-                if x not in (cert.a, cand)
-            ):
-                supports.append(cand)
-        assert supports == [cert.l]
-        active.remove(cert.a)
+    for a in tree.leaves():
+        _, support, alpha = _leaf_edge(tree, a)
+        assert alpha == m.rows[a][support] > 0
+        # a pendant never sits strictly between two other vertices
+        for x in tree.vertices():
+            for y in tree.vertices():
+                if len({x, y, a}) == 3:
+                    assert m.rows[x][y] < m.rows[x][a] + m.rows[a][y]
+        # exactly one vertex, its tree neighbor, factors all of a's distances
+        supports = [
+            cand
+            for cand in tree.vertices()
+            if cand != a
+            and all(
+                m.rows[a][x] == m.rows[a][cand] + m.rows[cand][x]
+                for x in tree.vertices()
+                if x not in (a, cand)
+            )
+        ]
+        assert supports == [support]
 
 
 def test_agreement_with_checks_on_random_matrices():
