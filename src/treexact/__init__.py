@@ -1,18 +1,7 @@
 """treexact: decide, build, and audit positive-weighted trees realizing a
 dissimilarity matrix on exactly its n labeled points."""
 
-from .conditions import (
-    CheckFragment,
-    CheckReport,
-    QuadrupleClass,
-    QuadrupleKind,
-    Witness,
-    check_all,
-    classify_quadruple,
-    condition_i_check,
-    condition_ii_check,
-    four_point_check,
-)
+from .conditions import CheckFragment, CheckReport, Witness, check_all
 from .core import (
     DissimilarityMatrix,
     Edge,
@@ -27,7 +16,6 @@ from .core import (
 from .errors import (
     BadRange,
     BadSequence,
-    DuplicateIndex,
     InvalidMatrix,
     InvalidTree,
     MalformedInput,
@@ -58,7 +46,6 @@ __all__ = [
     "CheckReport",
     "DEFAULT_ENUMERATION_CAP",
     "DissimilarityMatrix",
-    "DuplicateIndex",
     "EXACT",
     "Edge",
     "ExactPolicy",
@@ -68,8 +55,6 @@ __all__ = [
     "MalformedInput",
     "Policy",
     "PolicyMismatch",
-    "QuadrupleClass",
-    "QuadrupleKind",
     "RealizationCensus",
     "Scalar",
     "TooLarge",
@@ -82,11 +67,7 @@ __all__ = [
     "Witness",
     "all_pairs_weights",
     "check_all",
-    "classify_quadruple",
-    "condition_i_check",
-    "condition_ii_check",
     "count_realizations",
-    "four_point_check",
     "parse_matrix",
     "parse_tree",
     "path_weight",

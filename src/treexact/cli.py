@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -21,6 +20,7 @@ from .core import (
     DissimilarityMatrix,
     WeightedTree,
     all_pairs_weights,
+    dump_json,
     parse_matrix,
     parse_tree,
     tree_to_dot,
@@ -149,10 +149,6 @@ def _require_format(fmt: str, allowed: tuple[str, ...], command: str) -> None:
         )
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def _tree_text(tree: WeightedTree) -> str:
     lines = [f"tree on {tree.n} vertices"]
     fmt = tree.policy.format
@@ -168,7 +164,7 @@ def _matrix_text(m: DissimilarityMatrix) -> str:
 def _report_text(report: CheckReport) -> str:
     def verdict(fragment):
         tag = "ok" if fragment.ok else f"FAIL ({len(fragment.witnesses)} witnesses)"
-        if getattr(fragment, "caveat", False):
+        if fragment.caveat:
             tag += " [caveat: four-point failed]"
         return tag
 
@@ -223,7 +219,7 @@ def run_reconstruct(args) -> int:
     elif args.format == "text":
         print(_tree_text(result))
     else:
-        print(_dump(result.to_json_dict()))
+        print(dump_json(result.to_json_dict()))
     return EXIT_OK
 
 
@@ -237,7 +233,7 @@ def run_weights(args) -> int:
     elif args.format == "text":
         print(_matrix_text(matrix))
     else:
-        print(_dump(matrix.to_json_dict()))
+        print(dump_json(matrix.to_json_dict()))
     return EXIT_OK
 
 
@@ -272,7 +268,7 @@ def run_gen(args) -> int:
     tree = random_weighted_tree(args.n, args.wmin, args.wmax, args.seed, policy)
     matrix = all_pairs_weights(tree)
     if args.format == "json":
-        print(_dump({"tree": tree.to_json_dict(), "matrix": matrix.to_json_dict()}))
+        print(dump_json({"tree": tree.to_json_dict(), "matrix": matrix.to_json_dict()}))
     elif args.format == "csv":
         # Matrix only; feeding it back into `reconstruct` reproduces the tree.
         print(matrix.to_csv())

@@ -272,6 +272,11 @@ class WeightedTree:
         return f"WeightedTree(n={self.n}, edges={len(self.edges)}, policy={self.policy.name})"
 
 
+def dump_json(payload: dict) -> str:
+    """The JSON layout of every output: two-space indent, sorted keys."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 def _load_json(text: str, policy: Policy):
     try:
         return json.loads(text, parse_float=policy.json_parse_float)

@@ -42,10 +42,6 @@ class UnknownVertex(TreexactError):
         self.n = n
 
 
-class DuplicateIndex(TreexactError):
-    """Indices that must be pairwise distinct are not."""
-
-
 class PolicyMismatch(TreexactError):
     """Two values built under different numeric policies met in one computation."""
 

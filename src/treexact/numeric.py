@@ -114,9 +114,6 @@ class ExactPolicy:
     def lt(self, x, y) -> bool:
         return x < y
 
-    def le(self, x, y) -> bool:
-        return x <= y
-
     def is_positive(self, x) -> bool:
         return x > 0
 
@@ -165,9 +162,6 @@ class FloatPolicy:
 
     def lt(self, x, y) -> bool:
         return x < y and not self.eq(x, y)
-
-    def le(self, x, y) -> bool:
-        return x < y or self.eq(x, y)
 
     def is_positive(self, x) -> bool:
         return self.lt(0.0, x)

@@ -9,7 +9,6 @@ check, no solving involved.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from fractions import Fraction
 
-from .core import DissimilarityMatrix, WeightedTree
+from .core import DissimilarityMatrix, WeightedTree, dump_json
 from .errors import BadRange, BadSequence, InvalidTree, TooLarge
 from .numeric import EXACT, ExactPolicy, Policy, Scalar
 
@@ -55,7 +54,7 @@ class RealizationCensus:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return dump_json(self.to_json_dict())
 
 
 def prufer_decode(seq, n: int) -> tuple[tuple[int, int], ...]:

@@ -11,10 +11,9 @@ numeric policy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .core import DissimilarityMatrix, WeightedTree
+from .core import DissimilarityMatrix, WeightedTree, dump_json
 
 __all__ = ["UnrealizableWitness", "reconstruct"]
 
@@ -41,7 +40,7 @@ class UnrealizableWitness:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return dump_json(self.to_json_dict())
 
 
 def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:

@@ -119,9 +119,9 @@ def test_criterion_4a_all_two_metric():
     rebuilt = reconstruct(matrix)
     census = count_realizations(matrix)
     ok = (
-        report.four_point_ok
-        and not report.condition_i_ok
-        and report.condition_ii_ok
+        report.four_point.ok
+        and not report.condition_i.ok
+        and report.condition_ii.ok
         and witness_hit
         and not isinstance(rebuilt, WeightedTree)
         and census.count == 0
@@ -144,9 +144,9 @@ def test_criterion_4b_caterpillar_outer_metric():
     )
     census = count_realizations(matrix)
     ok = (
-        report.four_point_ok
-        and report.condition_i_ok
-        and not report.condition_ii_ok
+        report.four_point.ok
+        and report.condition_i.ok
+        and not report.condition_ii.ok
         and pair_witness
         and census.count == 0
     )

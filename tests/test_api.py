@@ -1,0 +1,79 @@
+"""The package's public surface: exactly these names, each importable, and
+one way to run the realizability checks."""
+
+import inspect
+
+import treexact
+from treexact import conditions, errors, numeric
+
+PUBLIC = [
+    "BadRange",
+    "BadSequence",
+    "CheckFragment",
+    "CheckReport",
+    "DEFAULT_ENUMERATION_CAP",
+    "DissimilarityMatrix",
+    "EXACT",
+    "Edge",
+    "ExactPolicy",
+    "FloatPolicy",
+    "InvalidMatrix",
+    "InvalidTree",
+    "MalformedInput",
+    "Policy",
+    "PolicyMismatch",
+    "RealizationCensus",
+    "Scalar",
+    "TooLarge",
+    "TooSmall",
+    "TreexactError",
+    "UniquenessViolation",
+    "UnknownVertex",
+    "UnrealizableWitness",
+    "WeightedTree",
+    "Witness",
+    "all_pairs_weights",
+    "check_all",
+    "count_realizations",
+    "parse_matrix",
+    "parse_tree",
+    "path_weight",
+    "prufer_decode",
+    "random_weighted_tree",
+    "realize_on_topology",
+    "reconstruct",
+    "tree_to_dot",
+    "trees_equal",
+]
+
+REMOVED = [
+    "DuplicateIndex",
+    "QuadrupleClass",
+    "QuadrupleKind",
+    "classify_quadruple",
+    "condition_i_check",
+    "condition_ii_check",
+    "four_point_check",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(treexact.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(treexact, name), name
+
+
+def test_removed_names_are_gone():
+    for name in REMOVED:
+        assert not hasattr(treexact, name), name
+        assert not hasattr(conditions, name), name
+        assert not hasattr(errors, name), name
+    assert conditions.__all__ == ["Witness", "CheckFragment", "CheckReport", "check_all"]
+    for prop in ("four_point_ok", "condition_i_ok", "condition_ii_ok"):
+        assert not hasattr(treexact.CheckReport, prop), prop
+    assert not hasattr(numeric.ExactPolicy, "le")
+    assert not hasattr(numeric.FloatPolicy, "le")
+
+
+def test_check_all_takes_only_the_matrix():
+    assert list(inspect.signature(treexact.check_all).parameters) == ["m"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treexact import parse_matrix, parse_tree, reconstruct, trees_equal
-from treexact.cli import build_parser, main
+from treexact.cli import build_parser, main, main_entry
 
 STAR_CSV = "0,3,1,5\n3,0,2,6\n1,2,0,4\n5,6,4,0\n"
 ALL_TWO_CSV = "0,2,2,2\n2,0,2,2\n2,2,0,2\n2,2,2,0\n"
@@ -74,6 +74,31 @@ class TestCheck:
         doc = json.dumps(parse_matrix(STAR_CSV).to_json_dict())
         code, out, _ = run_cli(capsys, ["check", "-i", write(tmp_path, "m.json", doc)])
         assert code == 0
+
+
+class TestMainEntry:
+    """`main_entry`, the console-script target, exits with `main`'s code."""
+
+    @pytest.mark.parametrize(
+        "argv, stdin, code",
+        [
+            (["check"], STAR_CSV, 0),
+            (["check"], ALL_TWO_CSV, 1),
+            (["check", "--eps", "1e-3"], STAR_CSV, 2),
+        ],
+    )
+    def test_exit_code(self, argv, stdin, code, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["treexact", *argv])
+        stream = io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stream)
+        with pytest.raises(SystemExit) as exc:
+            main_entry()
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert not out and "--eps is only valid with --mode float" in err
+        else:
+            assert json.loads(out)["realizable"] is (code == 0)
 
 
 class TestReconstruct:

@@ -1,24 +1,16 @@
-"""Quadruple classification and the three realizability checks."""
-
-from itertools import permutations
+"""The three realizability checks, through the scan and through `check_all`."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from treexact import (
     DissimilarityMatrix,
-    DuplicateIndex,
-    QuadrupleKind,
     TooSmall,
-    UnknownVertex,
     all_pairs_weights,
     check_all,
-    classify_quadruple,
-    condition_i_check,
-    condition_ii_check,
-    four_point_check,
     random_weighted_tree,
 )
+from treexact.conditions import _scan_report
 
 from helpers import (
     all_two_matrix,
@@ -29,91 +21,49 @@ from helpers import (
 )
 
 
-class TestClassifyQuadruple:
-    def test_all_three_equal(self):
-        q = classify_quadruple(all_two_matrix(), 1, 2, 3, 4)
-        assert q.kind is QuadrupleKind.ALL_THREE_EQUAL
-        assert q.sums == (4, 4, 4)
-        assert q.split is None
-
-    def test_two_equal_max_with_split(self):
-        q = classify_quadruple(caterpillar_outer_matrix(), 1, 2, 3, 4)
-        assert q.kind is QuadrupleKind.TWO_EQUAL_MAX
-        assert q.sums == (4, 6, 6)
-        assert q.split == ((1, 2), (3, 4))
-
-    def test_violation(self):
-        m = DissimilarityMatrix.from_pairs(
-            4, {(1, 2): 1, (3, 4): 1, (1, 3): 1, (2, 4): 1, (1, 4): 1, (2, 3): 5}
-        )
-        q = classify_quadruple(m, 1, 2, 3, 4)
-        assert q.kind is QuadrupleKind.VIOLATION
-        assert q.sums == (2, 2, 6)
-
-    def test_duplicate_index(self):
-        with pytest.raises(DuplicateIndex):
-            classify_quadruple(star_matrix(), 1, 2, 3, 3)
-
-    def test_unknown_vertex(self):
-        with pytest.raises(UnknownVertex):
-            classify_quadruple(star_matrix(), 1, 2, 3, 9)
-
-    def test_invariant_under_all_24_permutations(self):
-        m = caterpillar_outer_matrix()
-        base = classify_quadruple(m, 1, 2, 3, 4)
-        for perm in permutations((1, 2, 3, 4)):
-            q = classify_quadruple(m, *perm)
-            assert q.kind is base.kind
-            assert sorted(q.sums) == sorted(base.sums)
-            assert q.split == base.split  # split is normalized as a partition
-
-
 class TestFourPoint:
     def test_all_two_passes(self):
-        assert four_point_check(all_two_matrix()).ok
+        assert _scan_report(all_two_matrix()).four_point.ok
 
     def test_star_passes(self):
-        frag = four_point_check(star_matrix())
+        frag = _scan_report(star_matrix()).four_point
         assert frag.ok and frag.witnesses == ()
 
     def test_violation_witness(self):
         m = DissimilarityMatrix.from_pairs(
             4, {(1, 2): 1, (3, 4): 1, (1, 3): 1, (2, 4): 1, (1, 4): 1, (2, 3): 5}
         )
-        frag = four_point_check(m)
+        frag = _scan_report(m).four_point
         assert not frag.ok
         quads = [w.quadruple for w in frag.witnesses if w.code == "quadruple_max_once"]
         assert (1, 2, 3, 4) in quads
 
     def test_triangle_violation_on_three_points(self):
         m = DissimilarityMatrix.from_pairs(3, {(1, 2): 5, (1, 3): 1, (2, 3): 1})
-        frag = four_point_check(m)
+        frag = _scan_report(m).four_point
         assert not frag.ok
         assert frag.witnesses[0].code == "triangle_violation"
         assert frag.witnesses[0].triple == (1, 2, 3)
 
-    def test_two_points_vacuous(self):
-        assert four_point_check(DissimilarityMatrix.from_pairs(2, {(1, 2): 1})).ok
-
 
 class TestConditionI:
     def test_star_has_center(self):
-        frag = condition_i_check(star_matrix())
+        frag = _scan_report(star_matrix()).condition_i
         assert frag.ok and not frag.caveat
 
     def test_all_two_has_no_center(self):
-        frag = condition_i_check(all_two_matrix())
+        frag = _scan_report(all_two_matrix()).condition_i
         assert not frag.ok
         assert frag.witnesses[0].quadruple == (1, 2, 3, 4)
         assert frag.witnesses[0].code == "no_center_vertex"
         assert frag.witnesses[0].best_l in (1, 2, 3, 4)
 
     def test_vacuous_without_tied_quadruple(self):
-        assert condition_i_check(unit_path_matrix()).ok
+        assert _scan_report(unit_path_matrix()).condition_i.ok
 
     def test_caveat_reflects_four_point(self):
         m = DissimilarityMatrix.from_pairs(3, {(1, 2): 5, (1, 3): 1, (2, 3): 1})
-        assert condition_i_check(m).caveat
+        assert _scan_report(m).condition_i.caveat
 
     def test_center_may_live_outside_the_quadruple(self):
         # star with 5 arms: the quadruple {1,2,4,5} is centered at 3
@@ -125,16 +75,16 @@ class TestConditionI:
                 if i < j:
                     pairs[(i, j)] = arms[(i, 3)] + arms[(j, 3)]
         m = DissimilarityMatrix.from_pairs(5, pairs)
-        assert condition_i_check(m).ok
+        assert _scan_report(m).condition_i.ok
 
 
 class TestConditionII:
     def test_unit_path_passes(self):
-        frag = condition_ii_check(unit_path_matrix())
+        frag = _scan_report(unit_path_matrix()).condition_ii
         assert frag.ok
 
     def test_caterpillar_outer_labels_fail(self):
-        frag = condition_ii_check(caterpillar_outer_matrix())
+        frag = _scan_report(caterpillar_outer_matrix()).condition_ii
         assert not frag.ok
         observed = [(w.quadruple, w.triple) for w in frag.witnesses]
         assert observed == [
@@ -146,16 +96,16 @@ class TestConditionII:
         assert all(w.code == "no_median_vertex" for w in frag.witnesses)
 
     def test_vacuous_without_strict_quadruple(self):
-        assert condition_ii_check(all_two_matrix()).ok
+        assert _scan_report(all_two_matrix()).condition_ii.ok
 
     def test_three_point_strict_triangle_fails(self):
-        frag = condition_ii_check(all_two_matrix(n=3))
+        frag = _scan_report(all_two_matrix(n=3)).condition_ii
         assert not frag.ok
         assert frag.witnesses[0].triple == (1, 2, 3)
         assert frag.witnesses[0].quadruple is None
 
     def test_three_point_path_metric_passes(self):
-        assert condition_ii_check(path3_matrix()).ok
+        assert _scan_report(path3_matrix()).condition_ii.ok
 
 
 class TestCheckAll:
@@ -166,9 +116,9 @@ class TestCheckAll:
 
     def test_all_two_fails_only_condition_i(self):
         report = check_all(all_two_matrix())
-        assert report.four_point_ok
-        assert not report.condition_i_ok
-        assert report.condition_ii_ok
+        assert report.four_point.ok
+        assert not report.condition_i.ok
+        assert report.condition_ii.ok
         assert not report.realizable
 
     def test_too_small(self):
@@ -193,12 +143,6 @@ class TestCheckAll:
         }
         assert doc["realizable"] is False
         assert doc["witnesses"][0]["quadruple"] == [1, 2, 3, 4]
-
-    def test_early_exit_truncates_witnesses(self):
-        full = check_all(caterpillar_outer_matrix())
-        quick = check_all(caterpillar_outer_matrix(), early_exit=True)
-        assert not quick.realizable
-        assert len(quick.witnesses) <= len(full.witnesses)
 
 
 @given(st.integers(3, 8), st.integers(0, 2**31 - 1))

@@ -314,7 +314,6 @@ class TestFloatPolicy:
         assert not p.eq(1.0, 1.0 + 1e-6)
         assert p.eq(1e6, 1e6 + 1e-4)  # relative part kicks in
         assert not p.lt(1.0, 1.0 + 1e-12)
-        assert p.le(1.0, 1.0 + 1e-12)
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):

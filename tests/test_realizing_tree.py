@@ -7,34 +7,21 @@ from fractions import Fraction
 import pytest
 
 from treexact import (
-    CheckReport,
     DissimilarityMatrix,
     FloatPolicy,
     UnrealizableWitness,
     WeightedTree,
     all_pairs_weights,
     check_all,
-    condition_i_check,
-    condition_ii_check,
     count_realizations,
-    four_point_check,
     random_weighted_tree,
     reconstruct,
     trees_equal,
 )
 from treexact.cli import _report_text
+from treexact.conditions import _scan_report
 
 from helpers import all_two_matrix, caterpillar_outer_matrix, star_matrix
-
-
-def _scan_report(m):
-    """The report of the three checks called directly, without the shortcut."""
-    fp = four_point_check(m)
-    return CheckReport(
-        four_point=fp,
-        condition_i=condition_i_check(m, four_point_ok=fp.ok),
-        condition_ii=condition_ii_check(m, four_point_ok=fp.ok),
-    )
 
 
 def _rows(m):

@@ -18,19 +18,18 @@ from treexact import (
     DissimilarityMatrix,
     EXACT,
     FloatPolicy,
-    QuadrupleKind,
     UniquenessViolation,
     Witness,
     check_all,
-    condition_i_check,
-    condition_ii_check,
-    four_point_check,
 )
+from treexact import conditions
+from treexact.conditions import _scan, _scan_report
 from treexact.numeric import ExactPolicy
 
 # ---------------------------------------------------------------- reference
 
 _RANK = {"four_point": 0, "condition_i": 1, "condition_ii": 2}
+VIOLATION, ALL_THREE_EQUAL, TWO_EQUAL_MAX = "violation", "all_three_equal", "two_equal_max"
 
 
 def _key(w):
@@ -41,10 +40,10 @@ def _kind(sums, eq):
     top = max(sums)
     hits = sum(eq(s, top) for s in sums)
     if hits == 3:
-        return QuadrupleKind.ALL_THREE_EQUAL
+        return ALL_THREE_EQUAL
     if hits == 2:
-        return QuadrupleKind.TWO_EQUAL_MAX
-    return QuadrupleKind.VIOLATION
+        return TWO_EQUAL_MAX
+    return VIOLATION
 
 
 def _quad_kind(grid, eq, i, j, k, t):
@@ -62,25 +61,20 @@ def _best(n, score):
     return best
 
 
-def ref_four_point(m, early_exit=False):
+def ref_four_point(m):
     grid, eq, lt = m.comparison_view()
     n = m.n
     witnesses = []
     for quad in combinations(range(1, n + 1), 4):
-        if _quad_kind(grid, eq, *quad) is QuadrupleKind.VIOLATION:
+        if _quad_kind(grid, eq, *quad) == VIOLATION:
             witnesses.append(Witness("four_point", "quadruple_max_once", quadruple=quad))
-            if early_exit:
-                break
-    if not (early_exit and witnesses):
-        for i, j, k in combinations(range(1, n + 1), 3):
-            if (
-                lt(grid[i][j] + grid[j][k], grid[i][k])
-                or lt(grid[i][k] + grid[k][j], grid[i][j])
-                or lt(grid[j][i] + grid[i][k], grid[j][k])
-            ):
-                witnesses.append(Witness("four_point", "triangle_violation", triple=(i, j, k)))
-                if early_exit:
-                    break
+    for i, j, k in combinations(range(1, n + 1), 3):
+        if (
+            lt(grid[i][j] + grid[j][k], grid[i][k])
+            or lt(grid[i][k] + grid[k][j], grid[i][j])
+            or lt(grid[j][i] + grid[i][k], grid[j][k])
+        ):
+            witnesses.append(Witness("four_point", "triangle_violation", triple=(i, j, k)))
     witnesses.sort(key=_key)
     return CheckFragment(ok=not witnesses, witnesses=tuple(witnesses))
 
@@ -91,15 +85,13 @@ def _center_hits(grid, eq, quad, l):
     )
 
 
-def ref_condition_i(m, four_point_ok=None, early_exit=False):
-    if four_point_ok is None:
-        four_point_ok = ref_four_point(m, early_exit=True).ok
+def ref_condition_i(m, four_point_ok):
     grid, eq, _ = m.comparison_view()
     n = m.n
     enforce_unique = four_point_ok and isinstance(m.policy, ExactPolicy)
     witnesses = []
     for quad in combinations(range(1, n + 1), 4):
-        if _quad_kind(grid, eq, *quad) is not QuadrupleKind.ALL_THREE_EQUAL:
+        if _quad_kind(grid, eq, *quad) != ALL_THREE_EQUAL:
             continue
         centers = []
         for l in range(1, n + 1):
@@ -114,8 +106,6 @@ def ref_condition_i(m, four_point_ok=None, early_exit=False):
             witnesses.append(
                 Witness("condition_i", "no_center_vertex", quadruple=quad, best_l=best)
             )
-            if early_exit:
-                break
     witnesses.sort(key=_key)
     return CheckFragment(ok=not witnesses, witnesses=tuple(witnesses), caveat=not four_point_ok)
 
@@ -135,44 +125,36 @@ def _median_checks(grid, eq, triple, l):
     )
 
 
-def ref_condition_ii(m, four_point_ok=None, early_exit=False):
-    if four_point_ok is None:
-        four_point_ok = ref_four_point(m, early_exit=True).ok
+def ref_condition_ii(m, four_point_ok):
     grid, eq, _ = m.comparison_view()
     n = m.n
     witnesses = []
 
     def scan_triple(quad, triple):
         if any(all(_median_checks(grid, eq, triple, l)) for l in range(1, n + 1)):
-            return True
+            return
         best = _best(n, lambda l: sum(_median_checks(grid, eq, triple, l)[:5]))
         witnesses.append(
             Witness(
                 "condition_ii", "no_median_vertex", quadruple=quad, triple=triple, best_l=best
             )
         )
-        return False
 
     if n == 3:
         scan_triple(None, (1, 2, 3))
-    done = False
     for quad in combinations(range(1, n + 1), 4):
-        if _quad_kind(grid, eq, *quad) is not QuadrupleKind.TWO_EQUAL_MAX:
+        if _quad_kind(grid, eq, *quad) != TWO_EQUAL_MAX:
             continue
         for triple in combinations(quad, 3):
-            if not scan_triple(quad, triple) and early_exit:
-                done = True
-                break
-        if done:
-            break
+            scan_triple(quad, triple)
     witnesses.sort(key=_key)
     return CheckFragment(ok=not witnesses, witnesses=tuple(witnesses), caveat=not four_point_ok)
 
 
-def ref_check_all(m, early_exit=False):
-    fp = ref_four_point(m, early_exit=early_exit)
-    ci = ref_condition_i(m, four_point_ok=fp.ok, early_exit=early_exit)
-    cii = ref_condition_ii(m, four_point_ok=fp.ok, early_exit=early_exit)
+def ref_check_all(m):
+    fp = ref_four_point(m)
+    ci = ref_condition_i(m, four_point_ok=fp.ok)
+    cii = ref_condition_ii(m, four_point_ok=fp.ok)
     return CheckReport(four_point=fp, condition_i=ci, condition_ii=cii)
 
 
@@ -255,13 +237,6 @@ def _matrices(count, seed):
             yield DissimilarityMatrix.from_rows(_jitter(rng, rows, eps), FloatPolicy(eps))
 
 
-def _outcome(call, *args, **kwargs):
-    try:
-        return call(*args, **kwargs)
-    except UniquenessViolation as exc:
-        return type(exc)
-
-
 # ---------------------------------------------------------------- tests
 
 def _companion_decided(m):
@@ -277,25 +252,20 @@ def _companion_decided(m):
 
 
 def test_scan_matches_naive_loops():
-    """1200 seeded matrices, n = 3..8, exact and float: every public check,
-    with and without early exit and with each `four_point_ok`, gives the
-    reference's fragment or raises the same exception class. The corpus
-    fails every check somewhere, including medians that only the companion
+    """1200 seeded matrices, n = 3..8, exact and float: `check_all` and the
+    scan's own report both equal the reference's report, and list every
+    witness in the reference's sorted order. The corpus fails
+    every check somewhere, including medians that only the companion
     identities reject."""
     codes, companion_decided = set(), 0
     for m in _matrices(1200, seed=7100):
-        for early_exit in (False, True):
-            fp = ref_four_point(m, early_exit=early_exit)
-            ci = {ok: _outcome(ref_condition_i, m, ok, early_exit) for ok in (False, True)}
-            cii = {ok: ref_condition_ii(m, ok, early_exit) for ok in (False, True)}
-            want = CheckReport(four_point=fp, condition_i=ci[fp.ok], condition_ii=cii[fp.ok])
-            got = check_all(m, early_exit=early_exit)
-            assert got == want, (m.rows, early_exit)
+        want = ref_check_all(m)
+        merged = want.four_point.witnesses + want.condition_i.witnesses
+        merged = tuple(sorted(merged + want.condition_ii.witnesses, key=_key))
+        for got in (check_all(m), _scan_report(m)):
+            assert got == want, m.rows
+            assert got.witnesses == merged
             assert got.to_json() == want.to_json()
-            assert four_point_check(m, early_exit=early_exit) == fp
-            for fp_ok, ok in ((None, fp.ok), (False, False), (True, True)):
-                assert _outcome(condition_i_check, m, fp_ok, early_exit) == ci[ok]
-                assert condition_ii_check(m, fp_ok, early_exit) == cii[ok]
         codes.update(w.code for w in want.witnesses)
         if isinstance(m.policy, FloatPolicy) and m.n >= 4:
             companion_decided += _companion_decided(m)
@@ -322,38 +292,29 @@ def test_companion_identities_reject_a_float_median():
     grid, eq, _ = m.comparison_view()
     assert all(_median_checks(grid, eq, (1, 2, 3), 4)[:3])
     assert not all(_median_checks(grid, eq, (1, 2, 3), 4))
-    for early_exit in (False, True):
-        assert check_all(m, early_exit=early_exit) == ref_check_all(m, early_exit=early_exit)
-        assert condition_ii_check(m, early_exit=early_exit) == ref_condition_ii(
-            m, early_exit=early_exit
-        )
+    assert check_all(m) == _scan_report(m) == ref_check_all(m)
     assert any(w.triple == (1, 2, 3) for w in check_all(m).condition_ii.witnesses)
 
 
 def test_strict_triangle_on_three_points():
     m = DissimilarityMatrix.from_rows([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
-    for early_exit in (False, True):
-        for fp_ok in (None, False):
-            got = condition_ii_check(m, four_point_ok=fp_ok, early_exit=early_exit)
-            assert got == ref_condition_ii(m, four_point_ok=fp_ok, early_exit=early_exit)
-        assert check_all(m, early_exit=early_exit) == ref_check_all(m, early_exit=early_exit)
+    assert check_all(m) == _scan_report(m) == ref_check_all(m)
     (witness,) = check_all(m).witnesses
     assert (witness.quadruple, witness.triple) == (None, (1, 2, 3))
 
 
-def test_two_centers_raise_only_when_four_point_is_trusted():
+def test_two_centers_raise_only_when_four_point_is_trusted(monkeypatch):
     """Labels 5 and 6 are both centers of {1,2,3,4}; the quadruple {1,2,5,6}
-    breaks the four-point rule, which is what makes a second center possible."""
+    breaks the four-point rule, which is what makes a second center possible.
+    A scan that reported the twin with the four-point check passing would
+    contradict the uniqueness of the center, and the report refuses it."""
     pairs = {(i, j): 2 for i, j in combinations(range(1, 5), 2)}
     pairs.update({(i, c): 1 for i in range(1, 5) for c in (5, 6)})
     pairs[(5, 6)] = 2
     m = DissimilarityMatrix.from_pairs(6, pairs)
-    assert not four_point_check(m).ok
-    assert condition_i_check(m).ok == ref_condition_i(m).ok
-    for early_exit in (False, True):
-        with pytest.raises(UniquenessViolation, match=r"\(1, 2, 3, 4\) admits two centers 5 and 6"):
-            condition_i_check(m, four_point_ok=True, early_exit=early_exit)
-        assert condition_ii_check(m, four_point_ok=True, early_exit=early_exit) == (
-            ref_condition_ii(m, four_point_ok=True, early_exit=early_exit)
-        )
-        assert check_all(m, early_exit=early_exit) == ref_check_all(m, early_exit=early_exit)
+    four_point, centers, median, twin = _scan(m)
+    assert four_point and twin == ((1, 2, 3, 4), 5, 6)
+    assert check_all(m) == ref_check_all(m)
+    monkeypatch.setattr(conditions, "_scan", lambda m: ([], centers, median, twin))
+    with pytest.raises(UniquenessViolation, match=r"\(1, 2, 3, 4\) admits two centers 5 and 6"):
+        _scan_report(m)
