@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from .conditions import CheckReport, check_all
@@ -137,10 +138,6 @@ def _read_input(path: str) -> str:
         raise _UsageError(f"{source} is not UTF-8 text: {exc}")
 
 
-def _sniff_matrix_format(text: str) -> str:
-    return "json" if text.lstrip().startswith("{") else "csv"
-
-
 def _require_format(fmt: str, allowed: tuple[str, ...], command: str) -> None:
     if fmt not in allowed:
         raise _UsageError(
@@ -195,88 +192,74 @@ def _witness_text(witness: UnrealizableWitness) -> str:
     )
 
 
-def run_check(args) -> int:
+def _read_matrix(args) -> DissimilarityMatrix:
+    policy = _resolve_policy(args)
+    text = _read_input(args.input)
+    fmt = "json" if text.lstrip().startswith("{") else "csv"
+    return parse_matrix(text, fmt, policy)
+
+
+def run_check(args) -> tuple[str, int]:
     _require_format(args.format, ("json", "text"), "check")
-    policy = _resolve_policy(args)
-    text = _read_input(args.input)
-    matrix = parse_matrix(text, _sniff_matrix_format(text), policy)
-    report = check_all(matrix)
-    print(report.to_json() if args.format == "json" else _report_text(report))
-    return EXIT_OK if report.realizable else EXIT_UNREALIZABLE
+    report = check_all(_read_matrix(args))
+    text = report.to_json() if args.format == "json" else _report_text(report)
+    return text, EXIT_OK if report.realizable else EXIT_UNREALIZABLE
 
 
-def run_reconstruct(args) -> int:
+def run_reconstruct(args) -> tuple[str, int]:
     _require_format(args.format, ("json", "dot", "text"), "reconstruct")
-    policy = _resolve_policy(args)
-    text = _read_input(args.input)
-    matrix = parse_matrix(text, _sniff_matrix_format(text), policy)
-    result = reconstruct(matrix)
+    result = reconstruct(_read_matrix(args))
     if isinstance(result, UnrealizableWitness):
-        print(_witness_text(result) if args.format == "text" else result.to_json())
-        return EXIT_UNREALIZABLE
+        text = _witness_text(result) if args.format == "text" else result.to_json()
+        return text, EXIT_UNREALIZABLE
     if args.format == "dot":
-        print(tree_to_dot(result))
-    elif args.format == "text":
-        print(_tree_text(result))
-    else:
-        print(dump_json(result.to_json_dict()))
-    return EXIT_OK
+        return tree_to_dot(result), EXIT_OK
+    if args.format == "text":
+        return _tree_text(result), EXIT_OK
+    return dump_json(result.to_json_dict()), EXIT_OK
 
 
-def run_weights(args) -> int:
+def run_weights(args) -> tuple[str, int]:
     _require_format(args.format, ("json", "csv", "text"), "weights")
     policy = _resolve_policy(args)
-    tree = parse_tree(_read_input(args.input), policy)
-    matrix = all_pairs_weights(tree)
+    matrix = all_pairs_weights(parse_tree(_read_input(args.input), policy))
     if args.format == "csv":
-        print(matrix.to_csv())
-    elif args.format == "text":
-        print(_matrix_text(matrix))
-    else:
-        print(dump_json(matrix.to_json_dict()))
-    return EXIT_OK
+        return matrix.to_csv(), EXIT_OK
+    if args.format == "text":
+        return _matrix_text(matrix), EXIT_OK
+    return dump_json(matrix.to_json_dict()), EXIT_OK
 
 
-def run_oracle(args) -> int:
+def run_oracle(args) -> tuple[str, int]:
     _require_format(args.format, ("json", "text"), "oracle")
-    policy = _resolve_policy(args)
-    text = _read_input(args.input)
-    matrix = parse_matrix(text, _sniff_matrix_format(text), policy)
-    census = count_realizations(matrix, cap=args.cap)
+    census = count_realizations(_read_matrix(args), cap=args.cap)
+    code = {0: EXIT_UNREALIZABLE, 1: EXIT_OK}.get(census.count, EXIT_FALSIFIED)
     if args.format == "json":
-        print(census.to_json())
-    else:
-        lines = [
-            f"n: {census.n}",
-            f"topologies examined: {census.topologies_examined}",
-            f"realizations: {census.count}",
-        ]
-        for idx, tree in enumerate(census.realizations, start=1):
-            lines.append(f"realization {idx}:")
-            lines.extend("  " + line for line in _tree_text(tree).splitlines()[1:])
-        print("\n".join(lines))
-    if census.count == 0:
-        return EXIT_UNREALIZABLE
-    if census.count == 1:
-        return EXIT_OK
-    return EXIT_FALSIFIED
+        return census.to_json(), code
+    lines = [
+        f"n: {census.n}",
+        f"topologies examined: {census.topologies_examined}",
+        f"realizations: {census.count}",
+    ]
+    for idx, tree in enumerate(census.realizations, start=1):
+        lines.append(f"realization {idx}:")
+        lines.extend("  " + line for line in _tree_text(tree).splitlines()[1:])
+    return "\n".join(lines), code
 
 
-def run_gen(args) -> int:
+def run_gen(args) -> tuple[str, int]:
     _require_format(args.format, ("json", "csv", "dot", "text"), "gen")
     policy = _resolve_policy(args)
     tree = random_weighted_tree(args.n, args.wmin, args.wmax, args.seed, policy)
     matrix = all_pairs_weights(tree)
     if args.format == "json":
-        print(dump_json({"tree": tree.to_json_dict(), "matrix": matrix.to_json_dict()}))
-    elif args.format == "csv":
+        return dump_json({"tree": tree.to_json_dict(), "matrix": matrix.to_json_dict()}), EXIT_OK
+    if args.format == "csv":
         # Matrix only; feeding it back into `reconstruct` reproduces the tree.
-        print(matrix.to_csv())
-    elif args.format == "dot":
-        print(tree_to_dot(tree))
-    else:
-        print(_tree_text(tree) + "\n" + _matrix_text(matrix))
-    return EXIT_OK
+        return matrix.to_csv(), EXIT_OK
+    if args.format == "dot":
+        return tree_to_dot(tree), EXIT_OK
+    return _tree_text(tree) + "\n" + _matrix_text(matrix), EXIT_OK
 
 
 _HANDLERS = {
@@ -289,16 +272,19 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    stream = sys.stdout
     try:
-        return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except TreexactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        text, code = _HANDLERS[args.command](args)
+    except (_UsageError, TreexactError) as exc:
+        text, code, stream = f"error: {exc}", EXIT_INVALID, sys.stderr
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe early. Send what is still buffered to
+        # the null device, so the flush at exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def main_entry() -> None:

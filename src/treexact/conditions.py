@@ -11,23 +11,21 @@ points iff it passes three checks:
   of its four triples must have a vertex l through which the triple's three
   distances factor additively (with the companion sum identities).
 
-`check_all` is the one entry point. It returns a `CheckReport` with the
-verdict of each check and every witness, ordered deterministically, so
-identical inputs produce byte-identical reports. Under the exact policy it
-first runs `reconstruct` (O(n^2)) and returns the all-ok report when that
-builds a tree. Otherwise one scan serves all three checks: an O(n^3) build of
-the between-masks (for each pair u, v the set of l with d(u,l) + d(l,v) = d(u,v))
-and one O(n^4) pass that classifies each quadruple once and reads centers and
-medians off the masks. Under the float policy a median candidate must also
-pass the companion sum identities, which hold by arithmetic under the exact
-policy. The float policy has no shortcut: its checks are defined by the
-scan's epsilon rules, which can reject a matrix that `reconstruct` builds
-within epsilon.
+`check_all` is the one entry point. Its verdict is `reconstruct`'s (O(n^2)),
+under either numeric policy: a matrix that Prim builds gets the all-ok
+report. Only a failure pays for explanations, ordered deterministically so
+identical inputs produce byte-identical reports. One scan serves all three
+checks: an O(n^3) build of the between-masks (for each pair u, v the set of
+l with d(u,l) + d(l,v) = d(u,v)) and one O(n^4) pass that classifies each
+quadruple once and reads centers and medians off the masks. Under the float
+policy a median candidate must also pass the companion sum identities, which
+hold by arithmetic under the exact policy. When the scan's epsilon rules
+find no witness, the report carries Prim's failure as a `tree_fit` witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .core import DissimilarityMatrix, WeightedTree, dump_json
@@ -71,21 +69,31 @@ class CheckFragment:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Combined verdicts of the three checks plus every witness."""
+    """Combined verdicts of the three checks plus every witness. `tree_fit`
+    is set when no tree fits the matrix although every check passed, which
+    only the float policy's tolerance allows."""
 
     four_point: CheckFragment
     condition_i: CheckFragment
     condition_ii: CheckFragment
+    tree_fit: Witness | None = None
 
     @property
     def realizable(self) -> bool:
-        return self.four_point.ok and self.condition_i.ok and self.condition_ii.ok
+        return (
+            self.four_point.ok and self.condition_i.ok and self.condition_ii.ok
+            and self.tree_fit is None
+        )
 
     @property
     def witnesses(self) -> tuple[Witness, ...]:
         """Four-point, then center, then median witnesses, each check's in
-        the order its fragment holds them."""
-        return self.four_point.witnesses + self.condition_i.witnesses + self.condition_ii.witnesses
+        the order its fragment holds them, then the `tree_fit` witness."""
+        fit = (self.tree_fit,) if self.tree_fit else ()
+        return (
+            self.four_point.witnesses + self.condition_i.witnesses
+            + self.condition_ii.witnesses + fit
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -241,17 +249,22 @@ def _scan_report(m: DissimilarityMatrix) -> CheckReport:
 
 
 def check_all(m: DissimilarityMatrix) -> CheckReport:
-    """Run all three checks; realizable means every one of them passed.
+    """Run all three checks; realizable means `reconstruct` built a tree.
 
-    Under the exact policy a matrix that `reconstruct` realizes passes all
-    three checks without witnesses, so that report is returned after the
-    O(n^2) construction. Every other input, and every float-policy input,
+    A built tree gets the all-ok report after O(n^2) work. Any other input
     pays for the one scan that finds the witnesses of all three checks:
-    O(n^3) to build the between-masks plus O(n^4) over the quadruples.
+    O(n^3) to build the between-masks plus O(n^4) over the quadruples. If the
+    scan finds none, the report's `tree_fit` witness holds Prim's failing
+    (v, p, x). The theorem rules that case out under the exact policy.
     """
     if m.n < 3:
         raise TooSmall(f"realizability checks need n >= 3, got n = {m.n}")
-    if isinstance(m.policy, ExactPolicy) and isinstance(reconstruct(m), WeightedTree):
+    built = reconstruct(m)
+    if isinstance(built, WeightedTree):
         ok = CheckFragment(ok=True, witnesses=())
         return CheckReport(four_point=ok, condition_i=ok, condition_ii=ok)
-    return _scan_report(m)
+    report = _scan_report(m)
+    if report.realizable:
+        fit = Witness("tree_fit", "no_tree_within_eps", triple=built.indices)
+        report = replace(report, tree_fit=fit)
+    return report

@@ -370,7 +370,8 @@ def all_pairs_weights(tree: WeightedTree) -> DissimilarityMatrix:
     """Matrix of path weights between every pair of vertices.
 
     Positivity and symmetry hold by construction, so the result always
-    satisfies the dissimilarity invariants.
+    satisfies the dissimilarity invariants. Under the float policy a path
+    weight beyond the float range raises InvalidTree.
     """
     n = tree.n
     adj = tree.adjacency()
@@ -382,6 +383,8 @@ def all_pairs_weights(tree: WeightedTree) -> DissimilarityMatrix:
             if dst > src:
                 row[dst] = value
                 grid[dst][src] = value
+    if not isinstance(tree.policy, ExactPolicy) and not math.isfinite(max(map(max, grid))):
+        raise InvalidTree("a path weight of the tree overflows the float range")
     return DissimilarityMatrix(n, tuple(tuple(r) for r in grid), tree.policy)
 
 

@@ -5,7 +5,8 @@ computation go through it. The default exact policy keeps values as
 `fractions.Fraction`, so equalities between pair sums are decided without
 rounding and decimal input strings survive a parse/serialize round trip
 unchanged. The float policy is meant for measured data; its equality is
-``|x - y| <= epsilon * max(1, |x|, |y|)``.
+``|x - y| <= epsilon * max(1, |x|, |y|)``, false when that tolerance is
+infinite.
 
 Mixing objects built under different policies in one computation raises
 `PolicyMismatch`.
@@ -158,7 +159,8 @@ class FloatPolicy:
         return out
 
     def eq(self, x, y) -> bool:
-        return abs(x - y) <= self.epsilon * max(1.0, abs(x), abs(y))
+        # An overflowed sum makes the tolerance infinite; it matches nothing.
+        return abs(x - y) <= self.epsilon * max(1.0, abs(x), abs(y)) < math.inf
 
     def lt(self, x, y) -> bool:
         return x < y and not self.eq(x, y)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .core import DissimilarityMatrix, WeightedTree, dump_json
 from .errors import BadRange, BadSequence, InvalidTree, TooLarge
-from .numeric import EXACT, ExactPolicy, Policy, Scalar
+from .numeric import EXACT, Policy
 
 __all__ = [
     "RealizationCensus",
@@ -179,8 +179,11 @@ def random_weighted_tree(
         raise BadRange(f"weight_low must be positive, got {weight_low!r}")
     if policy.lt(high, low):
         raise BadRange(f"weight range [{weight_low!r}, {weight_high!r}] is empty")
-    k_min = max(1, math.ceil(low * WEIGHT_GRID_DENOMINATOR))
-    k_max = math.floor(high * WEIGHT_GRID_DENOMINATOR)
+    try:
+        k_min = max(1, math.ceil(low * WEIGHT_GRID_DENOMINATOR))
+        k_max = math.floor(high * WEIGHT_GRID_DENOMINATOR)
+    except OverflowError:  # a float bound times the grid is infinite
+        raise BadRange(f"weight range [{weight_low!r}, {weight_high!r}] exceeds the float range")
     if k_min > k_max:
         raise BadRange(
             f"no multiple of 1/{WEIGHT_GRID_DENOMINATOR} inside "
@@ -193,14 +196,7 @@ def random_weighted_tree(
         topology = ((1, 2),)
     else:
         topology = prufer_decode([rng.randint(1, n) for _ in range(n - 2)], n)
-    exact = isinstance(policy, ExactPolicy)
-    edges = []
-    for u, v in topology:
-        k = rng.randint(k_min, k_max)
-        weight: Scalar
-        if exact:
-            weight = Fraction(k, WEIGHT_GRID_DENOMINATOR)
-        else:
-            weight = k / WEIGHT_GRID_DENOMINATOR
-        edges.append((u, v, weight))
+    # The policy coerces each k/1000; under float that is k / 1000 correctly rounded.
+    denominator = WEIGHT_GRID_DENOMINATOR
+    edges = [(u, v, Fraction(rng.randint(k_min, k_max), denominator)) for u, v in topology]
     return WeightedTree.from_edges(n, edges, policy)

@@ -3,11 +3,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treexact
 from treexact import parse_matrix, parse_tree, reconstruct, trees_equal
 from treexact.cli import build_parser, main, main_entry
 
@@ -16,6 +19,11 @@ ALL_TWO_CSV = "0,2,2,2\n2,0,2,2\n2,2,0,2\n2,2,2,0\n"
 PATH_TREE_JSON = json.dumps(
     {"n": 3, "edges": [{"u": 1, "v": 3, "w": "1"}, {"u": 3, "v": 2, "w": "2"}]}
 )
+BIG = "1e308"  # a float whose sum with itself overflows
+
+
+def equal_csv(n, value):
+    return "\n".join(",".join("0" if i == j else value for j in range(n)) for i in range(n))
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -296,6 +304,15 @@ class TestPolicyFlags:
         assert code == 0
         assert json.loads(out)["n"] == 4
 
+    @pytest.mark.parametrize("command, n", [("reconstruct", 4), ("oracle", 3)])
+    def test_overflowed_float_sums_match_nothing(self, tmp_path, capsys, command, n):
+        """Every path sum of these matrices is infinite, and an infinite
+        tolerance equals nothing: no tree is built or counted."""
+        path = write(tmp_path, "m.csv", equal_csv(n, BIG))
+        code, out, err = run_cli(capsys, [command, "--mode", "float", "-i", path])
+        assert (code, err) == (1, "")
+        assert json.loads(out).get("count", 0) == 0
+
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
@@ -420,6 +437,25 @@ class TestInputBoundary:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["gen", "-n", "3", "--mode", "float", "--wmax", BIG], ""),
+            (
+                ["weights", "--mode", "float"],
+                json.dumps({"n": 3, "edges": [
+                    {"u": 1, "v": 2, "w": BIG}, {"u": 2, "v": 3, "w": BIG},
+                ]}),
+            ),
+        ],
+        ids=["gen", "weights"],
+    )
+    def test_float_tree_beyond_float_range_invalid(self, capsys, monkeypatch, argv, stdin):
+        code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert "float range" in err and err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -490,3 +526,17 @@ class TestExitCodeContract:
         assert code in (0, 1, 2, 3)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_pipe_ends_quietly():
+    """A reader that takes one byte of a large output and closes the pipe
+    leaves the exit code at 0 and stderr empty."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(treexact.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treexact.cli", "gen", "-n", "300", "-f", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(1) == b"0"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 0

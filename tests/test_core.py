@@ -1,5 +1,6 @@
 """Core types: parsing, path weights, all-pairs matrices, tree equality."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,16 @@ from treexact import (
     MalformedInput,
     PolicyMismatch,
     UnknownVertex,
+    UnrealizableWitness,
     WeightedTree,
     all_pairs_weights,
+    check_all,
+    count_realizations,
     parse_matrix,
     parse_tree,
     path_weight,
     random_weighted_tree,
+    reconstruct,
     tree_to_dot,
     trees_equal,
 )
@@ -314,6 +319,23 @@ class TestFloatPolicy:
         assert not p.eq(1.0, 1.0 + 1e-6)
         assert p.eq(1e6, 1e6 + 1e-4)  # relative part kicks in
         assert not p.lt(1.0, 1.0 + 1e-12)
+        # an infinite tolerance equals nothing, an overflowed sum included
+        assert not p.eq(1.0, math.inf) and not p.eq(1e308, 1e308 + 1e308)
+        assert p.eq(1e308, 1e308)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_overflowed_sums_fit_no_tree(self, n):
+        m = DissimilarityMatrix.from_pairs(
+            n, {(i, j): 1e308 for i in range(1, n + 1) for j in range(i + 1, n + 1)}, FloatPolicy()
+        )
+        assert isinstance(reconstruct(m), UnrealizableWitness)
+        assert count_realizations(m).count == 0
+        assert not check_all(m).realizable
+
+    def test_float_path_weights_beyond_float_range_invalid(self):
+        tree = WeightedTree.from_edges(3, [(1, 2, 1e308), (2, 3, 1e308)], FloatPolicy())
+        with pytest.raises(InvalidTree, match="float range"):
+            all_pairs_weights(tree)
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Prim construction in `reconstruct`: agreement with the three checks and the
-oracle, float against exact on grid inputs, and noisy float inputs."""
+oracle under both policies, float against exact on grid inputs, and noisy
+float inputs."""
 
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from treexact import (
     FloatPolicy,
     UnrealizableWitness,
     WeightedTree,
+    Witness,
     all_pairs_weights,
     check_all,
     count_realizations,
@@ -73,6 +75,25 @@ def _corpus():
         yield _matrix(rng, 7, KINDS[k % 4])
 
 
+def _noisy(rng, n, eps):
+    """A float tree metric on n points, weights in [1, 10], with each entry
+    moved by up to 1.5 eps (relative)."""
+    m = all_pairs_weights(random_weighted_tree(n, 1, 10, rng.randrange(2**32)))
+    rows = [[float(x) for x in row] for row in _rows(m)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rows[i][j] * (1 + rng.uniform(-1.5, 1.5) * eps)
+    return DissimilarityMatrix.from_rows(rows, FloatPolicy(eps))
+
+
+def _noisy_corpus():
+    """2000 noisy float matrices, n 3..6 and every 100th at n = 7, eps 1e-2
+    and 1e-3."""
+    rng = random.Random(1729)
+    for k in range(2000):
+        yield _noisy(rng, 7 if k % 100 == 99 else 3 + k % 4, (1e-2, 1e-3)[k // 4 % 2])
+
+
 def _grid_corpus():
     """Exact matrices on the 1/1000 grid, n 3..10, every kind."""
     rng = random.Random(1414)
@@ -82,6 +103,8 @@ def _grid_corpus():
 
 
 def test_agreement_with_checks_and_oracle():
+    """Exact inputs: `check`, the scan alone, `reconstruct` and the oracle
+    give one verdict, and the built tree is the oracle's."""
     realizable = 0
     for m in _corpus():
         result = reconstruct(m)
@@ -99,13 +122,33 @@ def test_agreement_with_checks_and_oracle():
     assert 60 < realizable < 188
 
 
+def test_deciders_agree_on_noisy_float_inputs():
+    """The float half of the agreement above: `check` is realizable iff
+    `reconstruct` builds a tree iff the oracle finds one. A failure that no
+    check explains within eps carries Prim's (v, p, x) as its one witness."""
+    realizable = fits = 0
+    for m in _noisy_corpus():
+        built, report = reconstruct(m), check_all(m)
+        verdict = isinstance(built, WeightedTree)
+        assert report.realizable == verdict == (count_realizations(m).count >= 1), m.rows
+        realizable += verdict
+        if report.tree_fit is not None:
+            fits += 1
+            fit = Witness("tree_fit", "no_tree_within_eps", triple=built.indices)
+            assert report.witnesses == (fit,)
+    assert 300 < realizable < 1700 and fits > 0
+
+
 @pytest.mark.parametrize("corpus", [_corpus, _grid_corpus])
 def test_float_equals_exact_on_grid_inputs(corpus):
     """Grid values are exact in decimal text, so the float policy must give
-    the same verdict, the same edges and the same witness as exact."""
+    the same verdict, the same edges and the same witness as exact, and
+    `check` the same report: reports carry only labels."""
     trees = witnesses = 0
     for m in corpus():
-        exact, floating = reconstruct(m), reconstruct(_as_float(m))
+        floating_m = _as_float(m)
+        assert check_all(floating_m).to_json() == check_all(m).to_json()
+        exact, floating = reconstruct(m), reconstruct(floating_m)
         assert type(floating) is type(exact)
         if isinstance(exact, WeightedTree):
             trees += 1
@@ -125,12 +168,7 @@ def test_noisy_float_tree_matches_every_entry_within_eps(eps):
     trees = 0
     for _ in range(300):
         n = rng.randint(3, 10)
-        m = all_pairs_weights(random_weighted_tree(n, 1, 10, rng.randrange(2**32)))
-        rows = [[float(x) for x in row] for row in _rows(m)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = rows[j][i] = rows[i][j] * (1 + rng.uniform(-1.5, 1.5) * eps)
-        noisy = DissimilarityMatrix.from_rows(rows, FloatPolicy(eps))
+        noisy = _noisy(rng, n, eps)
         result = reconstruct(noisy)
         if isinstance(result, UnrealizableWitness):
             assert result.stage == "support_verification"
@@ -145,8 +183,9 @@ def test_noisy_float_tree_matches_every_entry_within_eps(eps):
 
 def test_companion_identity_star():
     """A star realizes this float matrix within eps, yet the median of
-    {1,2,3} fails the scan's companion identities: reconstruct builds the
-    star while check, whose epsilon rules define it, reports no median."""
+    {1,2,3} fails the scan's companion identities. `check` takes its verdict
+    from reconstruct, which builds the star; only the scan alone reports no
+    median."""
     rows = [
         [0, 11.11, 10.891, 10, 14],
         [11.11, 0, 2, 1, 5],
@@ -159,11 +198,12 @@ def test_companion_identity_star():
         5, [(1, 4, 10), (2, 4, 1), (3, 4, 1), (4, 5, 4)], FloatPolicy(0.01)
     )
     assert trees_equal(reconstruct(m), star)
-    report = check_all(m)
-    assert not report.realizable
+    assert check_all(m).realizable and check_all(m).witnesses == ()
+    scan = _scan_report(m)
+    assert not scan.realizable
     assert any(
         w.code == "no_median_vertex" and w.triple == (1, 2, 3)
-        for w in report.condition_ii.witnesses
+        for w in scan.condition_ii.witnesses
     )
 
 

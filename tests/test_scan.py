@@ -8,6 +8,8 @@ compared against.
 """
 
 import random
+from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -19,8 +21,10 @@ from treexact import (
     EXACT,
     FloatPolicy,
     UniquenessViolation,
+    UnrealizableWitness,
     Witness,
     check_all,
+    reconstruct,
 )
 from treexact import conditions
 from treexact.conditions import _scan, _scan_report
@@ -252,20 +256,37 @@ def _companion_decided(m):
 
 
 def test_scan_matches_naive_loops():
-    """1200 seeded matrices, n = 3..8, exact and float: `check_all` and the
-    scan's own report both equal the reference's report, and list every
-    witness in the reference's sorted order. The corpus fails
-    every check somewhere, including medians that only the companion
-    identities reject."""
-    codes, companion_decided = set(), 0
+    """1200 seeded matrices, n = 3..8, exact and float: the scan's own
+    report equals the reference's report and lists every witness in the
+    reference's sorted order. `check_all` equals it too wherever the scan
+    explains a failure: on every exact matrix, and on every float matrix
+    that `reconstruct` rejects and the reference finds witnesses for. Every
+    other float matrix gets the all-ok report, or the one `tree_fit` witness
+    when `reconstruct` rejects it. The corpus fails every check somewhere,
+    including medians that only the companion identities reject."""
+    codes, companion_decided, contract = set(), 0, Counter()
+    all_ok = CheckFragment(ok=True, witnesses=())
     for m in _matrices(1200, seed=7100):
         want = ref_check_all(m)
         merged = want.four_point.witnesses + want.condition_i.witnesses
         merged = tuple(sorted(merged + want.condition_ii.witnesses, key=_key))
-        for got in (check_all(m), _scan_report(m)):
-            assert got == want, m.rows
-            assert got.witnesses == merged
-            assert got.to_json() == want.to_json()
+        got = _scan_report(m)
+        assert got == want, m.rows
+        assert got.witnesses == merged
+        assert got.to_json() == want.to_json()
+        built, report = reconstruct(m), check_all(m)
+        if isinstance(m.policy, ExactPolicy) or (
+            isinstance(built, UnrealizableWitness) and want.witnesses
+        ):
+            assert report == want, m.rows
+            contract["scan"] += 1
+        elif isinstance(built, UnrealizableWitness):
+            fit = Witness("tree_fit", "no_tree_within_eps", triple=built.indices)
+            assert report == replace(want, tree_fit=fit), m.rows
+            contract["tree_fit"] += 1
+        else:
+            assert report == CheckReport(all_ok, all_ok, all_ok), m.rows
+            contract["all_ok"] += 1
         codes.update(w.code for w in want.witnesses)
         if isinstance(m.policy, FloatPolicy) and m.n >= 4:
             companion_decided += _companion_decided(m)
@@ -273,6 +294,7 @@ def test_scan_matches_naive_loops():
         "quadruple_max_once", "triangle_violation", "no_center_vertex", "no_median_vertex",
     }
     assert companion_decided > 0
+    assert contract["tree_fit"] and min(contract["scan"], contract["all_ok"]) > 100
 
 
 def test_companion_identities_reject_a_float_median():
@@ -292,8 +314,10 @@ def test_companion_identities_reject_a_float_median():
     grid, eq, _ = m.comparison_view()
     assert all(_median_checks(grid, eq, (1, 2, 3), 4)[:3])
     assert not all(_median_checks(grid, eq, (1, 2, 3), 4))
-    assert check_all(m) == _scan_report(m) == ref_check_all(m)
-    assert any(w.triple == (1, 2, 3) for w in check_all(m).condition_ii.witnesses)
+    assert _scan_report(m) == ref_check_all(m)
+    assert any(w.triple == (1, 2, 3) for w in _scan_report(m).condition_ii.witnesses)
+    # `check` takes reconstruct's verdict, and Prim builds the star within eps.
+    assert check_all(m).realizable
 
 
 def test_strict_triangle_on_three_points():
