@@ -16,11 +16,13 @@ under either numeric policy: a matrix that Prim builds gets the all-ok
 report. Only a failure pays for explanations, ordered deterministically so
 identical inputs produce byte-identical reports. One scan serves all three
 checks: an O(n^3) build of the between-masks (for each pair u, v the set of
-l with d(u,l) + d(l,v) = d(u,v)) and one O(n^4) pass that classifies each
-quadruple once and reads centers and medians off the masks. Under the float
-policy a median candidate must also pass the companion sum identities, which
-hold by arithmetic under the exact policy. When the scan's epsilon rules
-find no witness, the report carries Prim's failure as a `tree_fit` witness.
+l with d(u,l) + d(l,v) = d(u,v)), one O(n^3) pass that decides each triple's
+triangle inequalities and median, and one O(n^4) pass that classifies each
+quadruple once, reading its center off the masks and its triples' median
+verdicts off a table. Under the float policy a median candidate must also
+pass the companion sum identities, which hold by arithmetic under the exact
+policy. When the scan's epsilon rules find no witness, the report carries
+Prim's failure as a `tree_fit` witness.
 """
 
 from __future__ import annotations
@@ -126,62 +128,61 @@ def _between_masks(grid, eq, n):
 
 
 def _scan(m: DissimilarityMatrix):
-    """Classify every quadruple once and collect the witnesses of all three
-    checks: (four_point, condition_i, condition_ii, twin).
+    """Collect the witnesses of all three checks in two passes:
+    (four_point, condition_i, condition_ii, twin).
 
-    Each witness list comes out in report order: triples without a quadruple
-    first, then quadruples, each in lexicographic order. `twin` is the first
-    quadruple with two centers, and its two smallest centers; whether it is
-    an error depends on the four-point verdict.
+    The triple pass decides each triple's triangle inequalities and whether
+    it has a median; the quadruple pass classifies each quadruple once and
+    reads its center off the masks and its triples' median verdicts off the
+    `no_median` table. Each witness list comes out in report order: triples
+    without a quadruple first, then quadruples, each in lexicographic order.
+    `twin` is the first quadruple with two centers, and its two smallest
+    centers; whether it is an error depends on the four-point verdict.
     """
     grid, eq, lt = m.comparison_view()
     n = m.n
     labels = range(1, n + 1)
     b = _between_masks(grid, eq, n)
     exact = isinstance(m.policy, ExactPolicy)
-    medians = {}  # triple -> 0 if it has a median, else its best failing l
-
-    # Under the exact policy each companion sum equals d(u,l) + d(v,l) + d(w,l)
-    # once the three factorizations hold, so a common mask bit is a median.
-    def median_failure(triple) -> int:
-        u, v, w = triple
+    four_point, centers, median = [], [], []
+    twin = None
+    # A triple u < v < w without a median maps to its best failing l, and
+    # sets bit w of no_median[u][v] and bit u of no_median[v][w]: two entries
+    # then hold the verdicts of a quadruple's four triples.
+    failing = {}
+    no_median = [[0] * (n + 1) for _ in range(n + 1)]
+    for u, v, w in combinations(labels, 3):
         gu, gv, gw = grid[u], grid[v], grid[w]
+        if lt(gu[v] + gv[w], gu[w]) or lt(gu[w] + gw[v], gu[v]) or lt(gv[u] + gu[w], gv[w]):
+            four_point.append(Witness("four_point", "triangle_violation", triple=(u, v, w)))
         masks = (b[u][v], b[u][w], b[v][w])
 
         def companions(l):  # x1 = x2, x2 = x3, x1 = x3
             x1, x2, x3 = gu[v] + gw[l], gu[w] + gv[l], gu[l] + gv[w]
             return eq(x1, x2), eq(x2, x3), eq(x1, x3)
 
+        # Under the exact policy each companion sum equals d(u,l) + d(v,l) +
+        # d(w,l) once the three factorizations hold, so a common mask bit is
+        # a median.
         candidates = masks[0] & masks[1] & masks[2]
         if candidates and (
             exact or any(all(companions(l)) for l in labels if candidates >> l & 1)
         ):
-            return 0
-        return max(
+            continue
+        failing[u, v, w] = max(
             labels,
             key=lambda l: sum(mask >> l & 1 for mask in masks) + sum(companions(l)[:2]),
         )
-
-    four_point, centers, median = [], [], []
-    twin = None
-    for i, j, k in combinations(labels, 3):
-        broken = (
-            lt(grid[i][j] + grid[j][k], grid[i][k])
-            or lt(grid[i][k] + grid[k][j], grid[i][j])
-            or lt(grid[j][i] + grid[i][k], grid[j][k])
-        )
-        if broken:
-            four_point.append(Witness("four_point", "triangle_violation", triple=(i, j, k)))
+        no_median[u][v] |= 1 << w
+        no_median[v][w] |= 1 << u
     # With only three points there is no quadruple to scan, yet the median
     # requirement still separates realizable inputs (a strict triangle on
     # three points leaves no vertex to sit between the other two), so the
-    # lone triple is checked directly.
-    if n == 3:
-        best = median_failure((1, 2, 3))
-        if best:
-            median.append(
-                Witness("condition_ii", "no_median_vertex", triple=(1, 2, 3), best_l=best)
-            )
+    # lone triple's verdict is reported directly.
+    if n == 3 and failing:
+        median.append(
+            Witness("condition_ii", "no_median_vertex", triple=(1, 2, 3), best_l=failing[1, 2, 3])
+        )
     for quad in combinations(labels, 4):
         i, j, k, t = quad
         gi, gj = grid[i], grid[j]
@@ -205,22 +206,13 @@ def _scan(m: DissimilarityMatrix):
                 )
             elif twin is None and common & (common - 1):
                 twin = (quad, *[l for l in labels if common >> l & 1][:2])
-        else:
-            bi, bj, bk = b[i], b[j], b[k]
-            bij, bik, bit, bjk, bjt, bkt = bi[j], bi[k], bi[t], bj[k], bj[t], bk[t]
-            if exact and (
-                bij & bik & bjk and bij & bit & bjt and bik & bit & bkt and bjk & bjt & bkt
-            ):
-                continue  # every triple has a median: skip the memo
+        elif no_median[i][j] & (1 << k | 1 << t) or no_median[k][t] & (1 << i | 1 << j):
             for triple in ((i, j, k), (i, j, t), (i, k, t), (j, k, t)):
-                best = medians.get(triple)
-                if best is None:
-                    best = medians[triple] = median_failure(triple)
-                if best:
+                if triple in failing:
                     median.append(
                         Witness(
                             "condition_ii", "no_median_vertex",
-                            quadruple=quad, triple=triple, best_l=best,
+                            quadruple=quad, triple=triple, best_l=failing[triple],
                         )
                     )
     return four_point, centers, median, twin

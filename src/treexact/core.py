@@ -107,7 +107,7 @@ class DissimilarityMatrix:
                 y = cells[j - 1][i - 1]
                 if x is not y and not policy.eq(x, y):
                     raise InvalidMatrix("asymmetric entry", row=i, col=j)
-                if not policy.is_positive(x):
+                if x <= 0:
                     raise InvalidMatrix("non-positive off-diagonal entry", row=i, col=j)
         # Canonical storage: exact zeros on the diagonal, lower mirrors upper.
         grid = [[zero] * (n + 1) for _ in range(n + 1)]
@@ -230,7 +230,7 @@ class WeightedTree:
                 weight = policy.coerce(w)
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise InvalidTree(f"bad weight on edge ({u},{v}): {exc}")
-            if not policy.is_positive(weight):
+            if weight <= 0:
                 raise InvalidTree(f"non-positive weight on edge ({u},{v})")
             normalized.append(Edge(min(u, v), max(u, v), weight))
         normalized.sort(key=lambda e: (e.u, e.v))

@@ -23,7 +23,7 @@ class InvalidMatrix(TreexactError):
     """Matrix entries violate a dissimilarity invariant (symmetry, diagonal, sign)."""
 
     def __init__(self, message: str, row: int | None = None, col: int | None = None):
-        loc = f" at ({row},{col})" if row is not None else ""
+        loc = f" at ({row},{col})" if col is not None else ""
         super().__init__(message + loc)
         self.row = row
         self.col = col

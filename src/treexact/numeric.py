@@ -115,9 +115,6 @@ class ExactPolicy:
     def lt(self, x, y) -> bool:
         return x < y
 
-    def is_positive(self, x) -> bool:
-        return x > 0
-
     def zero(self) -> Fraction:
         return Fraction(0)
 
@@ -164,9 +161,6 @@ class FloatPolicy:
 
     def lt(self, x, y) -> bool:
         return x < y and not self.eq(x, y)
-
-    def is_positive(self, x) -> bool:
-        return self.lt(0.0, x)
 
     def zero(self) -> float:
         return 0.0

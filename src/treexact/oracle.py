@@ -175,7 +175,7 @@ def random_weighted_tree(
         high = policy.coerce(weight_high)
     except (ValueError, TypeError) as exc:
         raise BadRange(f"bad weight bound: {exc}")
-    if not policy.is_positive(low):
+    if low <= 0:
         raise BadRange(f"weight_low must be positive, got {weight_low!r}")
     if policy.lt(high, low):
         raise BadRange(f"weight range [{weight_low!r}, {weight_high!r}] is empty")

@@ -1,7 +1,11 @@
 """The package's public surface: exactly these names, each importable, and
 one way to run the realizability checks."""
 
+import contextlib
 import inspect
+import io
+import re
+from pathlib import Path
 
 import treexact
 from treexact import conditions, errors, numeric
@@ -71,9 +75,27 @@ def test_removed_names_are_gone():
     assert conditions.__all__ == ["Witness", "CheckFragment", "CheckReport", "check_all"]
     for prop in ("four_point_ok", "condition_i_ok", "condition_ii_ok"):
         assert not hasattr(treexact.CheckReport, prop), prop
-    assert not hasattr(numeric.ExactPolicy, "le")
-    assert not hasattr(numeric.FloatPolicy, "le")
+    for attr in ("le", "is_positive"):
+        assert not hasattr(numeric.ExactPolicy, attr), attr
+        assert not hasattr(numeric.FloatPolicy, attr), attr
 
 
 def test_check_all_takes_only_the_matrix():
     assert list(inspect.signature(treexact.check_all).parameters) == ["m"]
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    """Run the README's Python block. Each printed line is the comment of its
+    `print` line, or that comment's text before a colon."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    comments = [
+        line.partition("# ")[2] for line in block.splitlines() if line.startswith("print(")
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(comments) == 5
+    for line, comment in zip(printed, comments):
+        assert comment == line or comment.startswith(line + ":"), (line, comment)

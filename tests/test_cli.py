@@ -258,6 +258,12 @@ class TestGen:
         assert code == 0
         doc = json.loads(out)
         assert doc["matrix"]["d"][0][0] == "0.0"
+        # Positivity is a sign test: the default --wmin 0.001 is no zero under
+        # a tolerance of 1e-3.
+        argv = ["gen", "-n", "3", "--seed", "1", "--mode", "float", "--eps", "1e-3"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["tree"]["n"] == 3
 
     def test_dot_output(self, capsys):
         code, out, _ = run_cli(capsys, ["gen", "-n", "3", "--seed", "5", "-f", "dot"])
@@ -282,6 +288,17 @@ class TestPolicyFlags:
         )
         assert code == 0
         assert json.loads(out)["realizable"] is True
+        # An entry within eps of zero is still positive; zero and below are not.
+        short = "0,0.0005,1\n0.0005,0,1.0005\n1,1.0005,0\n"
+        argv = ["check", "--mode", "float", "--eps", "1e-3", "-i"]
+        code, out, err = run_cli(capsys, argv + [write(tmp_path, "short.csv", short)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["realizable"] is True
+        for bad in ("0", "-0.0005"):
+            path = write(tmp_path, "bad.csv", short.replace("0.0005", bad))
+            code, out, err = run_cli(capsys, argv + [path])
+            assert (code, out) == (2, "")
+            assert err == "error: non-positive off-diagonal entry at (1,2)\n"
 
     def test_exact_mode_rejects_same_noise(self, tmp_path, capsys):
         noisy = "0,3.000000000001,1,5\n3.000000000001,0,2,6\n1,2,0,4\n5,6,4,0\n"

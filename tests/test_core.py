@@ -62,8 +62,12 @@ class TestParseMatrix:
         assert (err.value.row, err.value.col) == (1, 2)
 
     def test_csv_ragged_row(self):
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(InvalidMatrix) as err:
             parse_matrix("0,1,2\n1,0\n2,1,0")
+        assert str(err.value) == "row 2 has 2 entries, expected 3"
+        assert (err.value.row, err.value.col) == (2, None)
+        with pytest.raises(InvalidMatrix, match=r"^row 2 has 2 entries, expected 3$"):
+            parse_matrix('{"n": 3, "d": [[0, 1, 2], [1, 0], [2, 1, 0]]}', fmt="json")
 
     def test_csv_tolerates_spaces_and_trailing_newline(self):
         m = parse_matrix("0, 3 ,1\n3,0,2\n1,2,0\n\n")

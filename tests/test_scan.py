@@ -255,6 +255,21 @@ def _companion_decided(m):
     return count
 
 
+def _unreported_median_failures(m):
+    """Triples without a median none of whose quadruples has a two-equal
+    maximum, so no median witness names them."""
+    grid, eq, _ = m.comparison_view()
+    labels = range(1, m.n + 1)
+    count = 0
+    for triple in combinations(labels, 3):
+        if any(all(_median_checks(grid, eq, triple, l)) for l in labels):
+            continue
+        quads = (tuple(sorted(triple + (x,))) for x in labels if x not in triple)
+        if all(_quad_kind(grid, eq, *quad) != TWO_EQUAL_MAX for quad in quads):
+            count += 1
+    return count
+
+
 def test_scan_matches_naive_loops():
     """1200 seeded matrices, n = 3..8, exact and float: the scan's own
     report equals the reference's report and lists every witness in the
@@ -263,8 +278,11 @@ def test_scan_matches_naive_loops():
     that `reconstruct` rejects and the reference finds witnesses for. Every
     other float matrix gets the all-ok report, or the one `tree_fit` witness
     when `reconstruct` rejects it. The corpus fails every check somewhere,
-    including medians that only the companion identities reject."""
+    including medians that only the companion identities reject, triples
+    without a median that no quadruple reports, and three-point inputs on
+    both sides of the median verdict."""
     codes, companion_decided, contract = set(), 0, Counter()
+    unreported, three_point = 0, Counter()
     all_ok = CheckFragment(ok=True, witnesses=())
     for m in _matrices(1200, seed=7100):
         want = ref_check_all(m)
@@ -290,10 +308,15 @@ def test_scan_matches_naive_loops():
         codes.update(w.code for w in want.witnesses)
         if isinstance(m.policy, FloatPolicy) and m.n >= 4:
             companion_decided += _companion_decided(m)
+        if m.n == 3:
+            three_point[bool(want.condition_ii.witnesses)] += 1
+        else:
+            unreported += _unreported_median_failures(m)
     assert codes == {
         "quadruple_max_once", "triangle_violation", "no_center_vertex", "no_median_vertex",
     }
     assert companion_decided > 0
+    assert unreported > 0 and three_point[True] and three_point[False]
     assert contract["tree_fit"] and min(contract["scan"], contract["all_ok"]) > 100
 
 
