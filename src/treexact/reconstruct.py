@@ -6,12 +6,15 @@ is strictly heavier than each edge on its path, so the tree is the unique
 minimum spanning tree of d (Hakimi and Yau, 1965). `reconstruct` grows that
 tree by Prim in O(n^2) and checks each entry against the tree as it grows,
 so one pass both decides realizability and builds the tree, under either
-numeric policy.
+numeric policy. Prim runs to the end and reports the first mismatch; the
+same pass, cached on the matrix, gives `check_all`'s witness scan the
+endpoints of every mismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DissimilarityMatrix, WeightedTree, dump_json
 
@@ -43,18 +46,26 @@ class UnrealizableWitness:
         return dump_json(self.to_json_dict())
 
 
-def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
-    """Return the unique realizing tree, or a witness explaining the failure.
-    O(n^2).
+class _Prim(NamedTuple):
+    edges: tuple  # (v, p, d(v, p)) for each vertex v that joined through p
+    mismatch: tuple[int, int, int] | None  # the first (v, p, x), in Prim order
+    residual: frozenset  # every label in a pair where d differs from the tree
 
-    Prim grows the minimum spanning tree from vertex 1. When v joins through
-    p, v is a leaf of the grown subtree, so its path to every x already in
-    the subtree passes through p: d(v, x) must equal d(v, p) + T(p, x), where
-    T holds the path weights of the grown tree. The first mismatch proves d
-    unrealizable. So a returned tree reproduces every entry: exactly under
-    the exact policy, whose comparison grid is integers, and within epsilon
-    under the float policy.
+
+def _prim(m: DissimilarityMatrix) -> _Prim:
+    """Grow the whole minimum spanning tree by Prim from vertex 1 and compare
+    every entry with the tree's path weight. O(n^2); cached on the matrix.
+
+    When v joins through p, v is a leaf of the grown subtree, so its path to
+    every x already in the subtree passes through p: the tree's path weight
+    is T(v, x) = d(v, p) + T(p, x). Each pair is compared once, when its
+    later endpoint joins, so the mismatches are exactly the pairs where d
+    differs from the tree. Prim runs to the end past a mismatch, since the
+    witness scan wants every such pair.
     """
+    cached = m.__dict__.get("_prim")
+    if cached is not None:
+        return cached
     grid, eq, _ = m.comparison_view()
     n = m.n
     joined = [1]
@@ -62,7 +73,7 @@ def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
     key = list(grid[1])  # key[x]: least distance from x to the grown subtree
     parent = [1] * (n + 1)
     path = [[0] * (n + 1) for _ in range(n + 1)]  # T: path weights in the tree
-    edges = []
+    edges, mismatch, residual = [], None, set()
     while outside:
         v = min(outside, key=key.__getitem__)
         outside.remove(v)
@@ -72,12 +83,8 @@ def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
         for x in joined:
             through_p = d_vp + path_p[x]
             if not eq(row_v[x], through_p):
-                return UnrealizableWitness(
-                    "support_verification",
-                    (v, p, x),
-                    f"d({v},{x}) != d({v},{p}) + d({p},{x}); "
-                    f"no tree on exactly the points can attach {v} through {p}",
-                )
+                mismatch = mismatch or (v, p, x)
+                residual |= {v, x}
             path_v[x] = path[x][v] = through_p
         joined.append(v)
         edges.append((v, p, m.rows[v][p]))
@@ -85,4 +92,28 @@ def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
             if row_v[x] < key[x]:
                 key[x] = row_v[x]
                 parent[x] = v
-    return WeightedTree.from_edges(n, edges, m.policy)
+    result = _Prim(tuple(edges), mismatch, frozenset(residual))
+    object.__setattr__(m, "_prim", result)
+    return result
+
+
+def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
+    """Return the unique realizing tree, or a witness explaining the failure.
+    O(n^2).
+
+    Prim grows the minimum spanning tree and checks every entry against it
+    (`_prim`). The first mismatch in Prim order proves d unrealizable and is
+    the witness. So a returned tree reproduces every entry: exactly under the
+    exact policy, whose comparison grid is integers, and within epsilon under
+    the float policy.
+    """
+    edges, mismatch, _ = _prim(m)
+    if mismatch is not None:
+        v, p, x = mismatch
+        return UnrealizableWitness(
+            "support_verification",
+            mismatch,
+            f"d({v},{x}) != d({v},{p}) + d({p},{x}); "
+            f"no tree on exactly the points can attach {v} through {p}",
+        )
+    return WeightedTree.from_edges(m.n, edges, m.policy)

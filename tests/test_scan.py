@@ -10,7 +10,7 @@ compared against.
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -22,13 +22,17 @@ from treexact import (
     FloatPolicy,
     UniquenessViolation,
     UnrealizableWitness,
+    WeightedTree,
     Witness,
+    all_pairs_weights,
     check_all,
     reconstruct,
 )
 from treexact import conditions
 from treexact.conditions import _scan, _scan_report
+from treexact.core import dump_json
 from treexact.numeric import ExactPolicy
+from treexact.reconstruct import _prim
 
 # ---------------------------------------------------------------- reference
 
@@ -227,6 +231,17 @@ def _jitter(rng, rows, eps):
     return out
 
 
+def _perturbed_trees(count, seed):
+    """Exact tree metrics without hidden vertices, n = 9..12, each with one
+    pair moved by 1. Moving a pair off the tree leaves a residual of two
+    labels; moving a tree edge makes nearly every pair disagree with the
+    minimum spanning tree."""
+    rng = random.Random(seed)
+    for index in range(count):
+        rows = _tree_metric(rng, 9 + index % 4, 0, (1, 1, 2, 3))
+        yield DissimilarityMatrix.from_rows(_perturb(rng, rows, rng.choice((-1, 1))), EXACT)
+
+
 def _matrices(count, seed):
     rng = random.Random(seed)
     for index in range(count):
@@ -271,20 +286,23 @@ def _unreported_median_failures(m):
 
 
 def test_scan_matches_naive_loops():
-    """1200 seeded matrices, n = 3..8, exact and float: the scan's own
-    report equals the reference's report and lists every witness in the
-    reference's sorted order. `check_all` equals it too wherever the scan
-    explains a failure: on every exact matrix, and on every float matrix
-    that `reconstruct` rejects and the reference finds witnesses for. Every
+    """1200 seeded matrices, n = 3..8, exact and float, and 200 perturbed
+    exact tree metrics, n = 9..12: the scan's own report equals the
+    reference's report and lists every witness in the reference's sorted
+    order. `check_all` equals it too wherever the scan explains a failure:
+    on every exact matrix, and on every float matrix that `reconstruct`
+    rejects and the reference finds witnesses for. Every
     other float matrix gets the all-ok report, or the one `tree_fit` witness
     when `reconstruct` rejects it. The corpus fails every check somewhere,
     including medians that only the companion identities reject, triples
     without a median that no quadruple reports, and three-point inputs on
-    both sides of the median verdict."""
+    both sides of the median verdict. The larger failing matrices include
+    residuals of at most two labels, where the scan skips most tuples, and
+    residuals of every label."""
     codes, companion_decided, contract = set(), 0, Counter()
-    unreported, three_point = 0, Counter()
+    unreported, three_point, residuals = 0, Counter(), Counter()
     all_ok = CheckFragment(ok=True, witnesses=())
-    for m in _matrices(1200, seed=7100):
+    for m in chain(_matrices(1200, seed=7100), _perturbed_trees(200, seed=7200)):
         want = ref_check_all(m)
         merged = want.four_point.witnesses + want.condition_i.witnesses
         merged = tuple(sorted(merged + want.condition_ii.witnesses, key=_key))
@@ -306,6 +324,9 @@ def test_scan_matches_naive_loops():
             assert report == CheckReport(all_ok, all_ok, all_ok), m.rows
             contract["all_ok"] += 1
         codes.update(w.code for w in want.witnesses)
+        if m.n >= 9 and want.witnesses:
+            size = len(_prim(m).residual)
+            residuals["small" if size <= 2 else "all" if size == m.n else "other"] += 1
         if isinstance(m.policy, FloatPolicy) and m.n >= 4:
             companion_decided += _companion_decided(m)
         if m.n == 3:
@@ -318,6 +339,7 @@ def test_scan_matches_naive_loops():
     assert companion_decided > 0
     assert unreported > 0 and three_point[True] and three_point[False]
     assert contract["tree_fit"] and min(contract["scan"], contract["all_ok"]) > 100
+    assert residuals["small"] and residuals["all"]
 
 
 def test_companion_identities_reject_a_float_median():
@@ -365,3 +387,63 @@ def test_two_centers_raise_only_when_four_point_is_trusted(monkeypatch):
     monkeypatch.setattr(conditions, "_scan", lambda m: ([], centers, median, twin))
     with pytest.raises(UniquenessViolation, match=r"\(1, 2, 3, 4\) admits two centers 5 and 6"):
         _scan_report(m)
+
+
+def test_residual_is_the_moved_pair():
+    """On a tree metric with one pair off the tree moved, the tree Prim grows
+    is still the tree, so the residual is exactly that pair's two labels."""
+    tree = WeightedTree.from_edges(6, [(1, 2, 1), (2, 3, 2), (2, 4, 3), (4, 5, 1), (4, 6, 2)])
+    rows = [list(row[1:]) for row in all_pairs_weights(tree).rows[1:]]
+    assert not _prim(DissimilarityMatrix.from_rows(rows)).residual
+    edges = {(u, v) for u, v, _ in tree.edges}
+    for i, j in combinations(range(1, 7), 2):
+        if (i, j) in edges:
+            continue
+        moved = [row[:] for row in rows]
+        moved[i - 1][j - 1] += 1
+        moved[j - 1][i - 1] += 1
+        assert _prim(DissimilarityMatrix.from_rows(moved)).residual == {i, j}
+
+
+def _n24_perturbed_report():
+    rng = random.Random(7300)
+    rows = _perturb(rng, _tree_metric(rng, 24, 0, (1, 2, 3, 5)), 1)
+    report = check_all(DissimilarityMatrix.from_rows(rows, EXACT))
+    assert len(report.witnesses) > 10
+    return report
+
+
+def _writer_reports():
+    ok = CheckFragment(ok=True, witnesses=())
+    triangle = Witness("four_point", "triangle_violation", triple=(1, 2, 3))
+    max_once = Witness("four_point", "quadruple_max_once", quadruple=(1, 2, 3, 4))
+    no_center = Witness("condition_i", "no_center_vertex", quadruple=(2, 3, 5, 7), best_l=4)
+    no_median = Witness(
+        "condition_ii", "no_median_vertex", quadruple=(1, 2, 3, 4), triple=(1, 2, 4), best_l=3
+    )
+    fit = Witness("tree_fit", "no_tree_within_eps", triple=(2, 1, 3))
+    return {
+        "all_ok": CheckReport(ok, ok, ok),
+        "triangle_only": CheckReport(
+            CheckFragment(ok=False, witnesses=(triangle,)),
+            replace(ok, caveat=True), replace(ok, caveat=True),
+        ),
+        "quadruple_and_triple": CheckReport(
+            ok, ok, CheckFragment(ok=False, witnesses=(no_median, no_median))
+        ),
+        "best_l_none": CheckReport(
+            CheckFragment(ok=False, witnesses=(triangle, max_once)),
+            CheckFragment(ok=False, witnesses=(no_center,), caveat=True),
+            replace(ok, caveat=True),
+        ),
+        "tree_fit": CheckReport(ok, ok, ok, tree_fit=fit),
+        "three_points": check_all(DissimilarityMatrix.from_rows([[0, 2, 2], [2, 0, 2], [2, 2, 0]])),
+        "n24_perturbed": _n24_perturbed_report(),
+    }
+
+
+def test_report_writer_matches_the_generic_dump():
+    """`CheckReport.to_json` writes its layout directly; it must equal what
+    the generic sorted, indented dump prints for the same report."""
+    for name, report in _writer_reports().items():
+        assert report.to_json() == dump_json(report.to_json_dict()), name
