@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from itertools import product
 from fractions import Fraction
 
-from .core import DissimilarityMatrix, WeightedTree, dump_json
+from .core import DissimilarityMatrix, WeightedTree, _is_int, dump_json
 from .errors import BadRange, BadSequence, InvalidTree, TooLarge
 from .numeric import EXACT, Policy
 
@@ -64,71 +63,105 @@ def prufer_decode(seq, n: int) -> tuple[tuple[int, int], ...]:
     the head of the remaining sequence. Returns the edge set sorted with
     u < v per edge.
     """
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise BadSequence(f"decoding needs n >= 2, got {n!r}")
     entries = tuple(seq)
     if len(entries) != n - 2:
         raise BadSequence(f"sequence has length {len(entries)}, expected {n - 2}")
     for entry in entries:
-        if not isinstance(entry, int) or not 1 <= entry <= n:
+        if not _is_int(entry) or not 1 <= entry <= n:
             raise BadSequence(f"sequence entry {entry!r} outside 1..{n}")
+    return tuple(sorted((min(u, v), max(u, v)) for u, v in _decode(entries, n)))
+
+
+def _decode(entries, n: int) -> list[tuple[int, int]]:
+    """Prüfer decoding in linear time, for a sequence known to be valid.
+
+    Returns the edges (leaf, x) in decode order. Every vertex below the
+    pointer `ptr` that was ever a leaf has been removed, so a vertex below
+    it that turns into a leaf is at once the smallest leaf; otherwise the
+    pointer moves up to the next leaf. Vertex n is never the smallest leaf
+    while another remains, so the last edge is (leaf, n).
+    """
     degree = [1] * (n + 1)
     for x in entries:
         degree[x] += 1
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapify(leaves)
+    leaf = ptr = degree.index(1, 1)
     edges = []
     for x in entries:
-        leaf = heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
+        edges.append((leaf, x))
         degree[x] -= 1
-        if degree[x] == 1:
-            heappush(leaves, x)
-    u = heappop(leaves)
-    v = heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return tuple(sorted(edges))
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            leaf = ptr = degree.index(1, ptr + 1)
+    edges.append((leaf, n))
+    return edges
+
+
+def _fits(grid, eq, n: int, edges) -> bool:
+    """True iff every path sum of the tree `edges` on 1..n, weighted by
+    `grid`, equals the grid entry of its pair under `eq`.
+
+    A DFS from each source accumulates each path sum edge by edge outward
+    from the source, so float sums do not depend on the visiting order.
+    """
+    adjacency: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    dist = [0] * (n + 1)
+    for src in range(1, n + 1):
+        target = grid[src]
+        dist[src] = 0
+        seen = [False] * (n + 1)
+        seen[src] = True
+        stack = [src]
+        while stack:
+            here = stack.pop()
+            dhere = dist[here]
+            step = grid[here]
+            for nxt in adjacency[here]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    dist[nxt] = dhere + step[nxt]
+                    if not eq(dist[nxt], target[nxt]):
+                        return False
+                    stack.append(nxt)
+    return True
+
+
+def _weighted(m: DissimilarityMatrix, edges) -> WeightedTree:
+    return WeightedTree.from_edges(m.n, [(u, v, m.rows[u][v]) for u, v in edges], m.policy)
 
 
 def realize_on_topology(m: DissimilarityMatrix, topology) -> WeightedTree | None:
     """Weight a fixed topology by the matrix and keep it iff it reproduces
-    every pairwise value. Returns None when the topology cannot realize m."""
+    every pairwise value. Returns None when the topology cannot realize m.
+
+    Raises InvalidTree unless `topology` is n - 1 pairs of distinct labels
+    in 1..n that connect all of them.
+    """
     n = m.n
-    edges = [tuple(e) for e in topology]
+    edges = list(topology)
     if len(edges) != n - 1:
         raise InvalidTree(f"{len(edges)} edges for {n} vertices, expected {n - 1}")
-    adjacency: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        if not (1 <= u <= n and 1 <= v <= n) or u == v:
-            raise InvalidTree(f"bad edge ({u},{v}) for a topology on 1..{n}")
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
-    grid, eq, _ = m.comparison_view()
-    dist = [0] * (n + 1)
-    for src in range(1, n + 1):
-        seen = 1 << src
-        dist[src] = 0
-        stack = [src]
-        reached = 1
-        while stack:
-            here = stack.pop()
-            dhere = dist[here]
-            target = grid[src][here]
-            if here != src and not eq(dhere, target):
-                return None
-            for nxt in adjacency[here]:
-                bit = 1 << nxt
-                if not seen & bit:
-                    seen |= bit
-                    dist[nxt] = dhere + grid[here][nxt]
-                    stack.append(nxt)
-                    reached += 1
-        if reached != n:
+    component = list(range(n + 1))
+    for i, edge in enumerate(edges):
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise InvalidTree(f"edge {edge!r} is not a pair of labels") from None
+        if not (_is_int(u) and _is_int(v) and 1 <= u <= n and 1 <= v <= n) or u == v:
+            raise InvalidTree(f"bad edge ({u!r},{v!r}) for a topology on 1..{n}")
+        # n - 1 edges connect 1..n iff none of them closes a cycle.
+        a, b = component[u], component[v]
+        if a == b:
             raise InvalidTree("topology is not connected")
-    return WeightedTree.from_edges(
-        n, [(u, v, m.rows[u][v]) for u, v in edges], m.policy
-    )
+        component = [a if c == b else c for c in component]
+        edges[i] = (u, v)
+    grid, eq, _ = m.comparison_view()
+    return _weighted(m, edges) if _fits(grid, eq, n, edges) else None
 
 
 def count_realizations(
@@ -136,21 +169,24 @@ def count_realizations(
 ) -> RealizationCensus:
     """Census over all n^(n-2) labeled topologies (1 by convention for n <= 2).
 
-    Raises TooLarge above the cap. The realization list is sorted by edge set
-    so identical inputs yield identical censuses.
+    Every Prüfer sequence is decoded and its tree decided by the path-sum
+    definition; nothing is cached across calls. Raises TooLarge above the
+    cap. The realization list is sorted by edge set so identical inputs
+    yield identical censuses.
     """
     n = m.n
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the enumeration cap {cap}")
     if n == 1:
         return RealizationCensus(1, 1, (WeightedTree.from_edges(1, [], m.policy),))
+    grid, eq, _ = m.comparison_view()
     found = []
     examined = 0
     for seq in product(range(1, n + 1), repeat=n - 2):
         examined += 1
-        tree = realize_on_topology(m, prufer_decode(seq, n))
-        if tree is not None:
-            found.append(tree)
+        edges = _decode(seq, n)
+        if _fits(grid, eq, n, edges):
+            found.append(_weighted(m, edges))
     found.sort(key=lambda t: tuple((u, v) for u, v, _ in t.edges))
     return RealizationCensus(n, examined, tuple(found))
 

@@ -1,13 +1,18 @@
 """Prüfer enumeration, forced-weight realization, and the census."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from treexact import (
+    EXACT,
     BadRange,
     BadSequence,
+    DissimilarityMatrix,
+    FloatPolicy,
+    InvalidTree,
     TooLarge,
     WeightedTree,
     all_pairs_weights,
@@ -20,6 +25,22 @@ from treexact import (
 )
 
 from helpers import all_two_matrix, path3_matrix, star_matrix
+
+
+def prufer_encode(edges, n):
+    """Naive encoder: remove the smallest leaf n - 2 times, recording its
+    neighbour each time."""
+    neighbours = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seq = []
+    for _ in range(n - 2):
+        leaf = min(v for v, near in neighbours.items() if len(near) == 1)
+        (parent,) = neighbours.pop(leaf)
+        neighbours[parent].discard(leaf)
+        seq.append(parent)
+    return tuple(seq)
 
 
 class TestPruferDecode:
@@ -51,6 +72,20 @@ class TestPruferDecode:
         }
         assert len(decoded) == n ** (n - 2)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_naive_encoder_inverts_the_decoder(self, n):
+        for seq in product(range(1, n + 1), repeat=n - 2):
+            edges = prufer_decode(seq, n)
+            assert len(edges) == n - 1
+            assert prufer_encode(edges, n) == seq
+
+    @pytest.mark.parametrize(
+        "seq, n", [((True,), 3), ((1, False), 4), ((), True), ((1.0,), 3), ((1,), 3.0)]
+    )
+    def test_booleans_and_floats_are_not_labels(self, seq, n):
+        with pytest.raises(BadSequence):
+            prufer_decode(seq, n)
+
 
 class TestRealizeOnTopology:
     def test_star_metric_on_star_topology(self):
@@ -60,6 +95,24 @@ class TestRealizeOnTopology:
 
     def test_star_metric_on_path_topology(self):
         assert realize_on_topology(star_matrix(), ((1, 2), (2, 3), (3, 4))) is None
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            ((1.0, 2), (2, 3)),
+            ((1, 2, 5), (2, 3)),
+            ((1,), (2, 3)),
+            (5, (2, 3)),
+            ((True, 2), (2, 3)),
+            ((1, 2), (2, 1)),
+            ((1, 2), (1, 4)),
+            ((1, 1), (2, 3)),
+            ((1, 2),),
+        ],
+    )
+    def test_malformed_topology_is_an_invalid_tree(self, topology):
+        with pytest.raises(InvalidTree):
+            realize_on_topology(path3_matrix(), topology)
 
     def test_all_two_fails_on_every_topology(self):
         m = all_two_matrix()
@@ -115,6 +168,44 @@ class TestCountRealizations:
             if realize_on_topology(m, topo) is not None:
                 hits.append(topo)
         assert hits == [base]
+
+
+def _reference_topologies(m):
+    """Every topology whose forced weights reproduce m, decided from the
+    full path-weight matrix of `all_pairs_weights`."""
+    n, policy = m.n, m.policy
+    hits = []
+    for seq in product(range(1, n + 1), repeat=n - 2):
+        topology = prufer_decode(seq, n)
+        tree = WeightedTree.from_edges(n, [(u, v, m.rows[u][v]) for u, v in topology], policy)
+        d = all_pairs_weights(tree).rows
+        if all(policy.eq(d[i][j], m.rows[i][j]) for i in range(1, n + 1) for j in range(1, n + 1)):
+            hits.append(topology)
+    return sorted(hits)
+
+
+def test_census_matches_a_path_weight_reference():
+    # Integer cells keep float path sums exact in any summation order.
+    rng = random.Random(3)
+    counts = []
+    for seed, policy in enumerate((EXACT, FloatPolicy(0.3))):
+        corpus = []
+        for _ in range(40):
+            n = rng.randint(3, 6)
+            pairs = {(i, j): rng.randint(1, 3) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+            corpus.append(DissimilarityMatrix.from_pairs(n, pairs, policy))
+        tree = random_weighted_tree(7, 1, 9, seed=seed)
+        integral = WeightedTree.from_edges(7, [(u, v, int(w)) for u, v, w in tree.edges], policy)
+        corpus.append(all_pairs_weights(integral))
+        for m in corpus:
+            census = count_realizations(m)
+            want = _reference_topologies(m)
+            assert census.topologies_examined == m.n ** (m.n - 2)
+            assert census.count == len(want)
+            assert [tuple((u, v) for u, v, _ in t.edges) for t in census.realizations] == want
+            counts.append(census.count)
+    assert {0, 1} <= set(counts)
+    assert max(counts) >= 2
 
 
 class TestRandomWeightedTree:
