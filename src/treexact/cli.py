@@ -2,8 +2,9 @@
 
 Subcommands: check, reconstruct, weights, oracle, gen. Exit codes are a
 stable contract: 0 success/realizable, 1 not realizable, 2 invalid input,
-3 uniqueness falsified (an oracle census with two or more realizations,
-which is expected never to happen). JSON output is byte-deterministic for
+3 uniqueness falsified (an oracle census with two or more realizations:
+never observed under the exact policy, but under --mode float the
+tolerance can fit two trees). JSON output is byte-deterministic for
 identical inputs and flags; matrix input format (CSV vs JSON) is sniffed
 from the first non-blank character.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
@@ -112,14 +112,9 @@ def _resolve_policy(args) -> Policy:
     if args.eps is None:
         return FloatPolicy()
     try:
-        eps = float(args.eps)
+        return FloatPolicy(args.eps)
     except ValueError:
-        raise _UsageError(f"--eps must be a number, got {args.eps!r}")
-    if not math.isfinite(eps):
-        raise _UsageError(f"--eps must be finite, got {args.eps!r}")
-    if eps <= 0:
-        raise _UsageError("--eps must be positive")
-    return FloatPolicy(eps)
+        raise _UsageError(f"--eps must be finite and positive, got {args.eps!r}")
 
 
 def _read_input(path: str) -> str:

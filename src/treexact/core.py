@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidMatrix, InvalidTree, MalformedInput, UnknownVertex
-from .numeric import EXACT, ExactPolicy, Policy, Scalar, ensure_same_policy
+from .numeric import EXACT, NUMBER_ERRORS, ExactPolicy, Policy, Scalar, ensure_same_policy
 
 __all__ = [
     "Edge",
@@ -77,6 +77,7 @@ class DissimilarityMatrix:
         # value share one object. Only strings are keys: `True == 1 == 1.0`
         # and they hash alike, yet must be coerced apart.
         parsed_text: dict[str, Scalar] = {}
+        coerce = policy.coerce
         for i, row in enumerate(raw_rows, start=1):
             row = list(row)
             if len(row) != n:
@@ -89,31 +90,29 @@ class DissimilarityMatrix:
                     if type(cell) is str:
                         value = parsed_text.get(cell)
                         if value is None:
-                            value = parsed_text[cell] = policy.parse(cell)
+                            value = parsed_text[cell] = coerce(cell)
                     else:
-                        value = policy.coerce(cell)
-                except (ValueError, TypeError, ZeroDivisionError) as exc:
+                        value = coerce(cell)
+                except NUMBER_ERRORS as exc:
                     raise MalformedInput(f"bad entry {cell!r}: {exc}", row=i, col=j)
                 parsed.append(value)
             cells.append(parsed)
+        # One row-major pass over the upper triangle checks each entry and
+        # writes the canonical grid: exact zeros on the diagonal, lower
+        # mirrors upper.
         zero = policy.zero()
+        grid = [[zero] * (n + 1) for _ in range(n + 1)]
         for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                x = cells[i - 1][j - 1]
-                if i == j:
-                    if not policy.eq(x, zero):
-                        raise InvalidMatrix("nonzero diagonal entry", row=i, col=i)
-                    continue
-                y = cells[j - 1][i - 1]
+            row = cells[i - 1]
+            if not policy.eq(row[i - 1], zero):
+                raise InvalidMatrix("nonzero diagonal entry", row=i, col=i)
+            for j in range(i + 1, n + 1):
+                x, y = row[j - 1], cells[j - 1][i - 1]
                 if x is not y and not policy.eq(x, y):
                     raise InvalidMatrix("asymmetric entry", row=i, col=j)
                 if x <= 0:
                     raise InvalidMatrix("non-positive off-diagonal entry", row=i, col=j)
-        # Canonical storage: exact zeros on the diagonal, lower mirrors upper.
-        grid = [[zero] * (n + 1) for _ in range(n + 1)]
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                grid[i][j] = grid[j][i] = cells[i - 1][j - 1]
+                grid[i][j] = grid[j][i] = x
         return cls(n, tuple(tuple(r) for r in grid), policy)
 
     @classmethod
@@ -228,7 +227,7 @@ class WeightedTree:
                 raise InvalidTree(f"loop edge at vertex {u}")
             try:
                 weight = policy.coerce(w)
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
+            except NUMBER_ERRORS as exc:
                 raise InvalidTree(f"bad weight on edge ({u},{v}): {exc}")
             if weight <= 0:
                 raise InvalidTree(f"non-positive weight on edge ({u},{v})")

@@ -1,7 +1,9 @@
 """Numeric policy layer: exact rationals or epsilon-tolerant floats.
 
 Every matrix and tree carries one policy, and all comparisons inside a
-computation go through it. The default exact policy keeps values as
+computation go through it. `coerce` is each policy's one reader of outside
+numbers (strings, ints, floats, fractions), so every input meets the same
+bounds. The default exact policy keeps values as
 `fractions.Fraction`, so equalities between pair sums are decided without
 rounding and decimal input strings survive a parse/serialize round trip
 unchanged. The float policy is meant for measured data; its equality is
@@ -23,6 +25,9 @@ from typing import ClassVar, Union
 from .errors import PolicyMismatch
 
 Scalar = Union[Fraction, float]
+
+# Everything `Policy.coerce` raises for a value it cannot read as a number.
+NUMBER_ERRORS = (ValueError, TypeError, ZeroDivisionError)
 
 __all__ = [
     "Scalar",
@@ -58,6 +63,7 @@ def _fraction_to_text(value: Fraction) -> str:
 
 _MAX_DIGITS = 1000
 _MAX_EXPONENT = 1000
+_INT_LIMIT = 10**_MAX_DIGITS  # the least integer with more than _MAX_DIGITS digits
 # A plain ASCII decimal. Every other literal, digits of other scripts
 # included, goes through `Fraction(text)`.
 _PLAIN_DECIMAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]*))?")
@@ -92,18 +98,17 @@ class ExactPolicy:
 
     name: ClassVar[str] = "exact"
 
-    def parse(self, text: str) -> Fraction:
-        return _bounded_fraction(text)
-
     def coerce(self, value) -> Fraction:
+        if isinstance(value, str):
+            return _bounded_fraction(value)
         if isinstance(value, bool):
             raise TypeError(f"boolean {value!r} is not a number")
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
+            if abs(value) >= _INT_LIMIT:
+                raise ValueError(f"more than {_MAX_DIGITS} digits in an exact number")
             return Fraction(value)
-        if isinstance(value, str):
-            return _bounded_fraction(value)
         if isinstance(value, float):
             # Read the decimal literal, not the binary expansion.
             return Fraction(str(value))
@@ -127,30 +132,26 @@ class ExactPolicy:
 
 @dataclass(frozen=True)
 class FloatPolicy:
-    """IEEE floats with a combined relative/absolute equality tolerance."""
+    """IEEE floats with a combined relative/absolute equality tolerance.
+    `epsilon` is read by `coerce` like any other number and kept as that float."""
 
     epsilon: float = 1e-9
 
     name: ClassVar[str] = "float"
 
     def __post_init__(self):
-        if not (
-            isinstance(self.epsilon, (int, float))
-            and math.isfinite(self.epsilon)
-            and self.epsilon > 0
-        ):
-            raise ValueError(f"epsilon must be a finite positive real, got {self.epsilon!r}")
-
-    def parse(self, text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value {text!r}")
-        return value
+        epsilon = self.coerce(self.epsilon)
+        if epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", epsilon)
 
     def coerce(self, value) -> float:
         if isinstance(value, bool):
             raise TypeError(f"boolean {value!r} is not a number")
-        out = float(value)
+        try:
+            out = float(value)
+        except OverflowError:  # an int or a Fraction beyond the float range
+            out = math.inf
         if not math.isfinite(out):
             raise ValueError(f"non-finite value {value!r}")
         return out

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .core import DissimilarityMatrix, WeightedTree, _is_int, dump_json
 from .errors import BadRange, BadSequence, InvalidTree, TooLarge
-from .numeric import EXACT, Policy
+from .numeric import EXACT, NUMBER_ERRORS, Policy
 
 __all__ = [
     "RealizationCensus",
@@ -139,29 +139,20 @@ def realize_on_topology(m: DissimilarityMatrix, topology) -> WeightedTree | None
     """Weight a fixed topology by the matrix and keep it iff it reproduces
     every pairwise value. Returns None when the topology cannot realize m.
 
-    Raises InvalidTree unless `topology` is n - 1 pairs of distinct labels
-    in 1..n that connect all of them.
+    Raises InvalidTree unless `topology` is the edge set of a tree on 1..n;
+    `WeightedTree.from_edges` checks it with unit weights.
     """
-    n = m.n
-    edges = list(topology)
-    if len(edges) != n - 1:
-        raise InvalidTree(f"{len(edges)} edges for {n} vertices, expected {n - 1}")
-    component = list(range(n + 1))
-    for i, edge in enumerate(edges):
+    unit = []
+    for edge in topology:
         try:
             u, v = edge
         except (TypeError, ValueError):
             raise InvalidTree(f"edge {edge!r} is not a pair of labels") from None
-        if not (_is_int(u) and _is_int(v) and 1 <= u <= n and 1 <= v <= n) or u == v:
-            raise InvalidTree(f"bad edge ({u!r},{v!r}) for a topology on 1..{n}")
-        # n - 1 edges connect 1..n iff none of them closes a cycle.
-        a, b = component[u], component[v]
-        if a == b:
-            raise InvalidTree("topology is not connected")
-        component = [a if c == b else c for c in component]
-        edges[i] = (u, v)
+        unit.append((u, v, 1))
+    shape = WeightedTree.from_edges(m.n, unit, m.policy)
+    edges = [(u, v) for u, v, _ in shape.edges]
     grid, eq, _ = m.comparison_view()
-    return _weighted(m, edges) if _fits(grid, eq, n, edges) else None
+    return _weighted(m, edges) if _fits(grid, eq, m.n, edges) else None
 
 
 def count_realizations(
@@ -204,12 +195,12 @@ def random_weighted_tree(
     exact policy round-trips them bit for bit. Output is a deterministic
     function of (n, bounds, seed).
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise BadRange(f"vertex count must be a positive integer, got {n!r}")
     try:
         low = policy.coerce(weight_low)
         high = policy.coerce(weight_high)
-    except (ValueError, TypeError) as exc:
+    except NUMBER_ERRORS as exc:
         raise BadRange(f"bad weight bound: {exc}")
     if low <= 0:
         raise BadRange(f"weight_low must be positive, got {weight_low!r}")

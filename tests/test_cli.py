@@ -20,6 +20,8 @@ PATH_TREE_JSON = json.dumps(
     {"n": 3, "edges": [{"u": 1, "v": 3, "w": "1"}, {"u": 3, "v": 2, "w": "2"}]}
 )
 BIG = "1e308"  # a float whose sum with itself overflows
+BIG_INT = "1" + "0" * 399  # a JSON integer literal beyond the float range
+DIGITS_1001 = "1" + "0" * 1000  # one digit beyond the exact bound
 
 
 def equal_csv(n, value):
@@ -249,6 +251,14 @@ class TestGen:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("bound", ["--wmin", "--wmax"])
+    def test_zero_denominator_bound_invalid(self, capsys, mode, bound):
+        code, out, err = run_cli(capsys, ["gen", "-n", "3", "--mode", mode, bound, "1/0"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad weight bound") and err.count("\n") == 1
+
     def test_bad_n_invalid(self, capsys):
         code, _, err = run_cli(capsys, ["gen", "-n", "0"])
         assert code == 2
@@ -400,6 +410,7 @@ class TestInputBoundary:
             ("m.json", '{"n": 2, "d": [[0, 1e-99999999], [1e-99999999, 0]]}'),
             ("m.json", '{"n": 2, "d": [[0, "1e-99999999"], ["1e-99999999", 0]]}'),
             ("m.json", '{"n": 2, "d": [[0, 1' + "0" * 5000 + "], [1, 0]]}"),
+            ("m.json", '{"n": 3, "d": [[0, %s, %s], [%s, 0, %s], [%s, %s, 0]]}' % ((DIGITS_1001,) * 6)),
         ],
     )
     @pytest.mark.parametrize("command", ["check", "reconstruct"])
@@ -423,6 +434,31 @@ class TestInputBoundary:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_oversized_exact_integer_tree_weight_invalid(self, tmp_path, capsys):
+        doc = '{"n": 2, "edges": [{"u": 1, "v": 2, "w": %s}]}' % DIGITS_1001
+        code, out, err = run_cli(capsys, ["weights", "-i", write(tmp_path, "t.json", doc)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad weight on edge (1,2): more than 1000 digits in an exact number\n"
+
+    @pytest.mark.parametrize(
+        "command, name, doc",
+        [
+            ("check", "m.json", '{"n": 2, "d": [[0, %s], [%s, 0]]}' % (BIG_INT, BIG_INT)),
+            ("reconstruct", "m.json", '{"n": 2, "d": [[0, %s], [%s, 0]]}' % (BIG_INT, BIG_INT)),
+            ("weights", "t.json", '{"n": 2, "edges": [{"u": 1, "v": 2, "w": %s}]}' % BIG_INT),
+        ],
+        ids=["check", "reconstruct", "weights"],
+    )
+    def test_float_integer_literal_beyond_float_range_invalid(
+        self, tmp_path, capsys, command, name, doc
+    ):
+        argv = [command, "--mode", "float", "-i", write(tmp_path, name, doc)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "non-finite value" in err and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize(
@@ -528,6 +564,52 @@ def symmetric_csv(draw):
     return "\n".join(",".join(row) for row in rows)
 
 
+@st.composite
+def number_literal(draw):
+    """(JSON text of one number, its digit count if it is an integer, else 0):
+    an integer literal of up to 2000 digits, a decimal or a `p/q` string, the
+    first two sometimes quoted."""
+    kind = draw(st.sampled_from(["int", "decimal", "ratio"]))
+    if kind == "ratio":
+        return f'"{draw(st.integers(-3, 30))}/{draw(st.integers(0, 9))}"', 0
+    if kind == "int":
+        digits = draw(st.integers(1, 2000))
+        body = draw(st.sampled_from("123456789")) + draw(st.sampled_from("0123456789")) * (digits - 1)
+        text = draw(st.sampled_from(["", "-"])) + body
+    else:
+        text = draw(st.from_regex(r"-?[0-9]{1,4}\.[0-9]{1,4}([eE][+-]?[0-9]{1,3})?", fullmatch=True))
+        digits = 0
+    return (f'"{text}"' if draw(st.booleans()) else text), digits
+
+
+@st.composite
+def matrix_json(draw):
+    """A zero-diagonal symmetric JSON matrix; returns (document, most integer digits)."""
+    n = draw(st.integers(1, 5))
+    rows = [["0"] * n for _ in range(n)]
+    longest = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j], digits = draw(number_literal())
+            rows[j][i] = rows[i][j]
+            longest = max(longest, digits)
+    d = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+    return f'{{"n": {n}, "d": [{d}]}}', longest
+
+
+@st.composite
+def tree_json(draw):
+    """A JSON tree on 1..n; returns (document, most integer digits)."""
+    n = draw(st.integers(1, 5))
+    edges, longest = [], 0
+    for v in range(2, n + 1):
+        w, digits = draw(number_literal())
+        longest = max(longest, digits)
+        u = draw(st.integers(1, v - 1))
+        edges.append(f'{{"u": {u}, "v": {v}, "w": {w}}}')
+    return f'{{"n": {n}, "edges": [{", ".join(edges)}]}}', longest
+
+
 class TestExitCodeContract:
     """Any input ends in exit 0-3, never a traceback, and exit 2 writes one
     stderr line."""
@@ -541,6 +623,36 @@ class TestExitCodeContract:
     def test_any_input_keeps_the_contract(self, command, mode, data):
         code, _, err = run_on_stdin([command, "--mode", mode], data)
         assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        command=st.sampled_from(["check", "reconstruct", "weights"]),
+        mode=st.sampled_from(["exact", "float"]),
+        data=st.data(),
+    )
+    def test_any_json_number_keeps_the_contract(self, command, mode, data):
+        doc, longest = data.draw(tree_json() if command == "weights" else matrix_json())
+        code, _, err = run_on_stdin([command, "--mode", mode], doc.encode())
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        if mode == "exact" and longest > 1000:
+            assert code == 2
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        mode=st.sampled_from(["exact", "float"]),
+        low=number_literal(),
+        high=number_literal(),
+    )
+    def test_any_gen_bound_keeps_the_contract(self, mode, low, high):
+        # One `--flag=value` word each, so a negative bound is not read as a flag.
+        bounds = ["--wmin=" + low[0].strip('"'), "--wmax=" + high[0].strip('"')]
+        argv = ["gen", "-n", "3", "--mode", mode, *bounds]
+        code, _, err = run_on_stdin(argv, b"")
+        assert code in (0, 2)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
 

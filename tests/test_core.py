@@ -28,6 +28,7 @@ from treexact import (
     tree_to_dot,
     trees_equal,
 )
+from treexact.numeric import NUMBER_ERRORS
 
 
 class TestParseMatrix:
@@ -124,7 +125,6 @@ class TestExactBounds:
         ],
     )
     def test_within_bounds(self, text, value):
-        assert EXACT.parse(text) == value
         assert EXACT.coerce(text) == value
         assert EXACT.json_parse_float(text) == value
 
@@ -132,9 +132,16 @@ class TestExactBounds:
         "text", ["1e-1001", "1e99999999", "1" * 1001, "0." + "0" * 1000 + "1", "1e" + "0" * 1000]
     )
     def test_beyond_bounds(self, text):
-        for read in (EXACT.parse, EXACT.coerce, EXACT.json_parse_float):
+        for read in (EXACT.coerce, EXACT.json_parse_float):
             with pytest.raises(ValueError):
                 read(text)
+
+    def test_integer_digit_bound(self):
+        for value in (10**1000 - 1, -(10**1000) + 1):
+            assert EXACT.coerce(value) == value
+        for value in (10**1000, -(10**1000)):
+            with pytest.raises(ValueError, match="1000 digits"):
+                EXACT.coerce(value)
 
     def test_json_float_literal_beyond_bounds(self):
         with pytest.raises(MalformedInput):
@@ -177,14 +184,14 @@ class TestMatrixValidation:
 class TestExactRoundTrip:
     @pytest.mark.parametrize("text", ["0.125", "3.14", "10", "0.001", "251.37"])
     def test_decimal_serialize_lossless(self, text):
-        value = EXACT.parse(text)
-        assert EXACT.parse(EXACT.format(value)) == value
+        value = EXACT.coerce(text)
+        assert EXACT.coerce(EXACT.format(value)) == value
         assert EXACT.format(value) == text
 
     def test_non_terminating_rational(self):
         third = Fraction(1, 3)
         assert EXACT.format(third) == "1/3"
-        assert EXACT.parse("1/3") == third
+        assert EXACT.coerce("1/3") == third
 
     def test_matrix_csv_round_trip(self):
         text = "0,0.125,3\n0.125,0,2.5\n3,2.5,0"
@@ -350,10 +357,17 @@ class TestFloatPolicy:
             FloatPolicy(float("inf"))
         with pytest.raises(ValueError):
             FloatPolicy(float("nan"))
+        for epsilon in (True, 10**400, "abc"):
+            with pytest.raises(NUMBER_ERRORS):
+                FloatPolicy(epsilon)
+        assert FloatPolicy(1) == FloatPolicy(1.0) == FloatPolicy("1")
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            FloatPolicy().parse("nan")
+            FloatPolicy().coerce("nan")
+        for value in (10**400, -(10**400), Fraction(10**400, 3)):
+            with pytest.raises(ValueError, match="non-finite"):
+                FloatPolicy().coerce(value)
 
 
 @given(st.integers(2, 10), st.integers(0, 2**31 - 1))

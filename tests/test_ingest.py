@@ -48,7 +48,7 @@ def outcome(read, text):
 
 def assert_reads_like_reference(text):
     expected = outcome(reference_fraction, text)
-    for read in (EXACT.parse, EXACT.coerce, EXACT.json_parse_float):
+    for read in (EXACT.coerce, EXACT.json_parse_float):
         assert outcome(read, text) == expected, text
 
 

@@ -108,11 +108,17 @@ class TestRealizeOnTopology:
             ((1, 2), (1, 4)),
             ((1, 1), (2, 3)),
             ((1, 2),),
+            ((1, 2), (0, 3)),
+            ((1, 2), (-1, 3)),
         ],
     )
     def test_malformed_topology_is_an_invalid_tree(self, topology):
         with pytest.raises(InvalidTree):
             realize_on_topology(path3_matrix(), topology)
+
+    def test_cycle_is_an_invalid_tree(self):
+        with pytest.raises(InvalidTree, match="connect"):
+            realize_on_topology(all_two_matrix(), ((1, 2), (2, 3), (1, 3)))
 
     def test_all_two_fails_on_every_topology(self):
         m = all_two_matrix()
@@ -239,6 +245,9 @@ class TestRandomWeightedTree:
             random_weighted_tree(3, 3, 2, seed=0)
         with pytest.raises(BadRange):
             random_weighted_tree(3, "0.0001", "0.0005", seed=0)
+        for n, low, high in [(True, 1, 2), (3, "1/0", 2), (3, 1, "1/0"), (3, 10**1000, 10**1000 + 1)]:
+            with pytest.raises(BadRange):
+                random_weighted_tree(n, low, high, seed=0)
 
     def test_single_vertex(self):
         t = random_weighted_tree(1, 1, 2, seed=0)
