@@ -15,25 +15,29 @@ points iff it passes three checks:
 under either numeric policy: a matrix that Prim builds gets the all-ok
 report. Only a failure pays for explanations, ordered deterministically so
 identical inputs produce byte-identical reports. One scan serves all three
-checks: an O(n^3) build of the between-masks (for each pair u, v the set of
-l with d(u,l) + d(l,v) = d(u,v)), one pass over the triples that decides each
-triple's triangle inequalities and median, and one pass that classifies each
-quadruple once, reading its center off the masks and its triples' median
-verdicts off a table. Both passes visit only the tuples that meet the
-residual X of Prim's tree, the labels in a pair where d differs from the
-tree (every label under the float policy): the quadruple pass is
-O(|X| n^3), and O(n^4) under float and when X is every label. Under the
-float policy a median candidate must also pass the companion sum
-identities, which hold by arithmetic under the exact policy. When the
-scan's epsilon rules find no witness, the report carries Prim's failure as
-a `tree_fit` witness.
+checks. It builds the between-masks (for each pair u, v the set of l with
+d(u,l) + d(l,v) = d(u,v)), makes one pass over the triples that decides
+each triple's triangle inequalities and median, and one pass that
+classifies each quadruple once, reading its center off the masks and its
+triples' median verdicts off a table. The residual X of Prim's tree T holds
+the labels in a pair where d differs from T (every label under the float
+policy). The masks cost O(n^2 + |X| n^2): a pair outside X reads its mask
+off T's path. The two passes visit only the tuples with two or more members
+in X, O(|X|^2 n^2) of them. The witnesses of the tuples with one member in
+X are enumerated from T's branches, at a cost that follows their number.
+Under the float policy, and when X is nearly every label, the scan is
+O(n^4). Under the float policy a median candidate must also pass the
+companion sum identities, which hold by arithmetic under the exact policy.
+When the scan's epsilon rules find no witness, the report carries Prim's
+failure as a `tree_fit` witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations, product
 from json import dumps
+from operator import attrgetter
 
 from .core import DissimilarityMatrix, WeightedTree
 from .errors import TooSmall, UniquenessViolation
@@ -144,14 +148,41 @@ class CheckReport:
         )
 
 
-def _between_masks(grid, eq, n):
+def _walk(adjacent, root):
+    """Each edge of a tree as (here, nxt), with nxt one step further from
+    `root`, in depth-first order."""
+    stack = [(root, 0)]
+    while stack:
+        here, back = stack.pop()
+        for nxt in adjacent[here]:
+            if nxt != back:
+                yield here, nxt
+                stack.append((nxt, here))
+
+
+def _between_masks(grid, eq, n, adjacent, residual):
     """`B[u][v]` for u != v: the bitmask of every l with d(u,v) = d(u,l) + d(v,l),
-    bit l standing for label l. O(n^3)."""
+    bit l standing for label l.
+
+    A pair that meets the residual X is tested against every l. For u and v
+    outside X, d agrees with the tree T of `adjacent` on every pair through u
+    or v, and T's weights are positive, so the l are the vertices of T's u-v
+    path, endpoints included: one walk of T from u builds that row. So the
+    masks cost O(n^2 + |X| n^2), and O(n^3) when X is every label.
+    """
     labels = range(1, n + 1)
     between = [[0] * (n + 1) for _ in range(n + 1)]
     for u in labels:
+        if u not in residual:
+            row = between[u]
+            row[u] = 1 << u
+            for here, nxt in _walk(adjacent, u):
+                row[nxt] = row[here] | 1 << nxt
+    for u in residual:
         row_u = grid[u]
-        for v in range(u + 1, n + 1):
+        for v in labels:
+            if v == u or v < u and v in residual:
+                continue
             duv, row_v = row_u[v], grid[v]
             mask = 0
             for l in labels:
@@ -161,23 +192,105 @@ def _between_masks(grid, eq, n):
     return between
 
 
+def _median_best(grid, eq, b, labels, u, v, w):
+    """`best_l` of a triple u < v < w without a median: the first l with the
+    most of its three factorizations through l and the first two companion
+    identities, d(u,v) + d(w,l) = d(u,w) + d(v,l) = d(u,l) + d(v,w)."""
+    gu, gv, gw = grid[u], grid[v], grid[w]
+    duv, duw, dvw = gu[v], gu[w], gv[w]
+    buv, buw, bvw = b[u][v], b[u][w], b[v][w]
+    best, most = 0, -1
+    for l in labels:
+        x2 = duw + gv[l]
+        score = (
+            (buv >> l & 1) + (buw >> l & 1) + (bvw >> l & 1)
+            + eq(duv + gw[l], x2) + eq(x2, gu[l] + dvw)
+        )
+        if score > most:
+            best, most = l, score
+    return best
+
+
+def _no_center(b, labels, quad):
+    """The witness of a quadruple without a center. Its `best_l` is the first
+    l in the most of the quadruple's six between-masks."""
+    i, j, k, t = quad
+    bi, bj, bk = b[i], b[j], b[k]
+    m1, m2, m3, m4, m5, m6 = bi[j], bi[k], bi[t], bj[k], bj[t], bk[t]
+    best, most = 0, -1
+    for l in labels:
+        score = (
+            (m1 >> l & 1) + (m2 >> l & 1) + (m3 >> l & 1)
+            + (m4 >> l & 1) + (m5 >> l & 1) + (m6 >> l & 1)
+        )
+        if score > most:
+            best, most = l, score
+    return Witness("condition_i", "no_center_vertex", quadruple=quad, best_l=best)
+
+
+def _companions_agree(grid, eq, u, v, w, l):
+    """Whether d(u,v) + d(w,l), d(u,w) + d(v,l) and d(u,l) + d(v,w) agree
+    pairwise: under the float policy a common mask bit l of triple u < v < w
+    is a median only then."""
+    gl = grid[l]
+    x1, x2, x3 = grid[u][v] + gl[w], grid[u][w] + gl[v], gl[u] + grid[v][w]
+    return eq(x1, x2) and eq(x2, x3) and eq(x1, x3)
+
+
 def _scan(m: DissimilarityMatrix):
-    """Collect the witnesses of all three checks in two passes:
+    """Collect the witnesses of all three checks:
     (four_point, condition_i, condition_ii, twin).
 
-    Only the triples and quadruples that meet the residual X are visited.
-    Under the exact policy X is every label in a pair where d differs from
-    the path weight of Prim's tree T (`_prim`). A tuple disjoint from X has
-    no witness: its pairs, and its pairs to any l, are distances of T, a
-    positive tree on exactly the points, so the four-point rule and the
-    triangle inequalities hold, and its median or center is a vertex of T
-    that lies in every mask it needs, the only one there. Under the float
-    policy eps-equality is not transitive, so X is every label.
+    Under the exact policy Prim's tree T (`_prim`) sorts the labels: the
+    residual X holds every label in a pair where d differs from T's path
+    weight, and mismatched[x] the labels l with d(x,l) != T(x,l). Under the
+    float policy eps-equality is not transitive, so X is every label and
+    the visit below is all of it. T is a tree on exactly the labels with
+    positive weights, and d agrees with it on every pair that has a member
+    outside X.
 
-    The triple pass decides each triple's triangle inequalities and whether
-    it has a median; the quadruple pass classifies each quadruple once and
-    reads its center off the masks and its triples' median verdicts off the
-    `no_median` table. Each witness list comes out in report order: triples
+    Tuples with two or more members in X are visited in full: a pass over
+    the triples decides each one's triangle inequalities and median, and a
+    pass over the quadruples classifies each one once, reads its center off
+    the masks and its triples' median verdicts off the `no_median` table.
+    Their number is O(|X|^2 n^2). A tuple disjoint from X sees only T, so it
+    has no witness: the four-point rule and the triangle inequalities hold,
+    and its median or center is the vertex of T that lies in every mask it
+    needs, the only one there.
+
+    A tuple with exactly one member x in X also sees only T's distances,
+    since every pair in it has a member outside X; so it has no four-point
+    witness and T's quadruple kind. Its witnesses come from T's branches,
+    the components of T - l, at some l in mismatched[x]:
+
+    * A triple {x, j, k} lacks a median iff its median c in T lies in
+      mismatched[x]. Its candidates lie in B[j][k], the j-k path of T. A
+      candidate l there meets d(x,l) + T(j,l) = T(x,j) and d(x,l) + T(k,l)
+      = T(x,k); adding them gives d(x,l) = T(x,c), then T(j,l) = T(j,c), so
+      l = c, and d(x,c) = T(x,c). Conversely c is a median when d(x,c) =
+      T(x,c). As c is in X and j, k are not, c is none of the three, and
+      the triple lacks a median iff x, j and k lie in three branches at an
+      l in mismatched[x].
+    * A quadruple {x, a, b, c} has all three pair sums equal iff T has a
+      vertex m on all six of its paths, the median of each of its triples.
+      The AND of its three masks outside X is the median of {a, b, c}, m,
+      a single vertex, so it has no twin. m is in B[x][a] iff d(x,m) +
+      T(a,m) = T(x,a) = T(x,m) + T(a,m), so the quadruple lacks a center
+      iff m lies in mismatched[x]. Then m is in X and none of the four, so
+      they lie in four branches at m; conversely four labels in four
+      branches at l tie all three sums at l. So the quadruples without a
+      center are x with a, b, c from three further branches at an l in
+      mismatched[x], none of them in x's branch.
+    * A quadruple reports a median witness for each of its triples without
+      a median when two pair sums tie at the top. A one-member quadruple's
+      triple without x is disjoint from X, so the witnesses are its triples
+      {x, j, k} at their l, with a fourth label t outside X. The quadruple
+      ties all three sums iff t lies in a fourth branch at l, so it reports
+      the triple iff t lies in the branch of x, j or k.
+
+    These are enumerated, not searched, before the quadruple pass, which
+    reads the one-member triples of its two-member quadruples off
+    `no_median`. Each witness list comes out in report order: triples
     without a quadruple first, then quadruples, each in lexicographic order.
     `twin` is the first quadruple with two centers, and its two smallest
     centers; whether it is an error depends on the four-point verdict.
@@ -185,12 +298,19 @@ def _scan(m: DissimilarityMatrix):
     grid, eq, lt = m.comparison_view()
     n = m.n
     labels = range(1, n + 1)
-    b = _between_masks(grid, eq, n)
     exact = isinstance(m.policy, ExactPolicy)
-    residual = _prim(m).residual if exact else labels
-    # The tuples are enumerated lexicographically by nested loops. Once a
-    # member before the last lies in X the last index runs over all of
-    # later[k] = (k, n]; otherwise only over later_x[k] = X & (k, n].
+    if exact:
+        edges, _, residual, mismatched = _prim(m)
+    else:
+        edges, residual, mismatched = (), labels, ((),) * (n + 1)
+    adjacent = [[] for _ in range(n + 1)]
+    for v, p, _ in edges:
+        adjacent[v].append(p)
+        adjacent[p].append(v)
+    b = _between_masks(grid, eq, n, adjacent, residual)
+    # The tuples are enumerated lexicographically by nested loops. An index
+    # runs over all of later[k] = (k, n] when the tuple can reach two members
+    # in X without it, and otherwise only over later_x[k] = X & (k, n].
     later = [range(k + 1, n + 1) for k in range(n + 1)]
     later_x = [[l for l in later[k] if l in residual] for k in range(n + 1)]
     four_point, centers, median = [], [], []
@@ -200,75 +320,101 @@ def _scan(m: DissimilarityMatrix):
     # then hold the verdicts of a quadruple's four triples.
     failing = {}
     no_median = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def lacks_median(u, v, w):
+        failing[u, v, w] = _median_best(grid, eq, b, labels, u, v, w)
+        no_median[u][v] |= 1 << w
+        no_median[v][w] |= 1 << u
+
+    def no_median_witness(quad, triple):
+        return Witness(
+            "condition_ii", "no_median_vertex", quadruple=quad, triple=triple,
+            best_l=failing[triple],
+        )
+
     for u, v in combinations(labels, 2):
-        gu, gv = grid[u], grid[v]
-        for w in (later if u in residual or v in residual else later_x)[v]:
+        inside = (u in residual) + (v in residual)
+        if not inside:
+            continue
+        gu, gv, bu, bv = grid[u], grid[v], b[u], b[v]
+        for w in (later if inside == 2 else later_x)[v]:
             gw = grid[w]
             if lt(gu[v] + gv[w], gu[w]) or lt(gu[w] + gw[v], gu[v]) or lt(gv[u] + gu[w], gv[w]):
                 four_point.append(Witness("four_point", "triangle_violation", triple=(u, v, w)))
-            masks = (b[u][v], b[u][w], b[v][w])
-
-            def companions(l):  # x1 = x2, x2 = x3, x1 = x3
-                x1, x2, x3 = gu[v] + gw[l], gu[w] + gv[l], gu[l] + gv[w]
-                return eq(x1, x2), eq(x2, x3), eq(x1, x3)
-
             # Under the exact policy each companion sum equals d(u,l) + d(v,l)
             # + d(w,l) once the three factorizations hold, so a common mask
             # bit is a median.
-            candidates = masks[0] & masks[1] & masks[2]
+            candidates = bu[v] & bu[w] & bv[w]
             if candidates and (
-                exact or any(all(companions(l)) for l in labels if candidates >> l & 1)
+                exact
+                or any(_companions_agree(grid, eq, u, v, w, l) for l in labels if candidates >> l & 1)
             ):
                 continue
-            failing[u, v, w] = max(
-                labels,
-                key=lambda l: sum(mask >> l & 1 for mask in masks) + sum(companions(l)[:2]),
-            )
-            no_median[u][v] |= 1 << w
-            no_median[v][w] |= 1 << u
+            lacks_median(u, v, w)
+    # One-member tuples, enumerated from T's branches at each l that is
+    # mismatched with x, as the docstring proves.
+    outside = [l for l in labels if l not in residual]
+    sides = {}
+    for x in residual:
+        for l in mismatched[x]:
+            if l not in sides:
+                branch = [0] * (n + 1)
+                for here, nxt in _walk(adjacent, l):
+                    branch[nxt] = nxt if here == l else branch[here]
+                groups = {}
+                for y in outside:
+                    groups.setdefault(branch[y], []).append(y)
+                sides[l] = branch, groups
+            branch, groups = sides[l]
+            own = groups.get(branch[x], [])
+            parts = [group for root, group in groups.items() if root != branch[x]]
+            for one, two in combinations(parts, 2):
+                for j, k in product(one, two):
+                    triple = tuple(sorted((x, j, k)))
+                    lacks_median(*triple)
+                    for t in chain(own, one, two):
+                        if t != j and t != k:
+                            median.append(no_median_witness(tuple(sorted((*triple, t))), triple))
+            for one, two, three in combinations(parts, 3):
+                for trio in product(one, two, three):
+                    centers.append(_no_center(b, labels, tuple(sorted((x, *trio)))))
+    for i, j in combinations(labels, 2):
+        inside = (i in residual) + (j in residual)
+        gi, gj, bi, bj = grid[i], grid[j], b[i], b[j]
+        for k in (later if inside else later_x)[j]:
+            gk = grid[k]
+            for t in (later if inside + (k in residual) > 1 else later_x)[k]:
+                quad = (i, j, k, t)
+                s1, s2, s3 = gi[j] + gk[t], gi[k] + gj[t], gi[t] + gj[k]
+                top = max(s1, s2, s3)
+                # The quadruple is classified here rather than in a helper,
+                # since a call per quadruple was much of the pass's cost. The
+                # largest pair sum attained once breaks the four-point rule;
+                # attained three times the quadruple needs a center, twice
+                # each of its triples needs a median.
+                hits = eq(s1, top) + eq(s2, top) + eq(s3, top)
+                if hits == 1:
+                    four_point.append(Witness("four_point", "quadruple_max_once", quadruple=quad))
+                elif hits == 3:
+                    common = bi[j] & bi[k] & bi[t] & bj[k] & bj[t] & b[k][t]
+                    if not common:
+                        centers.append(_no_center(b, labels, quad))
+                    elif twin is None and common & (common - 1):
+                        twin = (quad, *[l for l in labels if common >> l & 1][:2])
+                elif no_median[i][j] & (1 << k | 1 << t) or no_median[k][t] & (1 << i | 1 << j):
+                    for triple in ((i, j, k), (i, j, t), (i, k, t), (j, k, t)):
+                        if triple in failing:
+                            median.append(no_median_witness(quad, triple))
+    # The enumerated witnesses came first and in no order; report order is
+    # lexicographic by quadruple, then by triple.
+    centers.sort(key=attrgetter("quadruple"))
+    median.sort(key=attrgetter("quadruple", "triple"))
     # With only three points there is no quadruple to scan, yet the median
     # requirement still separates realizable inputs (a strict triangle on
     # three points leaves no vertex to sit between the other two), so the
     # lone triple's verdict is reported directly.
     if n == 3 and failing:
-        median.append(
-            Witness("condition_ii", "no_median_vertex", triple=(1, 2, 3), best_l=failing[1, 2, 3])
-        )
-    for i, j, k in combinations(labels, 3):
-        gi, gj, gk = grid[i], grid[j], grid[k]
-        met = i in residual or j in residual or k in residual
-        for t in (later if met else later_x)[k]:
-            quad = (i, j, k, t)
-            s1, s2, s3 = gi[j] + gk[t], gi[k] + gj[t], gi[t] + gj[k]
-            top = max(s1, s2, s3)
-            # The quadruple is classified here rather than in a helper, since
-            # a call per quadruple was much of the pass's cost. The largest
-            # pair sum attained once breaks the four-point rule; attained
-            # three times the quadruple needs a center, twice each of its
-            # triples needs a median.
-            hits = eq(s1, top) + eq(s2, top) + eq(s3, top)
-            if hits == 1:
-                four_point.append(Witness("four_point", "quadruple_max_once", quadruple=quad))
-            elif hits == 3:
-                bi, bj, bk = b[i], b[j], b[k]
-                masks = (bi[j], bi[k], bi[t], bj[k], bj[t], bk[t])
-                common = masks[0] & masks[1] & masks[2] & masks[3] & masks[4] & masks[5]
-                if not common:
-                    best = max(labels, key=lambda l: sum(mask >> l & 1 for mask in masks))
-                    centers.append(
-                        Witness("condition_i", "no_center_vertex", quadruple=quad, best_l=best)
-                    )
-                elif twin is None and common & (common - 1):
-                    twin = (quad, *[l for l in labels if common >> l & 1][:2])
-            elif no_median[i][j] & (1 << k | 1 << t) or no_median[k][t] & (1 << i | 1 << j):
-                for triple in ((i, j, k), (i, j, t), (i, k, t), (j, k, t)):
-                    if triple in failing:
-                        median.append(
-                            Witness(
-                                "condition_ii", "no_median_vertex",
-                                quadruple=quad, triple=triple, best_l=failing[triple],
-                            )
-                        )
+        median.append(no_median_witness(None, (1, 2, 3)))
     return four_point, centers, median, twin
 
 
@@ -298,12 +444,15 @@ def check_all(m: DissimilarityMatrix) -> CheckReport:
     """Run all three checks; realizable means `reconstruct` built a tree.
 
     A built tree gets the all-ok report after O(n^2) work. Any other input
-    pays for the one scan that finds the witnesses of all three checks:
-    O(n^3) to build the between-masks plus O(|X| n^3) over the quadruples
-    that meet the residual X, which reuses the Prim pass cached on the
-    matrix. If the scan finds none, the report's `tree_fit` witness holds
-    Prim's failing (v, p, x). The theorem rules that case out under the
-    exact policy.
+    pays for the one scan that finds the witnesses of all three checks,
+    which reuses the Prim pass cached on the matrix: O(n^2 + |X| n^2) to
+    build the between-masks, O(|X|^2 n^2) over the tuples with two or more
+    members in the residual X, and the witnesses of the tuples with one
+    member enumerated from Prim's tree at a cost that follows their number;
+    O(n^4) under the float policy or when X is nearly every label. If the
+    scan finds no witness, the report's `tree_fit` witness holds Prim's
+    failing (v, p, x). The theorem rules that case out under the exact
+    policy.
     """
     if m.n < 3:
         raise TooSmall(f"realizability checks need n >= 3, got n = {m.n}")

@@ -16,7 +16,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidMatrix, InvalidTree, MalformedInput, UnknownVertex
-from .numeric import EXACT, NUMBER_ERRORS, ExactPolicy, Policy, Scalar, ensure_same_policy
+from .numeric import (
+    EXACT, NUMBER_ERRORS, ExactPolicy, Policy, Scalar, echo, ensure_same_policy,
+)
 
 __all__ = [
     "Edge",
@@ -45,6 +47,14 @@ def _is_int(value) -> bool:
 def _check_label(label: int, n: int) -> None:
     if not _is_int(label) or not 1 <= label <= n:
         raise UnknownVertex(label, n)
+
+
+def _bad_entry(cell, exc: Exception, row: int, col: int) -> MalformedInput:
+    """The error for a cell the policy cannot read. It names the literal
+    once: most readers' reasons echo it already."""
+    shown, reason = echo(cell), str(exc)
+    message = f"bad entry: {reason}" if shown in reason else f"bad entry {shown}: {reason}"
+    return MalformedInput(message, row=row, col=col)
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,7 @@ class DissimilarityMatrix:
                     else:
                         value = coerce(cell)
                 except NUMBER_ERRORS as exc:
-                    raise MalformedInput(f"bad entry {cell!r}: {exc}", row=i, col=j)
+                    raise _bad_entry(cell, exc, i, j)
                 parsed.append(value)
             cells.append(parsed)
         # One row-major pass over the upper triangle checks each entry and
@@ -127,7 +137,10 @@ class DissimilarityMatrix:
             if i == j:
                 raise InvalidMatrix("diagonal pair in pair mapping", row=i, col=j)
             key = (min(i, j), max(i, j))
-            value = policy.coerce(value)
+            try:
+                value = policy.coerce(value)
+            except NUMBER_ERRORS as exc:
+                raise _bad_entry(value, exc, i, j)
             if key in seen and not policy.eq(grid[i - 1][j - 1], value):
                 raise InvalidMatrix("conflicting values for one pair", row=i, col=j)
             seen.add(key)

@@ -61,6 +61,25 @@ def _fraction_to_text(value: Fraction) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
+_ECHO_LIMIT = 80  # the longest literal an error message repeats whole
+
+
+def echo(value) -> str:
+    """`repr(value)` for an error message, cut to its head and tail and its
+    length when longer than _ECHO_LIMIT characters, so that an error stays
+    one short line whatever the input."""
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:16]}...{text[-16:]} ({len(str(value))} characters)"
+
+
+def _shortened(exc: ValueError, value) -> ValueError:
+    """`exc` with its echo of `value` shortened by `echo`: the messages of
+    `Fraction` and `float` repeat the whole literal."""
+    return ValueError(str(exc).replace(repr(value), echo(value)))
+
+
 _MAX_DIGITS = 1000
 _MAX_EXPONENT = 1000
 _INT_LIMIT = 10**_MAX_DIGITS  # the least integer with more than _MAX_DIGITS digits
@@ -89,7 +108,10 @@ def _bounded_fraction(text: str) -> Fraction:
             size = 0  # not a number; Fraction reports the literal
         if size > _MAX_EXPONENT:
             raise ValueError(f"exponent beyond +/-{_MAX_EXPONENT} in an exact number")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise _shortened(exc, text) from None
 
 
 @dataclass(frozen=True)
@@ -112,7 +134,7 @@ class ExactPolicy:
         if isinstance(value, float):
             # Read the decimal literal, not the binary expansion.
             return Fraction(str(value))
-        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+        raise TypeError(f"cannot interpret {echo(value)} as an exact rational")
 
     def eq(self, x, y) -> bool:
         return x == y
@@ -152,8 +174,10 @@ class FloatPolicy:
             out = float(value)
         except OverflowError:  # an int or a Fraction beyond the float range
             out = math.inf
+        except ValueError as exc:
+            raise _shortened(exc, value) from None
         if not math.isfinite(out):
-            raise ValueError(f"non-finite value {value!r}")
+            raise ValueError(f"non-finite value {echo(value)}")
         return out
 
     def eq(self, x, y) -> bool:

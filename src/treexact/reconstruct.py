@@ -50,6 +50,7 @@ class _Prim(NamedTuple):
     edges: tuple  # (v, p, d(v, p)) for each vertex v that joined through p
     mismatch: tuple[int, int, int] | None  # the first (v, p, x), in Prim order
     residual: frozenset  # every label in a pair where d differs from the tree
+    mismatched: tuple  # mismatched[x]: every l with d(x, l) != T(x, l)
 
 
 def _prim(m: DissimilarityMatrix) -> _Prim:
@@ -61,7 +62,8 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
     is T(v, x) = d(v, p) + T(p, x). Each pair is compared once, when its
     later endpoint joins, so the mismatches are exactly the pairs where d
     differs from the tree. Prim runs to the end past a mismatch, since the
-    witness scan wants every such pair.
+    witness scan wants every such pair: it reads each label's mismatched
+    partners, and their union, the residual.
     """
     cached = m.__dict__.get("_prim")
     if cached is not None:
@@ -73,7 +75,8 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
     key = list(grid[1])  # key[x]: least distance from x to the grown subtree
     parent = [1] * (n + 1)
     path = [[0] * (n + 1) for _ in range(n + 1)]  # T: path weights in the tree
-    edges, mismatch, residual = [], None, set()
+    edges, mismatch = [], None
+    mismatched = [[] for _ in range(n + 1)]
     while outside:
         v = min(outside, key=key.__getitem__)
         outside.remove(v)
@@ -84,7 +87,8 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
             through_p = d_vp + path_p[x]
             if not eq(row_v[x], through_p):
                 mismatch = mismatch or (v, p, x)
-                residual |= {v, x}
+                mismatched[v].append(x)
+                mismatched[x].append(v)
             path_v[x] = path[x][v] = through_p
         joined.append(v)
         edges.append((v, p, m.rows[v][p]))
@@ -92,7 +96,8 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
             if row_v[x] < key[x]:
                 key[x] = row_v[x]
                 parent[x] = v
-    result = _Prim(tuple(edges), mismatch, frozenset(residual))
+    residual = frozenset(x for x, others in enumerate(mismatched) if others)
+    result = _Prim(tuple(edges), mismatch, residual, tuple(map(tuple, mismatched)))
     object.__setattr__(m, "_prim", result)
     return result
 
@@ -107,7 +112,7 @@ def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
     exact policy, whose comparison grid is integers, and within epsilon under
     the float policy.
     """
-    edges, mismatch, _ = _prim(m)
+    edges, mismatch, _, _ = _prim(m)
     if mismatch is not None:
         v, p, x = mismatch
         return UnrealizableWitness(

@@ -460,6 +460,28 @@ class TestInputBoundary:
         assert out == ""
         assert "non-finite value" in err and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "mode, cell",
+        [
+            ("float", BIG_INT),
+            ("float", "1" + "0" * 4299),  # the longest integer literal json reads
+            ("float", '"%s"' % ("a" * 5000)),
+            ("exact", '"%s"' % ("a" * 5000)),
+            ("exact", '"%s"' % ("1" * 1001)),
+        ],
+        ids=["float_400_digits", "float_4300_digits", "float_garbage", "exact_garbage", "exact_1001"],
+    )
+    def test_long_literal_is_echoed_once_and_shortened(self, tmp_path, capsys, mode, cell):
+        """A refused cell is named once, cut to its head and tail and its
+        length, so the error line stays under 160 bytes whatever its size."""
+        doc = '{"n": 3, "d": [[0, %s, 1], [%s, 0, 1], [1, 1, 0]]}' % (cell, cell)
+        code, out, err = run_cli(capsys, ["check", "--mode", mode, "-i", write(tmp_path, "m.json", doc)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad entry") and err.count("\n") == 1
+        assert len(err.encode()) < 160, err
+        assert err.count("...") == 1
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize(
         "doc",

@@ -169,6 +169,20 @@ class TestMatrixValidation:
         m = DissimilarityMatrix.from_pairs(2, {(1, 2): "0.5", (2, 1): Fraction(1, 2)})
         assert m.d(1, 2) == Fraction(1, 2)
 
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            ("abc", "Invalid literal"),  # ValueError
+            ("1/0", "Fraction(1, 0)"),  # ZeroDivisionError
+            (True, "boolean True is not a number"),  # TypeError
+        ],
+    )
+    def test_from_pairs_bad_value_is_malformed_input(self, value, reason):
+        with pytest.raises(MalformedInput, match="^bad entry") as err:
+            DissimilarityMatrix.from_pairs(3, {(1, 2): 1, (2, 3): value, (1, 3): 1})
+        assert reason in str(err.value)
+        assert (err.value.row, err.value.col) == (2, 3)
+
     def test_unknown_vertex_lookup(self):
         m = parse_matrix("0,1\n1,0")
         with pytest.raises(UnknownVertex):

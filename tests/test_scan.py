@@ -10,6 +10,7 @@ compared against.
 import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
@@ -242,6 +243,21 @@ def _perturbed_trees(count, seed):
         yield DissimilarityMatrix.from_rows(_perturb(rng, rows, rng.choice((-1, 1))), EXACT)
 
 
+def _moved_trees(count, seed):
+    """Exact tree metrics without hidden vertices, n = 9..12, with two or
+    three pairs moved by a whole, a half or a third of the least weight. A
+    label of the residual is then mismatched with only some of the others,
+    and the moved entries leave the grid of the weights."""
+    rng = random.Random(seed)
+    deltas = (-1, 1, Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 3), Fraction(1, 3))
+    for index in range(count):
+        rows = _tree_metric(rng, 9 + index % 4, 0, (1, 1, 2, 3))
+        rows = [[Fraction(cell) for cell in row] for row in rows]
+        for _ in range(rng.choice((2, 3))):
+            rows = _perturb(rng, rows, rng.choice(deltas))
+        yield DissimilarityMatrix.from_rows(rows, EXACT)
+
+
 def _matrices(count, seed):
     rng = random.Random(seed)
     for index in range(count):
@@ -286,23 +302,28 @@ def _unreported_median_failures(m):
 
 
 def test_scan_matches_naive_loops():
-    """1200 seeded matrices, n = 3..8, exact and float, and 200 perturbed
-    exact tree metrics, n = 9..12: the scan's own report equals the
-    reference's report and lists every witness in the reference's sorted
-    order. `check_all` equals it too wherever the scan explains a failure:
-    on every exact matrix, and on every float matrix that `reconstruct`
-    rejects and the reference finds witnesses for. Every
-    other float matrix gets the all-ok report, or the one `tree_fit` witness
-    when `reconstruct` rejects it. The corpus fails every check somewhere,
-    including medians that only the companion identities reject, triples
-    without a median that no quadruple reports, and three-point inputs on
-    both sides of the median verdict. The larger failing matrices include
-    residuals of at most two labels, where the scan skips most tuples, and
-    residuals of every label."""
+    """1200 seeded matrices, n = 3..8, exact and float, 200 perturbed exact
+    tree metrics and 200 with two or three pairs moved, n = 9..12: the
+    scan's own report equals the reference's report and lists every witness
+    in the reference's sorted order. `check_all` equals it too wherever the
+    scan explains a failure: on every exact matrix, and on every float
+    matrix that `reconstruct` rejects and the reference finds witnesses for.
+    Every other float matrix gets the all-ok report, or the one `tree_fit`
+    witness when `reconstruct` rejects it. The corpus fails every check
+    somewhere, including medians that only the companion identities reject,
+    triples without a median that no quadruple reports, and three-point
+    inputs on both sides of the median verdict. The larger failing matrices
+    include residuals of exactly two labels and of every label, and
+    quadruples with one member in the residual that lack a center or hold a
+    triple without a median: the witnesses the scan enumerates from Prim's
+    tree instead of testing each tuple."""
     codes, companion_decided, contract = set(), 0, Counter()
-    unreported, three_point, residuals = 0, Counter(), Counter()
+    unreported, three_point, residuals, lone = 0, Counter(), Counter(), Counter()
     all_ok = CheckFragment(ok=True, witnesses=())
-    for m in chain(_matrices(1200, seed=7100), _perturbed_trees(200, seed=7200)):
+    corpus = chain(
+        _matrices(1200, seed=7100), _perturbed_trees(200, seed=7200), _moved_trees(200, seed=7400)
+    )
+    for m in corpus:
         want = ref_check_all(m)
         merged = want.four_point.witnesses + want.condition_i.witnesses
         merged = tuple(sorted(merged + want.condition_ii.witnesses, key=_key))
@@ -325,8 +346,12 @@ def test_scan_matches_naive_loops():
             contract["all_ok"] += 1
         codes.update(w.code for w in want.witnesses)
         if m.n >= 9 and want.witnesses:
-            size = len(_prim(m).residual)
-            residuals["small" if size <= 2 else "all" if size == m.n else "other"] += 1
+            residual = _prim(m).residual
+            size = len(residual)
+            residuals["two" if size == 2 else "all" if size == m.n else "other"] += 1
+            for w in want.condition_i.witnesses + want.condition_ii.witnesses:
+                if w.quadruple and len(residual.intersection(w.quadruple)) == 1:
+                    lone[w.code] += 1
         if isinstance(m.policy, FloatPolicy) and m.n >= 4:
             companion_decided += _companion_decided(m)
         if m.n == 3:
@@ -339,7 +364,8 @@ def test_scan_matches_naive_loops():
     assert companion_decided > 0
     assert unreported > 0 and three_point[True] and three_point[False]
     assert contract["tree_fit"] and min(contract["scan"], contract["all_ok"]) > 100
-    assert residuals["small"] and residuals["all"]
+    assert residuals["two"] and residuals["all"] and residuals["other"]
+    assert lone["no_center_vertex"] and lone["no_median_vertex"]
 
 
 def test_companion_identities_reject_a_float_median():
@@ -403,6 +429,27 @@ def test_residual_is_the_moved_pair():
         moved[i - 1][j - 1] += 1
         moved[j - 1][i - 1] += 1
         assert _prim(DissimilarityMatrix.from_rows(moved)).residual == {i, j}
+
+
+def test_mismatched_are_the_pairs_off_the_grown_tree():
+    """`_prim`'s mismatched[x] is every l where d(x,l) differs from the path
+    weight of the tree Prim grew, as `all_pairs_weights` computes it, and the
+    residual is the labels with a mismatch."""
+    corpus = chain(
+        (m for m in _matrices(300, seed=7500) if isinstance(m.policy, ExactPolicy)),
+        _perturbed_trees(50, seed=7600), _moved_trees(50, seed=7700),
+    )
+    sizes = Counter()
+    for m in corpus:
+        edges, _, residual, mismatched = _prim(m)
+        tree = all_pairs_weights(WeightedTree.from_edges(m.n, edges))
+        labels = range(1, m.n + 1)
+        for x in labels:
+            want = {l for l in labels if m.d(x, l) != tree.d(x, l)}
+            assert set(mismatched[x]) == want and len(mismatched[x]) == len(want), m.rows
+        assert residual == {x for x in labels if mismatched[x]}
+        sizes["none" if not residual else "all" if len(residual) == m.n else "some"] += 1
+    assert min(sizes.values()) > 10 and len(sizes) == 3
 
 
 def _n24_perturbed_report():
