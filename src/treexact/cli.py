@@ -27,7 +27,7 @@ from .core import (
     tree_to_dot,
 )
 from .errors import TreexactError
-from .numeric import EXACT, FloatPolicy, Policy
+from .numeric import EXACT, FloatPolicy, Policy, echo
 from .oracle import DEFAULT_ENUMERATION_CAP, count_realizations, random_weighted_tree
 from .reconstruct import UnrealizableWitness, reconstruct
 
@@ -114,7 +114,7 @@ def _resolve_policy(args) -> Policy:
     try:
         return FloatPolicy(args.eps)
     except ValueError:
-        raise _UsageError(f"--eps must be finite and positive, got {args.eps!r}")
+        raise _UsageError(f"--eps must be finite and positive, got {echo(args.eps)}")
 
 
 def _read_input(path: str) -> str:

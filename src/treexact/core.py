@@ -11,13 +11,15 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidMatrix, InvalidTree, MalformedInput, UnknownVertex
 from .numeric import (
-    EXACT, NUMBER_ERRORS, ExactPolicy, Policy, Scalar, echo, ensure_same_policy,
+    EXACT, NUMBER_ERRORS, ExactPolicy, Policy, Scalar, _plain_decimals, _scaled_texts, echo,
+    ensure_same_policy,
 )
 
 __all__ = [
@@ -57,73 +59,146 @@ def _bad_entry(cell, exc: Exception, row: int, col: int) -> MalformedInput:
     return MalformedInput(message, row=row, col=col)
 
 
-@dataclass(frozen=True)
+def _read_cells(raw_rows, n: int, read) -> list[list]:
+    """Every cell of an n x n nested sequence read by `read`, in row-major
+    order, so that the first short or long row or unreadable number raises at
+    its position. Each distinct string is read once, so a mirror cell and a
+    repeated value share one object. Only strings are keys: `True == 1 ==
+    1.0` and they hash alike, yet must be read apart."""
+    cells = []
+    memo = {}
+    for i, row in enumerate(raw_rows, start=1):
+        row = list(row)
+        if len(row) != n:
+            raise InvalidMatrix(f"row {i} has {len(row)} entries, expected {n}", row=i)
+        for j, cell in enumerate(row):
+            try:
+                if type(cell) is str:
+                    value = memo.get(cell)
+                    if value is None:
+                        value = memo[cell] = read(cell)
+                else:
+                    value = read(cell)
+            except NUMBER_ERRORS as exc:
+                raise _bad_entry(cell, exc, i, j + 1)
+            row[j] = value
+        cells.append(row)
+    return cells
+
+
+def _exact_ratio(cell) -> tuple[int, int]:
+    """A cell's exact value as (numerator, denominator) in lowest terms. A
+    pair of ints hashes in C; a `Fraction` hashes in Python."""
+    value = EXACT.coerce(cell)
+    return value.numerator, value.denominator
+
+
+def _exact_grid(raw_rows, n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The 1-based integer grid of an n x n nested sequence of exact cells
+    and the least scale that puts every cell on the integers. Rows that are
+    n lists of n strings, all plain decimals, are read together by
+    `_plain_decimals`. Otherwise `_read_cells` reads each cell as a pair in
+    lowest terms, and over the lcm of the denominators no factor is common
+    to the scale and every lifted value."""
+    plain = None
+    if (
+        all(type(row) is list and len(row) == n for row in raw_rows)
+        and set(map(type, chain.from_iterable(raw_rows))) == {str}
+    ):
+        plain = _plain_decimals(set().union(*raw_rows))
+    if plain is None:
+        raw_rows = _read_cells(raw_rows, n, _exact_ratio)
+        ratios = set().union(*raw_rows)
+        scale = math.lcm(*{den for _, den in ratios})
+        lifted = {(num, den): num * (scale // den) for num, den in ratios}
+    else:
+        lifted, scale = plain
+    zeros = (0,) * (n + 1)
+    return (zeros, *((0, *map(lifted.__getitem__, row)) for row in raw_rows)), scale
+
+
+def _canonical(cells, n: int, eq, zero) -> tuple[tuple, ...]:
+    """Check the cells of an n x n matrix (0-based) and return its canonical
+    1-based grid: exact zeros on the diagonal, lower mirrors upper. One
+    row-major pass over the upper triangle raises the first invalid entry."""
+    grid = [[zero] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        row = cells[i - 1]
+        if not eq(row[i - 1], zero):
+            raise InvalidMatrix("nonzero diagonal entry", row=i, col=i)
+        for j in range(i + 1, n + 1):
+            x, y = row[j - 1], cells[j - 1][i - 1]
+            if x is not y and not eq(x, y):
+                raise InvalidMatrix("asymmetric entry", row=i, col=j)
+            if x <= 0:
+                raise InvalidMatrix("non-positive off-diagonal entry", row=i, col=j)
+            grid[i][j] = grid[j][i] = x
+    return tuple(tuple(r) for r in grid)
+
+
 class DissimilarityMatrix:
     """Symmetric positive dissimilarities on labels 1..n with a zero diagonal.
 
     `rows` carries a dummy 0th row and column so entries are addressed
     directly by 1-based labels: ``rows[i][j]`` is the dissimilarity of i and
-    j. Build instances through `from_rows` / `from_pairs` / `parse_matrix`,
-    which validate; the raw constructor trusts its input.
+    j. Under the exact policy a matrix is held as an integer grid of the
+    same shape and one scale: entry (i, j) is grid[i][j] / scale, and the
+    grid and scale share no common factor. `rows` is then a view of
+    `Fraction`s, built when first read unless the raw constructor was given
+    them. Build instances through `from_rows` / `from_pairs` /
+    `parse_matrix`, which validate; the raw constructor
+    `DissimilarityMatrix(n, rows, policy)` trusts its input. Instances are
+    immutable.
     """
 
-    n: int
-    rows: tuple[tuple[Scalar, ...], ...]
-    policy: Policy = EXACT
+    def __init__(self, n: int, rows: tuple[tuple[Scalar, ...], ...], policy: Policy = EXACT):
+        if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
+            raise InvalidMatrix(f"internal grid shape does not match n={n}")
+        vars(self).update(n=n, policy=policy, _rows=rows)
+        if isinstance(policy, ExactPolicy):
+            # Over the lcm of their denominators, values in lowest terms
+            # share no factor with it.
+            scale = math.lcm(*{cell.denominator for row in rows for cell in row})
+            grid = tuple(
+                tuple(cell.numerator * (scale // cell.denominator) for cell in row)
+                for row in rows
+            )
+            vars(self).update(_grid=grid, _scale=scale)
 
-    def __post_init__(self):
-        if len(self.rows) != self.n + 1 or any(len(r) != self.n + 1 for r in self.rows):
-            raise InvalidMatrix(f"internal grid shape does not match n={self.n}")
+    @classmethod
+    def _on_grid(cls, n: int, grid: tuple[tuple[int, ...], ...], scale: int) -> "DissimilarityMatrix":
+        """An exact matrix from its canonical integer grid and scale."""
+        m = cls.__new__(cls)
+        vars(m).update(n=n, policy=EXACT, _grid=grid, _scale=scale)
+        return m
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_rows(cls, raw_rows, policy: Policy = EXACT) -> "DissimilarityMatrix":
         """Validate and build from an n x n nested sequence (0-based storage in,
-        1-based labels out)."""
+        1-based labels out). Every number error comes before any validity
+        error."""
         n = len(raw_rows)
         if n < 1:
             raise InvalidMatrix("matrix must have at least one row")
-        cells: list[list[Scalar]] = []
-        # Each distinct string is read once, so a mirror cell and a repeated
-        # value share one object. Only strings are keys: `True == 1 == 1.0`
-        # and they hash alike, yet must be coerced apart.
-        parsed_text: dict[str, Scalar] = {}
-        coerce = policy.coerce
-        for i, row in enumerate(raw_rows, start=1):
-            row = list(row)
-            if len(row) != n:
-                raise InvalidMatrix(
-                    f"row {i} has {len(row)} entries, expected {n}", row=i
-                )
-            parsed = []
-            for j, cell in enumerate(row, start=1):
-                try:
-                    if type(cell) is str:
-                        value = parsed_text.get(cell)
-                        if value is None:
-                            value = parsed_text[cell] = coerce(cell)
-                    else:
-                        value = coerce(cell)
-                except NUMBER_ERRORS as exc:
-                    raise _bad_entry(cell, exc, i, j)
-                parsed.append(value)
-            cells.append(parsed)
-        # One row-major pass over the upper triangle checks each entry and
-        # writes the canonical grid: exact zeros on the diagonal, lower
-        # mirrors upper.
-        zero = policy.zero()
-        grid = [[zero] * (n + 1) for _ in range(n + 1)]
-        for i in range(1, n + 1):
-            row = cells[i - 1]
-            if not policy.eq(row[i - 1], zero):
-                raise InvalidMatrix("nonzero diagonal entry", row=i, col=i)
-            for j in range(i + 1, n + 1):
-                x, y = row[j - 1], cells[j - 1][i - 1]
-                if x is not y and not policy.eq(x, y):
-                    raise InvalidMatrix("asymmetric entry", row=i, col=j)
-                if x <= 0:
-                    raise InvalidMatrix("non-positive off-diagonal entry", row=i, col=j)
-                grid[i][j] = grid[j][i] = x
-        return cls(n, tuple(tuple(r) for r in grid), policy)
+        if not isinstance(policy, ExactPolicy):
+            cells = _read_cells(raw_rows, n, policy.coerce)
+            return cls(n, _canonical(cells, n, policy.eq, policy.zero()), policy)
+        grid, scale = _exact_grid(raw_rows, n)
+        # Equal values are equal integers, so whole-grid tests find whether
+        # any entry is invalid; `_canonical` then reports the first one.
+        if (
+            any(grid[i][i] for i in range(1, n + 1))
+            or grid != tuple(zip(*grid))
+            or any(min(grid[i][i + 1:]) <= 0 for i in range(1, n))
+        ):
+            _canonical([row[1:] for row in grid[1:]], n, operator.eq, 0)
+        return cls._on_grid(n, grid, scale)
 
     @classmethod
     def from_pairs(cls, n: int, pairs, policy: Policy = EXACT) -> "DissimilarityMatrix":
@@ -155,58 +230,72 @@ class DissimilarityMatrix:
             raise InvalidMatrix(f"missing pairs: {missing[:5]}")
         return cls.from_rows(grid, policy)
 
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The entries as policy values: under the exact policy, `Fraction`s
+        built from the grid on first read."""
+        rows = vars(self).get("_rows")
+        if rows is None:
+            grid, scale = self._grid, self._scale
+            value = {v: Fraction(v, scale) for v in set().union(*grid)}
+            rows = vars(self)["_rows"] = tuple(tuple(map(value.__getitem__, r)) for r in grid)
+        return rows
+
     def d(self, i: int, j: int) -> Scalar:
         """Dissimilarity of labels i and j; zero when i == j."""
         _check_label(i, self.n)
         _check_label(j, self.n)
-        return self.rows[i][j]
+        rows = vars(self).get("_rows")
+        if rows is None:
+            return Fraction(self._grid[i][j], self._scale)
+        return rows[i][j]
 
     def pairs(self) -> Iterator[tuple[int, int, Scalar]]:
         """Yield (i, j, value) for every unordered pair i < j."""
+        rows = self.rows
         for i in range(1, self.n + 1):
             for j in range(i + 1, self.n + 1):
-                yield i, j, self.rows[i][j]
+                yield i, j, rows[i][j]
+
+    def _cell_texts(self) -> list[list[str]]:
+        """The n x n entries as the policy writes them."""
+        if isinstance(self.policy, ExactPolicy):
+            grid = self._grid
+            text = _scaled_texts(set().union(*grid), self._scale)
+            return [list(map(text.__getitem__, row[1:])) for row in grid[1:]]
+        fmt = self.policy.format
+        return [list(map(fmt, row[1:])) for row in self.rows[1:]]
 
     def to_csv(self) -> str:
-        fmt = self.policy.format
-        return "\n".join(
-            ",".join(fmt(self.rows[i][j]) for j in range(1, self.n + 1))
-            for i in range(1, self.n + 1)
-        )
+        return "\n".join(",".join(row) for row in self._cell_texts())
 
     def to_json_dict(self) -> dict:
-        fmt = self.policy.format
-        return {
-            "n": self.n,
-            "d": [
-                [fmt(self.rows[i][j]) for j in range(1, self.n + 1)]
-                for i in range(1, self.n + 1)
-            ],
-        }
+        return {"n": self.n, "d": self._cell_texts()}
 
     def comparison_view(self):
         """Return (grid, eq, lt) for hot loops.
 
-        Under the exact policy the grid holds integers (all entries scaled by
-        the common denominator), so sums and comparisons are plain int
-        arithmetic that mirrors the rational values exactly. Under the float
-        policy the grid is the raw floats and eq/lt apply the epsilon rule.
-        The view is cached on the instance.
+        Under the exact policy the grid is the matrix's integer grid, so sums
+        and comparisons are plain int arithmetic that mirrors the rational
+        values exactly. Under the float policy the grid is the raw floats and
+        eq/lt apply the epsilon rule.
         """
-        cached = self.__dict__.get("_cmp_view")
-        if cached is not None:
-            return cached
         if isinstance(self.policy, ExactPolicy):
-            scale = math.lcm(*{cell.denominator for row in self.rows for cell in row})
-            grid = tuple(
-                tuple(cell.numerator * (scale // cell.denominator) for cell in row)
-                for row in self.rows
-            )
-            view = (grid, operator.eq, operator.lt)
-        else:
-            view = (self.rows, self.policy.eq, self.policy.lt)
-        object.__setattr__(self, "_cmp_view", view)
-        return view
+            return self._grid, operator.eq, operator.lt
+        return self.rows, self.policy.eq, self.policy.lt
+
+    def _key(self):
+        if isinstance(self.policy, ExactPolicy):
+            return self.n, self.policy, self._grid, self._scale
+        return self.n, self.policy, self.rows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return f"DissimilarityMatrix(n={self.n}, policy={self.policy.name})"
@@ -233,7 +322,7 @@ class WeightedTree:
         for item in edges:
             u, v, w = item
             if not _is_int(u) or not _is_int(v):
-                raise InvalidTree(f"non-integer endpoint in edge {item!r}")
+                raise InvalidTree(f"non-integer endpoint in edge {echo(item)}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InvalidTree(f"edge ({u},{v}) has an endpoint outside 1..{n}")
             if u == v:
@@ -379,15 +468,28 @@ def path_weight(tree: WeightedTree, i: int, j: int) -> Scalar:
 
 
 def all_pairs_weights(tree: WeightedTree) -> DissimilarityMatrix:
-    """Matrix of path weights between every pair of vertices.
+    """Matrix of path weights between every pair of vertices, each summed
+    outward from its smaller label.
 
     Positivity and symmetry hold by construction, so the result always
-    satisfies the dissimilarity invariants. Under the float policy a path
-    weight beyond the float range raises InvalidTree.
+    satisfies the dissimilarity invariants. Under the exact policy the sums
+    are of integers: the edge weights over the lcm of their denominators.
+    Under the float policy a path weight beyond the float range raises
+    InvalidTree.
     """
     n = tree.n
-    adj = tree.adjacency()
-    zero = tree.policy.zero()
+    exact = isinstance(tree.policy, ExactPolicy)
+    if exact:
+        # The weights are in lowest terms, so over the lcm of their
+        # denominators they share no factor with it, nor does the grid.
+        scale = math.lcm(*(w.denominator for _, _, w in tree.edges))
+        adj, zero = [[] for _ in range(n + 1)], 0
+        for u, v, w in tree.edges:
+            lifted = w.numerator * (scale // w.denominator)
+            adj[u].append((v, lifted))
+            adj[v].append((u, lifted))
+    else:
+        adj, zero = tree.adjacency(), tree.policy.zero()
     grid = [[zero] * (n + 1) for _ in range(n + 1)]
     for src in range(1, n + 1):
         row = grid[src]
@@ -395,9 +497,12 @@ def all_pairs_weights(tree: WeightedTree) -> DissimilarityMatrix:
             if dst > src:
                 row[dst] = value
                 grid[dst][src] = value
-    if not isinstance(tree.policy, ExactPolicy) and not math.isfinite(max(map(max, grid))):
+    grid = tuple(tuple(r) for r in grid)
+    if exact:
+        return DissimilarityMatrix._on_grid(n, grid, scale)
+    if not math.isfinite(max(map(max, grid))):
         raise InvalidTree("a path weight of the tree overflows the float range")
-    return DissimilarityMatrix(n, tuple(tuple(r) for r in grid), tree.policy)
+    return DissimilarityMatrix(n, grid, tree.policy)
 
 
 def trees_equal(a: WeightedTree, b: WeightedTree) -> bool:

@@ -3,10 +3,10 @@
 Every matrix and tree carries one policy, and all comparisons inside a
 computation go through it. `coerce` is each policy's one reader of outside
 numbers (strings, ints, floats, fractions), so every input meets the same
-bounds. The default exact policy keeps values as
-`fractions.Fraction`, so equalities between pair sums are decided without
-rounding and decimal input strings survive a parse/serialize round trip
-unchanged. The float policy is meant for measured data; its equality is
+bounds. The default exact policy reads values as `fractions.Fraction`
+(a matrix holds them as integers over one scale, see `core`), so
+equalities between pair sums are decided without rounding and decimal
+input strings survive a parse/serialize round trip unchanged. The float policy is meant for measured data; its equality is
 ``|x - y| <= epsilon * max(1, |x|, |y|)``, false when that tolerance is
 infinite.
 
@@ -39,26 +39,50 @@ __all__ = [
 ]
 
 
+def _decimal_places(den: int) -> int | None:
+    """The fewest decimal places that write every multiple of 1/den, or None
+    when 1/den does not terminate (den has a prime factor other than 2, 5)."""
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    return max(twos, fives) if den == 1 else None
+
+
 def _fraction_to_text(value: Fraction) -> str:
     """Render a rational losslessly: decimal when terminating, 'p/q' otherwise."""
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
-    twos = fives = 0
-    rest = den
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
+    places = _decimal_places(den)
+    if places is None:
         return f"{num}/{den}"
-    places = max(twos, fives)
     scaled = abs(num) * 10**places // den
     digits = str(scaled).rjust(places + 1, "0")
     sign = "-" if num < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def _scaled_texts(values, scale: int) -> dict[int, str]:
+    """`_fraction_to_text(Fraction(v, scale))` for each integer v of `values`,
+    keyed by v. When 1/scale terminates, every v / scale is written with the
+    places of 1/scale and its trailing zeros dropped, with no `Fraction`."""
+    places = _decimal_places(scale)
+    if places is None:
+        return {v: _fraction_to_text(Fraction(v, scale)) for v in values}
+    if places == 0:
+        return {v: str(v) for v in values}
+    lift = 10**places // scale
+    texts = {}
+    for v in values:
+        digits = str(abs(v) * lift).rjust(places + 1, "0")
+        head, tail = digits[:-places], digits[-places:].rstrip("0")
+        text = f"{head}.{tail}" if tail else head
+        texts[v] = f"-{text}" if v < 0 else text
+    return texts
 
 
 _ECHO_LIMIT = 80  # the longest literal an error message repeats whole
@@ -85,7 +109,11 @@ _MAX_EXPONENT = 1000
 _INT_LIMIT = 10**_MAX_DIGITS  # the least integer with more than _MAX_DIGITS digits
 # A plain ASCII decimal. Every other literal, digits of other scripts
 # included, goes through `Fraction(text)`.
-_PLAIN_DECIMAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]*))?")
+_PLAIN = r"([+-]?[0-9]+)(?:\.([0-9]*))?"
+_PLAIN_DECIMAL = re.compile(_PLAIN)
+# The start of a line that is not a plain decimal. A search keeps no state
+# per line, as a repeated group in one match of many lines would.
+_NOT_PLAIN_LINE = re.compile(f"^(?!{_PLAIN}$)", re.MULTILINE)
 
 
 def _bounded_fraction(text: str) -> Fraction:
@@ -112,6 +140,34 @@ def _bounded_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ValueError as exc:
         raise _shortened(exc, text) from None
+
+
+def _plain_decimals(texts) -> tuple[dict[str, int], int] | None:
+    """Every string of the set `texts` as an integer over one scale, when
+    each is a plain decimal of at most _MAX_DIGITS characters; else None.
+    Each string is read once, as its digits and the count k of them after
+    the point, and lifted to 10**(most k). The map and that scale are then
+    divided by their common factor, so the scale is the least that puts
+    every value on the integers. One regex search over the strings joined
+    by newlines checks them all; a string with a newline of its own adds
+    one more and fails the count."""
+    joined = "\n".join(texts)
+    if (
+        joined.count("\n") >= len(texts)
+        or max(map(len, texts)) > _MAX_DIGITS
+        or _NOT_PLAIN_LINE.search(joined)
+    ):
+        return None
+    places = max(len(text.partition(".")[2]) for text in texts)
+    lifted = {
+        text: int(whole + frac.ljust(places, "0"))
+        for text in texts
+        for whole, _, frac in [text.partition(".")]
+    }
+    common = math.gcd(10**places, *lifted.values())
+    if common > 1:
+        lifted = {text: v // common for text, v in lifted.items()}
+    return lifted, 10**places // common
 
 
 @dataclass(frozen=True)

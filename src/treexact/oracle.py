@@ -132,7 +132,7 @@ def _fits(grid, eq, n: int, edges) -> bool:
 
 
 def _weighted(m: DissimilarityMatrix, edges) -> WeightedTree:
-    return WeightedTree.from_edges(m.n, [(u, v, m.rows[u][v]) for u, v in edges], m.policy)
+    return WeightedTree.from_edges(m.n, [(u, v, m.d(u, v)) for u, v in edges], m.policy)
 
 
 def realize_on_topology(m: DissimilarityMatrix, topology) -> WeightedTree | None:

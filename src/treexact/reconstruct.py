@@ -91,7 +91,7 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
                 mismatched[x].append(v)
             path_v[x] = path[x][v] = through_p
         joined.append(v)
-        edges.append((v, p, m.rows[v][p]))
+        edges.append((v, p, m.d(v, p)))
         for x in outside:
             if row_v[x] < key[x]:
                 key[x] = row_v[x]

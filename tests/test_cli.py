@@ -366,6 +366,26 @@ class TestInputBoundary:
         assert out == ""
         assert err.startswith("error: --eps must be finite") and err.count("\n") == 1
 
+    def test_long_eps_is_shortened(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["check", "--mode", "float", "--eps", "1" * 500, "-i", write(tmp_path, "m.csv", STAR_CSV)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --eps must be finite") and err.count("\n") == 1
+        assert len(err.encode()) < 200, err
+        assert "(500 characters)" in err
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_long_edge_with_non_integer_endpoint_is_shortened(self, tmp_path, capsys, mode):
+        doc = json.dumps({"n": 2, "edges": [{"u": 1.5, "v": 2, "w": "1" * 3000}]})
+        code, out, err = run_cli(capsys, ["weights", "--mode", mode, "-i", write(tmp_path, "t.json", doc)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: non-integer endpoint in edge") and err.count("\n") == 1
+        assert len(err.encode()) < 200, err
+
     def test_non_utf8_file_invalid(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
         path.write_bytes(b"\xff\xfe0,1\n1,0\n")

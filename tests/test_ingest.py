@@ -1,6 +1,6 @@
-"""Exact ingest: the plain-decimal fast path, the per-matrix parse memo and
-the integer scaling of `comparison_view`, each against the arithmetic it
-replaced."""
+"""Exact ingest: the plain-decimal fast path, the per-matrix parse memo,
+the integer grid and its scale, and the text written from the grid, each
+against the arithmetic it replaced."""
 
 import json
 import math
@@ -16,11 +16,15 @@ from treexact import (
     FloatPolicy,
     InvalidMatrix,
     MalformedInput,
+    TreexactError,
     WeightedTree,
     all_pairs_weights,
     parse_matrix,
+    path_weight,
 )
 from treexact.cli import main
+from treexact.core import _bad_entry
+from treexact.numeric import _fraction_to_text, _scaled_texts
 
 
 def reference_fraction(text):
@@ -188,3 +192,229 @@ class TestParseMemo:
     def test_shared_zero_text_still_checked_off_diagonal(self):
         with pytest.raises(InvalidMatrix, match="non-positive"):
             parse_matrix("0,0\n0,0")
+
+
+def reference_matrix(raw_rows):
+    """The exact matrix as built before the integer grid: every cell read by
+    `EXACT.coerce` in row-major order, then one row-major pass over the upper
+    triangle checks the diagonal, symmetry and sign."""
+    n = len(raw_rows)
+    if n < 1:
+        raise InvalidMatrix("matrix must have at least one row")
+    cells = []
+    for i, row in enumerate(raw_rows, start=1):
+        row = list(row)
+        if len(row) != n:
+            raise InvalidMatrix(f"row {i} has {len(row)} entries, expected {n}", row=i)
+        parsed = []
+        for j, cell in enumerate(row, start=1):
+            try:
+                parsed.append(EXACT.coerce(cell))
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                raise _bad_entry(cell, exc, i, j)
+        cells.append(parsed)
+    grid = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        if cells[i - 1][i - 1] != 0:
+            raise InvalidMatrix("nonzero diagonal entry", row=i, col=i)
+        for j in range(i + 1, n + 1):
+            x, y = cells[i - 1][j - 1], cells[j - 1][i - 1]
+            if x != y:
+                raise InvalidMatrix("asymmetric entry", row=i, col=j)
+            if x <= 0:
+                raise InvalidMatrix("non-positive off-diagonal entry", row=i, col=j)
+            grid[i][j] = grid[j][i] = x
+    return DissimilarityMatrix(n, tuple(tuple(r) for r in grid))
+
+
+def built(build, raw_rows):
+    """The matrix `build` makes of `raw_rows`, or its error as (type,
+    message, row, col)."""
+    try:
+        return build(raw_rows)
+    except TreexactError as exc:
+        return type(exc), str(exc), exc.row, exc.col
+
+
+def assert_ingests_like_reference(raw_rows):
+    want = built(reference_matrix, raw_rows)
+    got = built(DissimilarityMatrix.from_rows, raw_rows)
+    if isinstance(want, tuple):
+        assert got == want, raw_rows
+        return
+    assert isinstance(got, DissimilarityMatrix), (raw_rows, got)
+    assert got.rows == want.rows
+    assert got.comparison_view()[0] == want.comparison_view()[0] == old_grid(want)
+    assert got == want and hash(got) == hash(want)
+    assert got.to_csv() == want.to_csv()
+    assert got.to_json_dict() == want.to_json_dict()
+    assert [got.d(i, j) for i, j, _ in want.pairs()] == [v for _, _, v in want.pairs()]
+
+
+def literal(rng, value, plain=False):
+    """`value` written in one of the forms a matrix cell takes: a plain
+    decimal with 0-6 places (and spare zeros), p/q, an exponent, a JSON int
+    or float, or a string with spaces. Only the first when `plain`."""
+    forms = []
+    for places in range(7):
+        digits = value * 10**places
+        if digits.denominator == 1:
+            text = str(abs(digits.numerator)).rjust(places + 1, "0")
+            if places:
+                text = f"{text[:-places]}.{text[-places:]}" + "0" * rng.randint(0, 2)
+            forms.append(("-" if value < 0 else rng.choice(["", "+"])) + text)
+            if plain:
+                return forms[0]
+            forms.append(f"{digits.numerator}e-{places}")
+            break
+    k = rng.randint(1, 3)
+    forms.append(f"{value.numerator * k}/{value.denominator * k}")
+    if value.denominator == 1:
+        forms.append(value.numerator)
+    if Fraction(str(float(value))) == value:
+        forms.append(float(value))
+    form = rng.choice(forms)
+    return f" {form} " if isinstance(form, str) and rng.random() < 0.1 else form
+
+
+def seeded_rows(rng, plain):
+    """A matrix of mixed cell forms, or of plain decimal strings only; most
+    are valid, the rest break one rule."""
+    n = rng.randint(1, 6)
+    zero = Fraction(0)
+    dens = [1, 10, 1000, 10**6, 32, 125] + ([] if plain else [3, 7, 12])
+    rows = [[literal(rng, zero, plain) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = Fraction(rng.randint(1, 10**6), rng.choice(dens))
+            rows[i][j], rows[j][i] = literal(rng, value, plain), literal(rng, value, plain)
+    i, j = rng.randrange(n), rng.randrange(n)
+    corruption = rng.random()
+    if corruption < 0.1:
+        rows[i][j] = rows[j][i] = rng.choice(["0", "-1.5", "-0.000"])
+    elif corruption < 0.4:
+        rows[i][j] = rng.choice([
+            rng.choice(EDGE_LITERALS), True, False, None, [1], "1/7", "-1", "0", 0, "2.5",
+        ])
+    return rows
+
+
+class TestIngestDifferential:
+    """`from_rows` on the integer grid against per-cell `EXACT.coerce`: the
+    same values, grid, text and equality, or the same first error."""
+
+    @pytest.mark.parametrize("text", EDGE_LITERALS)
+    def test_edge_literals(self, text):
+        assert_ingests_like_reference([["0", text], [text, "0"]])
+        assert_ingests_like_reference([["0", "1", "2"], ["1", "0", "3"], ["2", "3", text]])
+        assert_ingests_like_reference([["0", text, "1"], ["1", "0", "1"], [text, "1", "0"]])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_mixes(self, seed):
+        rng = random.Random(seed)
+        for index in range(50):
+            rows = seeded_rows(rng, plain=index % 2 == 0)
+            assert_ingests_like_reference(rows)
+            if all(isinstance(cell, str) and "," not in cell for row in rows for cell in row):
+                text = "\n".join(",".join(row) for row in rows)
+                want = built(reference_matrix, [[c.strip() for c in line.split(",")] for line in text.splitlines()])
+                assert built(parse_matrix, text) == want
+            doc = json.dumps({"n": len(rows), "d": rows})
+            read = json.loads(doc, parse_float=EXACT.json_parse_float)
+            assert built(lambda text: parse_matrix(text, "json"), doc) == built(reference_matrix, read["d"])
+
+    @pytest.mark.parametrize("cell", ["1\n2", "1.5\n", "\n2"])
+    def test_cells_with_line_breaks(self, cell):
+        assert_ingests_like_reference([["0", cell], [cell, "0"]])
+        assert_ingests_like_reference([["0", cell, "1"], ["1", "0", "1"], ["1", "1", "0"]])
+
+    def test_number_errors_come_before_validity_errors(self):
+        rows = [["0", "1", "2"], ["5", "0", "3"], ["2", "3", "1x"]]
+        with pytest.raises(MalformedInput) as got:
+            DissimilarityMatrix.from_rows(rows)
+        assert (got.value.row, got.value.col) == (3, 3)
+        assert_ingests_like_reference(rows)
+
+    def test_row_length_error_keeps_its_place(self):
+        assert_ingests_like_reference([["0", "1"], ["x"]])
+        assert_ingests_like_reference([["0", "x"], ["1"]])
+        assert_ingests_like_reference((("0", "1"), ("1", "0")))
+        rows = lambda: [iter(["0", "1"]), iter(["1", "0"])]  # noqa: E731
+        assert DissimilarityMatrix.from_rows(rows()) == reference_matrix(rows())
+
+    def test_from_pairs_matches_its_rows(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            pairs = {
+                (i, j): Fraction(rng.randint(1, 999), rng.choice([1, 4, 10, 3, 49]))
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+            }
+            rows = [[pairs.get((min(i, j), max(i, j)), 0) for j in range(1, n + 1)] for i in range(1, n + 1)]
+            assert DissimilarityMatrix.from_pairs(n, pairs) == reference_matrix(rows)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_all_pairs_weights_match_fraction_sums(seed):
+    """The integer walk of `all_pairs_weights` against `Fraction` path sums."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    edges = [
+        (rng.randint(1, v - 1), v, Fraction(rng.randint(1, 999), rng.choice([1, 8, 10, 1000] + PRIMES)))
+        for v in range(2, n + 1)
+    ]
+    tree = WeightedTree.from_edges(n, edges)
+    labels = range(1, n + 1)
+    rows = [[path_weight(tree, i, j) for j in labels] for i in labels]
+    got, want = all_pairs_weights(tree), reference_matrix(rows)
+    assert got == want and got.rows == want.rows
+    assert got.comparison_view()[0] == old_grid(want)
+    assert got.to_csv() == want.to_csv()
+
+
+SCALES = (
+    st.just(1)
+    | st.integers(0, 30).map(lambda k: 10**k)
+    | st.tuples(st.integers(0, 20), st.integers(0, 20)).map(lambda ab: 2 ** ab[0] * 5 ** ab[1])
+    | st.sampled_from(PRIMES)
+    | st.lists(st.sampled_from(PRIMES + [2, 5, 10]), min_size=1, max_size=6).map(math.prod)
+)
+
+
+class TestGridText:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(-(10**30), 10**30) | st.just(0), max_size=8), SCALES)
+    def test_matches_fraction_text(self, values, scale):
+        texts = _scaled_texts(set(values) | {0}, scale)
+        for v in set(values) | {0}:
+            assert texts[v] == _fraction_to_text(Fraction(v, scale))
+
+    def test_zero_and_whole_numbers(self):
+        assert _scaled_texts({0, 1000, 1500, -2500, 7}, 1000) == {
+            0: "0", 1000: "1", 1500: "1.5", -2500: "-2.5", 7: "0.007",
+        }
+        assert _scaled_texts({0, 5}, 3) == {0: "0", 5: "5/3"}
+
+
+def test_exact_commands_do_not_build_fraction_rows(tmp_path, capsys, monkeypatch):
+    """`check` and `reconstruct` on an exact n = 24 CSV matrix, realizable or
+    not, end without reading the matrix's `Fraction` rows."""
+    rng = random.Random(24)
+    n = 24
+    edges = [(rng.randint(1, v - 1), v, Fraction(rng.randint(1, 9999), 1000)) for v in range(2, n + 1)]
+    good = all_pairs_weights(WeightedTree.from_edges(n, edges)).to_csv()
+    lines = [line.split(",") for line in good.splitlines()]
+    lines[2][9] = lines[9][2] = lines[2][9] + "1"
+    bad = "\n".join(",".join(line) for line in lines)
+
+    def unbuilt(self):
+        raise AssertionError("the Fraction rows were built")
+
+    monkeypatch.setattr(DissimilarityMatrix, "rows", property(unbuilt))
+    for text, code in ((good, 0), (bad, 1)):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        for command in ("check", "reconstruct"):
+            assert main([command, "-i", str(path)]) == code
+            assert capsys.readouterr().err == ""
