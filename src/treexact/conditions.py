@@ -11,25 +11,25 @@ points iff it passes three checks:
   of its four triples must have a vertex l through which the triple's three
   distances factor additively (with the companion sum identities).
 
-`check_all` is the one entry point. Its verdict is `reconstruct`'s (O(n^2)),
-under either numeric policy: a matrix that Prim builds gets the all-ok
-report. Only a failure pays for explanations, ordered deterministically so
-identical inputs produce byte-identical reports. One scan serves all three
-checks. It builds the between-masks (for each pair u, v the set of l with
-d(u,l) + d(l,v) = d(u,v)), makes one pass over the triples that decides
-each triple's triangle inequalities and median, and one pass that
-classifies each quadruple once, reading its center off the masks and its
-triples' median verdicts off a table. The residual X of Prim's tree T holds
-the labels in a pair where d differs from T (every label under the float
-policy). The masks cost O(n^2 + |X| n^2): a pair outside X reads its mask
-off T's path. The two passes visit only the tuples with two or more members
-in X, O(|X|^2 n^2) of them. The witnesses of the tuples with one member in
-X are enumerated from T's branches, at a cost that follows their number.
-Under the float policy, and when X is nearly every label, the scan is
-O(n^4). Under the float policy a median candidate must also pass the
-companion sum identities, which hold by arithmetic under the exact policy.
-When the scan's epsilon rules find no witness, the report carries Prim's
-failure as a `tree_fit` witness.
+`check_all` is the one entry point. Its verdict is Prim's pass (`_prim`,
+O(n^2)), under either numeric policy: a matrix that agrees with its minimum
+spanning tree gets the all-ok report, and no tree is built. Only a failure
+pays for explanations, ordered deterministically so identical inputs produce
+byte-identical reports. One scan serves all three checks. It builds the
+between-masks (for each pair u, v the set of l with d(u,l) + d(l,v) =
+d(u,v)), makes one pass over the triples that decides each triple's triangle
+inequalities and median, and one pass that classifies each quadruple once,
+reading its center off the masks and its triples' median verdicts off a
+table. The residual X of Prim's tree T holds the labels in a pair where d
+differs from T (every label under the float policy). The masks cost O(n^2 +
+|X| n^2): a pair outside X reads its mask off T's path. The two passes visit
+only the tuples with two or more members in X, O(|X|^2 n^2) of them. The
+witnesses of the tuples with one member in X are enumerated from T's
+branches, at a cost that follows their number. Under the float policy, and
+when X is nearly every label, the scan is O(n^4). Under the float policy a
+median candidate must also pass the companion sum identities, which hold by
+arithmetic under the exact policy. When the scan's epsilon rules find no
+witness, the report carries Prim's failure as a `tree_fit` witness.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from itertools import chain, combinations, product
 from json import dumps
 from operator import attrgetter
 
-from .core import DissimilarityMatrix, WeightedTree
+from .core import DissimilarityMatrix, _adjacency, _walk
 from .errors import TooSmall, UniquenessViolation
 from .numeric import ExactPolicy
-from .reconstruct import _prim, reconstruct
+from .reconstruct import _prim
 
 __all__ = ["Witness", "CheckFragment", "CheckReport", "check_all"]
 
@@ -148,18 +148,6 @@ class CheckReport:
         )
 
 
-def _walk(adjacent, root):
-    """Each edge of a tree as (here, nxt), with nxt one step further from
-    `root`, in depth-first order."""
-    stack = [(root, 0)]
-    while stack:
-        here, back = stack.pop()
-        for nxt in adjacent[here]:
-            if nxt != back:
-                yield here, nxt
-                stack.append((nxt, here))
-
-
 def _between_masks(grid, eq, n, adjacent, residual):
     """`B[u][v]` for u != v: the bitmask of every l with d(u,v) = d(u,l) + d(v,l),
     bit l standing for label l.
@@ -176,7 +164,7 @@ def _between_masks(grid, eq, n, adjacent, residual):
         if u not in residual:
             row = between[u]
             row[u] = 1 << u
-            for here, nxt in _walk(adjacent, u):
+            for here, nxt, _ in _walk(adjacent, u):
                 row[nxt] = row[here] | 1 << nxt
     for u in residual:
         row_u = grid[u]
@@ -303,10 +291,7 @@ def _scan(m: DissimilarityMatrix):
         edges, _, residual, mismatched = _prim(m)
     else:
         edges, residual, mismatched = (), labels, ((),) * (n + 1)
-    adjacent = [[] for _ in range(n + 1)]
-    for v, p, _ in edges:
-        adjacent[v].append(p)
-        adjacent[p].append(v)
+    adjacent = _adjacency(n, edges)
     b = _between_masks(grid, eq, n, adjacent, residual)
     # The tuples are enumerated lexicographically by nested loops. An index
     # runs over all of later[k] = (k, n] when the tuple can reach two members
@@ -359,7 +344,7 @@ def _scan(m: DissimilarityMatrix):
         for l in mismatched[x]:
             if l not in sides:
                 branch = [0] * (n + 1)
-                for here, nxt in _walk(adjacent, l):
+                for here, nxt, _ in _walk(adjacent, l):
                     branch[nxt] = nxt if here == l else branch[here]
                 groups = {}
                 for y in outside:
@@ -441,9 +426,10 @@ def _scan_report(m: DissimilarityMatrix) -> CheckReport:
 
 
 def check_all(m: DissimilarityMatrix) -> CheckReport:
-    """Run all three checks; realizable means `reconstruct` built a tree.
+    """Run all three checks; realizable means Prim's pass found no mismatch.
 
-    A built tree gets the all-ok report after O(n^2) work. Any other input
+    A matrix that agrees with its minimum spanning tree (`_prim`) gets the
+    all-ok report after O(n^2) work, with no tree built. Any other input
     pays for the one scan that finds the witnesses of all three checks,
     which reuses the Prim pass cached on the matrix: O(n^2 + |X| n^2) to
     build the between-masks, O(|X|^2 n^2) over the tuples with two or more
@@ -456,12 +442,12 @@ def check_all(m: DissimilarityMatrix) -> CheckReport:
     """
     if m.n < 3:
         raise TooSmall(f"realizability checks need n >= 3, got n = {m.n}")
-    built = reconstruct(m)
-    if isinstance(built, WeightedTree):
+    mismatch = _prim(m).mismatch
+    if mismatch is None:
         ok = CheckFragment(ok=True, witnesses=())
         return CheckReport(four_point=ok, condition_i=ok, condition_ii=ok)
     report = _scan_report(m)
     if report.realizable:
-        fit = Witness("tree_fit", "no_tree_within_eps", triple=built.indices)
+        fit = Witness("tree_fit", "no_tree_within_eps", triple=mismatch)
         report = replace(report, tree_fit=fit)
     return report

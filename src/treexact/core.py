@@ -306,8 +306,8 @@ class WeightedTree:
     """Tree on vertex set exactly {1..n} with positive edge weights.
 
     `edges` is canonical: each edge has u < v and the tuple is sorted by
-    (u, v). Leaves, adjacency, and vertex set are derived queries. Build
-    through `from_edges`, which normalizes and validates.
+    (u, v). Leaves and vertex set are derived queries. Build through
+    `from_edges`, which normalizes and validates.
     """
 
     n: int
@@ -320,7 +320,10 @@ class WeightedTree:
             raise InvalidTree(f"vertex count must be a positive integer, got {n!r}")
         normalized = []
         for item in edges:
-            u, v, w = item
+            try:
+                u, v, w = item
+            except (TypeError, ValueError):
+                raise InvalidTree(f"edge {echo(item)} is not a (u, v, w) triple")
             if not _is_int(u) or not _is_int(v):
                 raise InvalidTree(f"non-integer endpoint in edge {echo(item)}")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -340,17 +343,10 @@ class WeightedTree:
         for prev, cur in zip(normalized, normalized[1:]):
             if (prev.u, prev.v) == (cur.u, cur.v):
                 raise InvalidTree(f"parallel edges between {cur.u} and {cur.v}")
-        tree = cls(n, tuple(normalized), policy)
-        if n > 1 and len(_path_weights(tree.adjacency(), 1, policy.zero())) != n:
+        # The walk reaches one new label per step, so n - 1 steps reach all.
+        if sum(1 for _ in _walk(_adjacency(n, normalized), 1)) != n - 1:
             raise InvalidTree("edges do not connect all vertices into one tree")
-        return tree
-
-    def adjacency(self) -> dict[int, list[tuple[int, Scalar]]]:
-        adj: dict[int, list[tuple[int, Scalar]]] = {v: [] for v in range(1, self.n + 1)}
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
+        return cls(n, tuple(normalized), policy)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -445,26 +441,40 @@ def parse_tree(text: str, policy: Policy = EXACT) -> WeightedTree:
     return WeightedTree.from_edges(obj["n"], triples, policy)
 
 
-def _path_weights(adj, src: int, zero: Scalar) -> dict[int, Scalar]:
-    """Path weight from src to every vertex reachable from it, by one
-    depth-first walk of the adjacency lists `adj`."""
-    dist = {src: zero}
-    stack = [src]
+def _adjacency(n: int, edges) -> list[list[tuple]]:
+    """Adjacency lists of labels 1..n from (u, v, w) triples: adj[u] holds
+    (v, w) for each edge of u."""
+    adj = [[] for _ in range(n + 1)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
+def _walk(adj, root: int) -> Iterator[tuple[int, int, Scalar]]:
+    """Each edge reachable from `root` as (here, nxt, w), nxt one step
+    further from `root`, in depth-first order. It visits each label once, so
+    it also ends on an edge list with a cycle."""
+    seen = [False] * len(adj)
+    seen[root] = True
+    stack = [root]
     while stack:
         here = stack.pop()
-        base = dist[here]
         for nxt, w in adj[here]:
-            if nxt not in dist:
-                dist[nxt] = base + w
+            if not seen[nxt]:
+                seen[nxt] = True
+                yield here, nxt, w
                 stack.append(nxt)
-    return dist
 
 
 def path_weight(tree: WeightedTree, i: int, j: int) -> Scalar:
     """Total weight of the unique path between i and j; zero when i == j."""
     _check_label(i, tree.n)
     _check_label(j, tree.n)
-    return _path_weights(tree.adjacency(), i, tree.policy.zero())[j]
+    total = {i: tree.policy.zero()}
+    for here, nxt, w in _walk(_adjacency(tree.n, tree.edges), i):
+        total[nxt] = total[here] + w
+    return total[j]
 
 
 def all_pairs_weights(tree: WeightedTree) -> DissimilarityMatrix:
@@ -483,20 +493,18 @@ def all_pairs_weights(tree: WeightedTree) -> DissimilarityMatrix:
         # The weights are in lowest terms, so over the lcm of their
         # denominators they share no factor with it, nor does the grid.
         scale = math.lcm(*(w.denominator for _, _, w in tree.edges))
-        adj, zero = [[] for _ in range(n + 1)], 0
-        for u, v, w in tree.edges:
-            lifted = w.numerator * (scale // w.denominator)
-            adj[u].append((v, lifted))
-            adj[v].append((u, lifted))
+        edges = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in tree.edges]
+        zero = 0
     else:
-        adj, zero = tree.adjacency(), tree.policy.zero()
+        edges, zero = tree.edges, tree.policy.zero()
+    adj = _adjacency(n, edges)
     grid = [[zero] * (n + 1) for _ in range(n + 1)]
-    for src in range(1, n + 1):
+    # Each walk fills its row and column. Walking from n down to 1, the last
+    # walk to write a pair is the one from its smaller label.
+    for src in range(n, 0, -1):
         row = grid[src]
-        for dst, value in _path_weights(adj, src, zero).items():
-            if dst > src:
-                row[dst] = value
-                grid[dst][src] = value
+        for here, nxt, w in _walk(adj, src):
+            row[nxt] = grid[nxt][src] = row[here] + w
     grid = tuple(tuple(r) for r in grid)
     if exact:
         return DissimilarityMatrix._on_grid(n, grid, scale)

@@ -7,8 +7,8 @@ minimum spanning tree of d (Hakimi and Yau, 1965). `reconstruct` grows that
 tree by Prim in O(n^2) and checks each entry against the tree as it grows,
 so one pass both decides realizability and builds the tree, under either
 numeric policy. Prim runs to the end and reports the first mismatch; the
-same pass, cached on the matrix, gives `check_all`'s witness scan the
-endpoints of every mismatch.
+same pass, cached on the matrix, is `check_all`'s verdict and gives its
+witness scan the endpoints of every mismatch.
 """
 
 from __future__ import annotations

@@ -85,6 +85,19 @@ class TestCheck:
         code, out, _ = run_cli(capsys, ["check", "-i", write(tmp_path, "m.json", doc)])
         assert code == 0
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_realizable_check_builds_no_tree(self, tmp_path, capsys, monkeypatch, mode):
+        """The verdict is Prim's pass over the matrix: no `WeightedTree` is built."""
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a WeightedTree was built")
+
+        monkeypatch.setattr(treexact.WeightedTree, "from_edges", unbuilt)
+        path = write(tmp_path, "m.csv", STAR_CSV)
+        code, out, err = run_cli(capsys, ["check", "--mode", mode, "-i", path])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["realizable"] is True
+
 
 class TestMainEntry:
     """`main_entry`, the console-script target, exits with `main`'s code."""

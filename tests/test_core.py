@@ -250,6 +250,12 @@ class TestWeightedTree:
         with pytest.raises(InvalidTree):
             WeightedTree.from_edges(3, [(1, 2, 1), (2, 1, 2)])
 
+    @pytest.mark.parametrize("item", [(1, 2), (1, 2, 3, 4), 5, None])
+    def test_rejects_an_item_that_is_not_a_triple(self, item):
+        with pytest.raises(InvalidTree, match=r"not a \(u, v, w\) triple") as err:
+            WeightedTree.from_edges(2, [item])
+        assert repr(item) in str(err.value)
+
     def test_leaves(self):
         t = WeightedTree.from_edges(4, [(1, 3, 1), (2, 3, 2), (3, 4, 4)])
         assert t.leaves() == [1, 2, 4]
@@ -312,6 +318,15 @@ class TestAllPairsWeights:
     def test_single_vertex(self):
         m = all_pairs_weights(WeightedTree.from_edges(1, []))
         assert m.n == 1
+
+    def test_float_sums_run_outward_from_the_smaller_label(self):
+        """Both d(1,4) and d(4,1) are (0.1 + 0.2) + 0.3; summed from 4 the
+        path weight would be (0.3 + 0.2) + 0.1 = 0.6."""
+        t = WeightedTree.from_edges(4, [(1, 2, 0.1), (2, 3, 0.2), (3, 4, 0.3)], FloatPolicy())
+        m = all_pairs_weights(t)
+        assert (0.1 + 0.2) + 0.3 == 0.6000000000000001 != (0.3 + 0.2) + 0.1
+        assert m.d(1, 4) == m.d(4, 1) == 0.6000000000000001
+        assert all(m.d(i, j) == m.d(j, i) for i in range(1, 5) for j in range(1, 5))
 
 
 class TestTreesEqual:
