@@ -125,15 +125,18 @@ class CheckReport:
                 return "null"
             return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
 
+        ws = self.witnesses
+        # A report repeats a few codes and conditions: dump each one once.
+        quoted = {text: dumps(text) for text in {w.code for w in ws} | {w.condition for w in ws}}
         witnesses = ",\n".join(
             "    {\n"
             f'      "best_l": {"null" if w.best_l is None else w.best_l},\n'
-            f'      "code": {dumps(w.code)},\n'
-            f'      "condition": {dumps(w.condition)},\n'
+            f'      "code": {quoted[w.code]},\n'
+            f'      "condition": {quoted[w.condition]},\n'
             f'      "quadruple": {int_list(w.quadruple)},\n'
             f'      "triple": {int_list(w.triple)}\n'
             "    }"
-            for w in self.witnesses
+            for w in ws
         )
         witnesses = f"[\n{witnesses}\n  ]" if witnesses else "[]"
         ci, cii = self.condition_i, self.condition_ii

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
@@ -139,37 +139,31 @@ def _canonical(cells, n: int, eq, zero) -> tuple[tuple, ...]:
 class DissimilarityMatrix:
     """Symmetric positive dissimilarities on labels 1..n with a zero diagonal.
 
-    `rows` carries a dummy 0th row and column so entries are addressed
-    directly by 1-based labels: ``rows[i][j]`` is the dissimilarity of i and
-    j. Under the exact policy a matrix is held as an integer grid of the
-    same shape and one scale: entry (i, j) is grid[i][j] / scale, and the
-    grid and scale share no common factor. `rows` is then a view of
-    `Fraction`s, built when first read unless the raw constructor was given
-    them. Build instances through `from_rows` / `from_pairs` /
-    `parse_matrix`, which validate; the raw constructor
-    `DissimilarityMatrix(n, rows, policy)` trusts its input. Instances are
-    immutable.
+    Under both policies the state is `n`, `policy`, a grid and a scale. The
+    grid has a dummy 0th row and column, so ``rows[i][j]`` is the
+    dissimilarity of labels i and j. Under the float policy the grid is the
+    floats, `rows` is the grid and the scale is None. Under the exact policy
+    entry (i, j) is grid[i][j] / scale, integers with no factor common to
+    all, and `rows` is a view of `Fraction`s built when first read. Build
+    instances through `from_rows` / `from_pairs` / `parse_matrix`, which
+    validate. The raw constructor `DissimilarityMatrix(n, rows, policy)`
+    trusts its (n + 1) x (n + 1) rows of policy values (under the exact
+    policy, `Fraction`s or ints). Instances are immutable.
     """
 
     def __init__(self, n: int, rows: tuple[tuple[Scalar, ...], ...], policy: Policy = EXACT):
         if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
             raise InvalidMatrix(f"internal grid shape does not match n={n}")
-        vars(self).update(n=n, policy=policy, _rows=rows)
+        scale = None
         if isinstance(policy, ExactPolicy):
-            # Over the lcm of their denominators, values in lowest terms
-            # share no factor with it.
-            scale = math.lcm(*{cell.denominator for row in rows for cell in row})
-            grid = tuple(
-                tuple(cell.numerator * (scale // cell.denominator) for cell in row)
-                for row in rows
-            )
-            vars(self).update(_grid=grid, _scale=scale)
+            rows, scale = _exact_grid([row[1:] for row in rows[1:]], n)
+        vars(self).update(n=n, policy=policy, _grid=rows, _scale=scale)
 
     @classmethod
-    def _on_grid(cls, n: int, grid: tuple[tuple[int, ...], ...], scale: int) -> "DissimilarityMatrix":
-        """An exact matrix from its canonical integer grid and scale."""
+    def _on_grid(cls, n: int, policy: Policy, grid, scale: int | None) -> "DissimilarityMatrix":
+        """A matrix from its canonical grid and scale (None under float)."""
         m = cls.__new__(cls)
-        vars(m).update(n=n, policy=EXACT, _grid=grid, _scale=scale)
+        vars(m).update(n=n, policy=policy, _grid=grid, _scale=scale)
         return m
 
     def __setattr__(self, name, value):
@@ -186,19 +180,20 @@ class DissimilarityMatrix:
         n = len(raw_rows)
         if n < 1:
             raise InvalidMatrix("matrix must have at least one row")
-        if not isinstance(policy, ExactPolicy):
+        if isinstance(policy, ExactPolicy):
+            grid, scale = _exact_grid(raw_rows, n)
+            # Equal values are equal integers, so whole-grid tests find whether
+            # any entry is invalid; `_canonical` then reports the first one.
+            if (
+                any(grid[i][i] for i in range(1, n + 1))
+                or grid != tuple(zip(*grid))
+                or any(min(grid[i][i + 1:]) <= 0 for i in range(1, n))
+            ):
+                _canonical([row[1:] for row in grid[1:]], n, EXACT.eq, 0)
+        else:
             cells = _read_cells(raw_rows, n, policy.coerce)
-            return cls(n, _canonical(cells, n, policy.eq, policy.zero()), policy)
-        grid, scale = _exact_grid(raw_rows, n)
-        # Equal values are equal integers, so whole-grid tests find whether
-        # any entry is invalid; `_canonical` then reports the first one.
-        if (
-            any(grid[i][i] for i in range(1, n + 1))
-            or grid != tuple(zip(*grid))
-            or any(min(grid[i][i + 1:]) <= 0 for i in range(1, n))
-        ):
-            _canonical([row[1:] for row in grid[1:]], n, operator.eq, 0)
-        return cls._on_grid(n, grid, scale)
+            grid, scale = _canonical(cells, n, policy.eq, policy.zero()), None
+        return cls._on_grid(n, policy, grid, scale)
 
     @classmethod
     def from_pairs(cls, n: int, pairs, policy: Policy = EXACT) -> "DissimilarityMatrix":
@@ -230,25 +225,22 @@ class DissimilarityMatrix:
             raise InvalidMatrix(f"missing pairs: {missing[:5]}")
         return cls.from_rows(grid, policy)
 
-    @property
+    @cached_property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The entries as policy values: under the exact policy, `Fraction`s
-        built from the grid on first read."""
-        rows = vars(self).get("_rows")
-        if rows is None:
-            grid, scale = self._grid, self._scale
-            value = {v: Fraction(v, scale) for v in set().union(*grid)}
-            rows = vars(self)["_rows"] = tuple(tuple(map(value.__getitem__, r)) for r in grid)
-        return rows
+        """The entries as policy values: the float grid itself, or under the
+        exact policy `Fraction`s built from the grid on first read."""
+        grid, scale = self._grid, self._scale
+        if scale is None:
+            return grid
+        value = {v: Fraction(v, scale) for v in set().union(*grid)}
+        return tuple(tuple(map(value.__getitem__, r)) for r in grid)
 
     def d(self, i: int, j: int) -> Scalar:
         """Dissimilarity of labels i and j; zero when i == j."""
         _check_label(i, self.n)
         _check_label(j, self.n)
-        rows = vars(self).get("_rows")
-        if rows is None:
-            return Fraction(self._grid[i][j], self._scale)
-        return rows[i][j]
+        value, scale = self._grid[i][j], self._scale
+        return value if scale is None else Fraction(value, scale)
 
     def pairs(self) -> Iterator[tuple[int, int, Scalar]]:
         """Yield (i, j, value) for every unordered pair i < j."""
@@ -259,12 +251,12 @@ class DissimilarityMatrix:
 
     def _cell_texts(self) -> list[list[str]]:
         """The n x n entries as the policy writes them."""
-        if isinstance(self.policy, ExactPolicy):
-            grid = self._grid
-            text = _scaled_texts(set().union(*grid), self._scale)
-            return [list(map(text.__getitem__, row[1:])) for row in grid[1:]]
-        fmt = self.policy.format
-        return [list(map(fmt, row[1:])) for row in self.rows[1:]]
+        grid, scale = self._grid, self._scale
+        if scale is None:
+            text = self.policy.format
+        else:
+            text = _scaled_texts(set().union(*grid), scale).__getitem__
+        return [list(map(text, row[1:])) for row in grid[1:]]
 
     def to_csv(self) -> str:
         return "\n".join(",".join(row) for row in self._cell_texts())
@@ -275,19 +267,16 @@ class DissimilarityMatrix:
     def comparison_view(self):
         """Return (grid, eq, lt) for hot loops.
 
-        Under the exact policy the grid is the matrix's integer grid, so sums
-        and comparisons are plain int arithmetic that mirrors the rational
-        values exactly. Under the float policy the grid is the raw floats and
-        eq/lt apply the epsilon rule.
+        Under the exact policy the grid is the matrix's integer grid and
+        eq/lt are `operator.eq`/`operator.lt`, so sums and comparisons are
+        plain int arithmetic that mirrors the rational values exactly. Under
+        the float policy the grid is the raw floats and eq/lt apply the
+        epsilon rule.
         """
-        if isinstance(self.policy, ExactPolicy):
-            return self._grid, operator.eq, operator.lt
-        return self.rows, self.policy.eq, self.policy.lt
+        return self._grid, self.policy.eq, self.policy.lt
 
     def _key(self):
-        if isinstance(self.policy, ExactPolicy):
-            return self.n, self.policy, self._grid, self._scale
-        return self.n, self.policy, self.rows
+        return self.n, self.policy, self._grid, self._scale
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -488,15 +477,14 @@ def all_pairs_weights(tree: WeightedTree) -> DissimilarityMatrix:
     InvalidTree.
     """
     n = tree.n
-    exact = isinstance(tree.policy, ExactPolicy)
-    if exact:
+    if isinstance(tree.policy, ExactPolicy):
         # The weights are in lowest terms, so over the lcm of their
         # denominators they share no factor with it, nor does the grid.
         scale = math.lcm(*(w.denominator for _, _, w in tree.edges))
         edges = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in tree.edges]
         zero = 0
     else:
-        edges, zero = tree.edges, tree.policy.zero()
+        edges, zero, scale = tree.edges, tree.policy.zero(), None
     adj = _adjacency(n, edges)
     grid = [[zero] * (n + 1) for _ in range(n + 1)]
     # Each walk fills its row and column. Walking from n down to 1, the last
@@ -506,11 +494,9 @@ def all_pairs_weights(tree: WeightedTree) -> DissimilarityMatrix:
         for here, nxt, w in _walk(adj, src):
             row[nxt] = grid[nxt][src] = row[here] + w
     grid = tuple(tuple(r) for r in grid)
-    if exact:
-        return DissimilarityMatrix._on_grid(n, grid, scale)
-    if not math.isfinite(max(map(max, grid))):
+    if scale is None and not math.isfinite(max(map(max, grid))):
         raise InvalidTree("a path weight of the tree overflows the float range")
-    return DissimilarityMatrix(n, grid, tree.policy)
+    return DissimilarityMatrix._on_grid(n, tree.policy, grid, scale)
 
 
 def trees_equal(a: WeightedTree, b: WeightedTree) -> bool:

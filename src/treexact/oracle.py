@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .core import DissimilarityMatrix, WeightedTree, _is_int, dump_json
 from .errors import BadRange, BadSequence, InvalidTree, TooLarge
-from .numeric import EXACT, NUMBER_ERRORS, Policy
+from .numeric import _INT_LIMIT, _MAX_DIGITS, EXACT, NUMBER_ERRORS, ExactPolicy, Policy, echo
 
 __all__ = [
     "RealizationCensus",
@@ -216,6 +216,10 @@ def random_weighted_tree(
             f"no multiple of 1/{WEIGHT_GRID_DENOMINATOR} inside "
             f"[{weight_low!r}, {weight_high!r}]"
         )
+    if isinstance(policy, ExactPolicy) and k_max * max(1, n - 1) >= _INT_LIMIT:
+        # In thousandths, every path weight must read back as an exact number.
+        bound = echo(weight_high)
+        raise BadRange(f"weight_high {bound} allows path weights beyond {_MAX_DIGITS} digits")
     rng = random.Random(seed)
     if n == 1:
         return WeightedTree.from_edges(1, [], policy)

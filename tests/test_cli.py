@@ -293,6 +293,25 @@ class TestGen:
         assert code == 0
         assert out.startswith("graph tree {")
 
+    def test_exact_path_weights_beyond_the_reader_bound_invalid(self, capsys):
+        argv = ["gen", "-n", "3", "--wmax", "1e1000", "--seed", "1", "-f", "csv"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_exact_wide_weights_round_trip(self, capsys, monkeypatch):
+        argv = ["gen", "-n", "3", "--wmax", "1e990", "--seed", "1"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        generated = parse_tree(json.dumps(json.loads(out)["tree"]))
+        code, csv, _ = run_cli(capsys, argv + ["-f", "csv"])
+        assert code == 0
+        code, out, err = run_cli(
+            capsys, ["reconstruct", "-i", "-"], stdin=csv, monkeypatch=monkeypatch
+        )
+        assert (code, err) == (0, "")
+        assert trees_equal(parse_tree(out), generated)
+
 
 class TestPolicyFlags:
     def test_eps_requires_float_mode(self, tmp_path, capsys):

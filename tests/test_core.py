@@ -1,6 +1,7 @@
 """Core types: parsing, path weights, all-pairs matrices, tree equality."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -425,3 +426,30 @@ def test_all_pairs_output_is_always_a_valid_matrix(n, seed):
         [[m.rows[i][j] for j in range(1, n + 1)] for i in range(1, n + 1)]
     )
     assert rebuilt.rows == m.rows
+
+
+class TestOneRepresentation:
+    def test_exact_view_hands_out_the_c_comparisons(self):
+        _, eq, lt = parse_matrix("0,3,1\n3,0,2\n1,2,0").comparison_view()
+        assert eq is operator.eq and lt is operator.lt
+
+    def test_float_view_hands_out_the_policy_comparisons(self):
+        policy = FloatPolicy(1e-3)
+        _, eq, lt = parse_matrix("0,3,1\n3,0,2\n1,2,0", policy=policy).comparison_view()
+        assert eq == policy.eq and lt == policy.lt
+        assert eq(1.0, 1.0005) and not lt(1.0, 1.0005)
+
+    def test_raw_float_matrix_equals_its_validated_twin(self):
+        policy = FloatPolicy()
+        cells = [[0.0, 0.1, 0.3], [0.1, 0.0, 0.2], [0.3, 0.2, 0.0]]
+        grid = tuple((0.0, *row) for row in [[0.0] * 3, *cells])
+        raw = DissimilarityMatrix(3, grid, policy)
+        built = DissimilarityMatrix.from_rows(cells, policy)
+        assert raw == built and hash(raw) == hash(built)
+        assert raw.rows == built.rows == grid
+
+    def test_exact_comparisons_keep_their_results(self):
+        assert EXACT.eq(Fraction(1, 2), Fraction(2, 4))
+        assert not EXACT.eq(Fraction(1, 2), Fraction(1, 3))
+        assert EXACT.lt(Fraction(1, 3), Fraction(1, 2))
+        assert not EXACT.lt(Fraction(1, 2), Fraction(2, 4))
