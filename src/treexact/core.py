@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -136,41 +136,30 @@ def _canonical(cells, n: int, eq, zero) -> tuple[tuple, ...]:
     return tuple(tuple(r) for r in grid)
 
 
+@dataclass(frozen=True, repr=False)
 class DissimilarityMatrix:
     """Symmetric positive dissimilarities on labels 1..n with a zero diagonal.
 
-    Under both policies the state is `n`, `policy`, a grid and a scale. The
+    Under both policies the state is `n`, `policy`, `grid` and `scale`. The
     grid has a dummy 0th row and column, so ``rows[i][j]`` is the
     dissimilarity of labels i and j. Under the float policy the grid is the
     floats, `rows` is the grid and the scale is None. Under the exact policy
     entry (i, j) is grid[i][j] / scale, integers with no factor common to
-    all, and `rows` is a view of `Fraction`s built when first read. Build
-    instances through `from_rows` / `from_pairs` / `parse_matrix`, which
-    validate. The raw constructor `DissimilarityMatrix(n, rows, policy)`
-    trusts its (n + 1) x (n + 1) rows of policy values (under the exact
-    policy, `Fraction`s or ints). Instances are immutable.
+    all, and `rows` is a view of `Fraction`s built when first read. The
+    constructor `DissimilarityMatrix(n, policy, grid, scale)` trusts that the
+    grid and scale are canonical; `from_rows`, `from_pairs` and
+    `parse_matrix` validate. Instances are immutable.
     """
 
-    def __init__(self, n: int, rows: tuple[tuple[Scalar, ...], ...], policy: Policy = EXACT):
-        if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
+    n: int
+    policy: Policy
+    grid: tuple[tuple[Scalar, ...], ...]
+    scale: int | None
+
+    def __post_init__(self):
+        n, grid = self.n, self.grid
+        if len(grid) != n + 1 or any(len(r) != n + 1 for r in grid):
             raise InvalidMatrix(f"internal grid shape does not match n={n}")
-        scale = None
-        if isinstance(policy, ExactPolicy):
-            rows, scale = _exact_grid([row[1:] for row in rows[1:]], n)
-        vars(self).update(n=n, policy=policy, _grid=rows, _scale=scale)
-
-    @classmethod
-    def _on_grid(cls, n: int, policy: Policy, grid, scale: int | None) -> "DissimilarityMatrix":
-        """A matrix from its canonical grid and scale (None under float)."""
-        m = cls.__new__(cls)
-        vars(m).update(n=n, policy=policy, _grid=grid, _scale=scale)
-        return m
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_rows(cls, raw_rows, policy: Policy = EXACT) -> "DissimilarityMatrix":
@@ -193,7 +182,7 @@ class DissimilarityMatrix:
         else:
             cells = _read_cells(raw_rows, n, policy.coerce)
             grid, scale = _canonical(cells, n, policy.eq, policy.zero()), None
-        return cls._on_grid(n, policy, grid, scale)
+        return cls(n, policy, grid, scale)
 
     @classmethod
     def from_pairs(cls, n: int, pairs, policy: Policy = EXACT) -> "DissimilarityMatrix":
@@ -229,7 +218,7 @@ class DissimilarityMatrix:
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         """The entries as policy values: the float grid itself, or under the
         exact policy `Fraction`s built from the grid on first read."""
-        grid, scale = self._grid, self._scale
+        grid, scale = self.grid, self.scale
         if scale is None:
             return grid
         value = {v: Fraction(v, scale) for v in set().union(*grid)}
@@ -239,7 +228,7 @@ class DissimilarityMatrix:
         """Dissimilarity of labels i and j; zero when i == j."""
         _check_label(i, self.n)
         _check_label(j, self.n)
-        value, scale = self._grid[i][j], self._scale
+        value, scale = self.grid[i][j], self.scale
         return value if scale is None else Fraction(value, scale)
 
     def pairs(self) -> Iterator[tuple[int, int, Scalar]]:
@@ -251,7 +240,7 @@ class DissimilarityMatrix:
 
     def _cell_texts(self) -> list[list[str]]:
         """The n x n entries as the policy writes them."""
-        grid, scale = self._grid, self._scale
+        grid, scale = self.grid, self.scale
         if scale is None:
             text = self.policy.format
         else:
@@ -273,18 +262,7 @@ class DissimilarityMatrix:
         the float policy the grid is the raw floats and eq/lt apply the
         epsilon rule.
         """
-        return self._grid, self.policy.eq, self.policy.lt
-
-    def _key(self):
-        return self.n, self.policy, self._grid, self._scale
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        return self.grid, self.policy.eq, self.policy.lt
 
     def __repr__(self):
         return f"DissimilarityMatrix(n={self.n}, policy={self.policy.name})"
@@ -496,7 +474,7 @@ def all_pairs_weights(tree: WeightedTree) -> DissimilarityMatrix:
     grid = tuple(tuple(r) for r in grid)
     if scale is None and not math.isfinite(max(map(max, grid))):
         raise InvalidTree("a path weight of the tree overflows the float range")
-    return DissimilarityMatrix._on_grid(n, tree.policy, grid, scale)
+    return DissimilarityMatrix(n, tree.policy, grid, scale)
 
 
 def trees_equal(a: WeightedTree, b: WeightedTree) -> bool:

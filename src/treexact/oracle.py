@@ -196,26 +196,24 @@ def random_weighted_tree(
     function of (n, bounds, seed).
     """
     if not _is_int(n) or n < 1:
-        raise BadRange(f"vertex count must be a positive integer, got {n!r}")
+        raise BadRange(f"vertex count must be a positive integer, got {echo(n)}")
     try:
         low = policy.coerce(weight_low)
         high = policy.coerce(weight_high)
     except NUMBER_ERRORS as exc:
         raise BadRange(f"bad weight bound: {exc}")
     if low <= 0:
-        raise BadRange(f"weight_low must be positive, got {weight_low!r}")
+        raise BadRange(f"weight_low must be positive, got {echo(weight_low)}")
+    bounds = f"[{echo(weight_low)}, {echo(weight_high)}]"
     if policy.lt(high, low):
-        raise BadRange(f"weight range [{weight_low!r}, {weight_high!r}] is empty")
+        raise BadRange(f"weight range {bounds} is empty")
     try:
         k_min = max(1, math.ceil(low * WEIGHT_GRID_DENOMINATOR))
         k_max = math.floor(high * WEIGHT_GRID_DENOMINATOR)
     except OverflowError:  # a float bound times the grid is infinite
-        raise BadRange(f"weight range [{weight_low!r}, {weight_high!r}] exceeds the float range")
+        raise BadRange(f"weight range {bounds} exceeds the float range")
     if k_min > k_max:
-        raise BadRange(
-            f"no multiple of 1/{WEIGHT_GRID_DENOMINATOR} inside "
-            f"[{weight_low!r}, {weight_high!r}]"
-        )
+        raise BadRange(f"no multiple of 1/{WEIGHT_GRID_DENOMINATOR} inside {bounds}")
     if isinstance(policy, ExactPolicy) and k_max * max(1, n - 1) >= _INT_LIMIT:
         # In thousandths, every path weight must read back as an exact number.
         bound = echo(weight_high)

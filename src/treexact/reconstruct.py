@@ -47,7 +47,7 @@ class UnrealizableWitness:
 
 
 class _Prim(NamedTuple):
-    edges: tuple  # (v, p, d(v, p)) for each vertex v that joined through p
+    edges: tuple  # (v, p, grid[v][p]) for each vertex v that joined through p
     mismatch: tuple[int, int, int] | None  # the first (v, p, x), in Prim order
     residual: frozenset  # every label in a pair where d differs from the tree
     mismatched: tuple  # mismatched[x]: every l with d(x, l) != T(x, l)
@@ -91,7 +91,7 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
                 mismatched[x].append(v)
             path_v[x] = path[x][v] = through_p
         joined.append(v)
-        edges.append((v, p, m.d(v, p)))
+        edges.append((v, p, d_vp))
         for x in outside:
             if row_v[x] < key[x]:
                 key[x] = row_v[x]
@@ -121,4 +121,4 @@ def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
             f"d({v},{x}) != d({v},{p}) + d({p},{x}); "
             f"no tree on exactly the points can attach {v} through {p}",
         )
-    return WeightedTree.from_edges(m.n, edges, m.policy)
+    return WeightedTree.from_edges(m.n, [(v, p, m.d(v, p)) for v, p, _ in edges], m.policy)

@@ -98,6 +98,19 @@ class TestCheck:
         assert (code, err) == (0, "")
         assert json.loads(out)["realizable"] is True
 
+    def test_realizable_exact_check_reads_no_entry_value(self, tmp_path, capsys, monkeypatch):
+        """Prim's pass keeps its edge weights on the integer grid, so an exact
+        `check` builds no `Fraction` through `DissimilarityMatrix.d`."""
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an entry was read through d")
+
+        monkeypatch.setattr(treexact.DissimilarityMatrix, "d", unread)
+        path = write(tmp_path, "m.csv", STAR_CSV)
+        code, out, err = run_cli(capsys, ["check", "--mode", "exact", "-i", path])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["realizable"] is True
+
 
 class TestMainEntry:
     """`main_entry`, the console-script target, exits with `main`'s code."""
@@ -298,6 +311,22 @@ class TestGen:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["--wmin", "9" * 999, "--wmax", "1"], "is empty"),
+            (["--wmin", "-" + "9" * 999], "must be positive"),
+            (["--wmin", "0.000" + "1" * 996, "--wmax", "0.0002"], "no multiple of 1/1000"),
+            (["--mode", "float", "--wmin", "1" + "0" * 306, "--wmax", "1" + "0" * 306],
+             "exceeds the float range"),
+        ],
+    )
+    def test_long_bounds_are_echoed_short(self, capsys, argv, reason):
+        code, out, err = run_cli(capsys, ["gen", "-n", "3", *argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err and len(err.encode()) < 200
 
     def test_exact_wide_weights_round_trip(self, capsys, monkeypatch):
         argv = ["gen", "-n", "3", "--wmax", "1e990", "--seed", "1"]

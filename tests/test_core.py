@@ -1,5 +1,6 @@
 """Core types: parsing, path weights, all-pairs matrices, tree equality."""
 
+import dataclasses
 import math
 import operator
 from fractions import Fraction
@@ -30,6 +31,8 @@ from treexact import (
     trees_equal,
 )
 from treexact.numeric import NUMBER_ERRORS
+
+from helpers import all_two_matrix, star_matrix
 
 
 class TestParseMatrix:
@@ -443,10 +446,31 @@ class TestOneRepresentation:
         policy = FloatPolicy()
         cells = [[0.0, 0.1, 0.3], [0.1, 0.0, 0.2], [0.3, 0.2, 0.0]]
         grid = tuple((0.0, *row) for row in [[0.0] * 3, *cells])
-        raw = DissimilarityMatrix(3, grid, policy)
+        raw = DissimilarityMatrix(3, policy, grid, None)
         built = DissimilarityMatrix.from_rows(cells, policy)
         assert raw == built and hash(raw) == hash(built)
         assert raw.rows == built.rows == grid
+
+    @pytest.mark.parametrize("policy", [EXACT, FloatPolicy()])
+    @pytest.mark.parametrize("field", ["n", "policy", "grid", "scale"])
+    def test_fields_cannot_be_assigned_or_deleted(self, policy, field):
+        m = parse_matrix("0,3,1\n3,0,2\n1,2,0", policy=policy)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(m, field)
+
+    @pytest.mark.parametrize("policy", [EXACT, FloatPolicy()])
+    @pytest.mark.parametrize("build", [star_matrix, all_two_matrix])
+    def test_cached_views_leave_equality_and_hash_alone(self, policy, build):
+        """A matrix whose `rows` view and Prim pass are cached equals, and
+        hashes like, a fresh parse of the same text."""
+        text = build().to_csv()
+        m = parse_matrix(text, policy=policy)
+        m.rows, check_all(m), reconstruct(m)
+        assert {"rows", "_prim"} <= vars(m).keys()
+        fresh = parse_matrix(text, policy=policy)
+        assert m == fresh and hash(m) == hash(fresh)
 
     def test_exact_comparisons_keep_their_results(self):
         assert EXACT.eq(Fraction(1, 2), Fraction(2, 4))

@@ -197,7 +197,9 @@ class TestParseMemo:
 def reference_matrix(raw_rows):
     """The exact matrix as built before the integer grid: every cell read by
     `EXACT.coerce` in row-major order, then one row-major pass over the upper
-    triangle checks the diagonal, symmetry and sign."""
+    triangle checks the diagonal, symmetry and sign. Its grid and scale come
+    from `Fraction` arithmetic: the lcm of the denominators, and each cell
+    times it."""
     n = len(raw_rows)
     if n < 1:
         raise InvalidMatrix("matrix must have at least one row")
@@ -224,7 +226,9 @@ def reference_matrix(raw_rows):
             if x <= 0:
                 raise InvalidMatrix("non-positive off-diagonal entry", row=i, col=j)
             grid[i][j] = grid[j][i] = x
-    return DissimilarityMatrix(n, tuple(tuple(r) for r in grid))
+    scale = math.lcm(*(x.denominator for row in grid for x in row))
+    lifted = tuple(tuple(int(x * scale) for x in row) for row in grid)
+    return DissimilarityMatrix(n, EXACT, lifted, scale)
 
 
 def built(build, raw_rows):

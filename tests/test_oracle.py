@@ -249,6 +249,13 @@ class TestRandomWeightedTree:
             with pytest.raises(BadRange):
                 random_weighted_tree(n, low, high, seed=0)
 
+    def test_long_arguments_are_echoed_short(self):
+        long9 = "9" * 999
+        for args in [(long9, 1, 2), (3, long9, 1), (3, "-" + long9, 1)]:
+            with pytest.raises(BadRange) as exc:
+                random_weighted_tree(*args, seed=0)
+            assert len(str(exc.value)) < 200
+
     def test_single_vertex(self):
         t = random_weighted_tree(1, 1, 2, seed=0)
         assert t.n == 1 and t.edges == ()

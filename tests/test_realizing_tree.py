@@ -16,6 +16,7 @@ from treexact import (
     all_pairs_weights,
     check_all,
     count_realizations,
+    parse_matrix,
     random_weighted_tree,
     reconstruct,
     trees_equal,
@@ -227,3 +228,25 @@ def test_fixtures():
     # four-point consistent, yet the two branch points are hidden
     assert isinstance(reconstruct(caterpillar_outer_matrix()), UnrealizableWitness)
     assert reconstruct(DissimilarityMatrix.from_rows([[0]])).edges == ()
+
+
+NEAR_TIE_CSV = """\
+0,1.7707014391705196,1.7703268125569913,0.0021515799652108134
+1.7707014391705196,0,0.000627367994474489,1.7726351840202454
+1.7703268125569913,0.000627367994474489,0,1.7745089759872807
+0.0021515799652108134,1.7726351840202454,1.7745089759872807,0
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="under float, a tree other than Prim's can fit within eps when an edge "
+    "weighs less than about eps times the largest entry",
+)
+def test_float_deciders_agree_on_a_near_tie():
+    """d(1,3) is less than d(1,2), so Prim attaches 3 through 1. But d(1,3)
+    is within eps of d(1,2) + d(2,3), and the tree 1-2, 1-4, 2-3 fits every
+    entry within eps."""
+    m = parse_matrix(NEAR_TIE_CSV, policy=FloatPolicy(1e-3))
+    built = isinstance(reconstruct(m), WeightedTree)
+    assert check_all(m).realizable == built == (count_realizations(m).count >= 1)

@@ -442,7 +442,8 @@ def test_mismatched_are_the_pairs_off_the_grown_tree():
     sizes = Counter()
     for m in corpus:
         edges, _, residual, mismatched = _prim(m)
-        tree = all_pairs_weights(WeightedTree.from_edges(m.n, edges))
+        weighted = [(v, p, m.d(v, p)) for v, p, _ in edges]
+        tree = all_pairs_weights(WeightedTree.from_edges(m.n, weighted))
         labels = range(1, m.n + 1)
         for x in labels:
             want = {l for l in labels if m.d(x, l) != tree.d(x, l)}
