@@ -1,80 +1,22 @@
 """treexact: decide, build, and audit positive-weighted trees realizing a
-dissimilarity matrix on exactly its n labeled points."""
+dissimilarity matrix on exactly its n labeled points.
 
-from .conditions import CheckFragment, CheckReport, Witness, check_all
-from .core import (
-    DissimilarityMatrix,
-    Edge,
-    WeightedTree,
-    all_pairs_weights,
-    parse_matrix,
-    parse_tree,
-    path_weight,
-    tree_to_dot,
-    trees_equal,
-)
-from .errors import (
-    BadRange,
-    BadSequence,
-    InvalidMatrix,
-    InvalidTree,
-    MalformedInput,
-    PolicyMismatch,
-    TooLarge,
-    TooSmall,
-    TreexactError,
-    UniquenessViolation,
-    UnknownVertex,
-)
-from .numeric import EXACT, ExactPolicy, FloatPolicy, Policy, Scalar
-from .oracle import (
-    DEFAULT_ENUMERATION_CAP,
-    RealizationCensus,
-    count_realizations,
-    prufer_decode,
-    random_weighted_tree,
-    realize_on_topology,
-)
-from .reconstruct import UnrealizableWitness, reconstruct
+The public surface is the union of the six modules' `__all__` lists; each
+public name is declared once, in its own module.
+"""
+
+from . import conditions, core, errors, numeric, oracle, reconstruct
+
+# Read the modules' lists before the star imports: `from .reconstruct
+# import *` rebinds `treexact.reconstruct` from the module to the function.
+__all__ = (conditions.__all__ + core.__all__ + errors.__all__ + numeric.__all__
+           + oracle.__all__ + reconstruct.__all__)
+
+from .conditions import *
+from .core import *
+from .errors import *
+from .numeric import *
+from .oracle import *
+from .reconstruct import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BadRange",
-    "BadSequence",
-    "CheckFragment",
-    "CheckReport",
-    "DEFAULT_ENUMERATION_CAP",
-    "DissimilarityMatrix",
-    "EXACT",
-    "Edge",
-    "ExactPolicy",
-    "FloatPolicy",
-    "InvalidMatrix",
-    "InvalidTree",
-    "MalformedInput",
-    "Policy",
-    "PolicyMismatch",
-    "RealizationCensus",
-    "Scalar",
-    "TooLarge",
-    "TooSmall",
-    "TreexactError",
-    "UniquenessViolation",
-    "UnknownVertex",
-    "UnrealizableWitness",
-    "WeightedTree",
-    "Witness",
-    "all_pairs_weights",
-    "check_all",
-    "count_realizations",
-    "parse_matrix",
-    "parse_tree",
-    "path_weight",
-    "prufer_decode",
-    "random_weighted_tree",
-    "realize_on_topology",
-    "reconstruct",
-    "tree_to_dot",
-    "trees_equal",
-]

@@ -1,12 +1,12 @@
 """Batch command-line front end.
 
-Subcommands: check, reconstruct, weights, oracle, gen. Exit codes are a
-stable contract: 0 success/realizable, 1 not realizable, 2 invalid input,
-3 uniqueness falsified (an oracle census with two or more realizations:
-never observed under the exact policy, but under --mode float the
-tolerance can fit two trees). JSON output is byte-deterministic for
-identical inputs and flags; matrix input format (CSV vs JSON) is sniffed
-from the first non-blank character.
+The subcommands and the formats each writes are listed in `_COMMANDS`.
+Exit codes are a stable contract: 0 success/realizable, 1 not realizable,
+2 invalid input, 3 uniqueness falsified (an oracle census with two or more
+realizations: never observed under the exact policy, but under --mode
+float the tolerance can fit two trees). JSON output is byte-deterministic
+for identical inputs and flags; matrix input format (CSV vs JSON) is
+sniffed from the first non-blank character.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import (
     parse_tree,
     tree_to_dot,
 )
-from .errors import TreexactError
+from .errors import TooLarge, TreexactError
 from .numeric import EXACT, FloatPolicy, Policy, echo
 from .oracle import DEFAULT_ENUMERATION_CAP, count_realizations, random_weighted_tree
 from .reconstruct import UnrealizableWitness, reconstruct
@@ -35,6 +35,10 @@ EXIT_OK = 0
 EXIT_UNREALIZABLE = 1
 EXIT_INVALID = 2
 EXIT_FALSIFIED = 3
+
+# The most vertices `gen` and `weights` accept: both print all n^2 path weights,
+# and at n = 1000 `-f json --mode float` peaks at ~230 MB (Python 3.11).
+MAX_VERTICES = 1000
 
 
 class _UsageError(Exception):
@@ -73,30 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="input file or '-' for standard input (default '-')",
     )
 
-    sub.add_parser(
-        "check", parents=[in_opts, out_opts],
-        help="test whether a matrix is realizable and report witnesses",
-    )
-    sub.add_parser(
-        "reconstruct", parents=[in_opts, out_opts],
-        help="build the unique realizing tree or explain why none exists",
-    )
-    sub.add_parser(
-        "weights", parents=[in_opts, out_opts],
-        help="compute the all-pairs path-weight matrix of a tree",
-    )
-    oracle_p = sub.add_parser(
-        "oracle", parents=[in_opts, out_opts],
-        help="enumerate all labeled topologies and count realizations",
-    )
-    oracle_p.add_argument(
+    parsers = {
+        name: sub.add_parser(
+            name, parents=[out_opts] if name == "gen" else [in_opts, out_opts], help=help_text
+        )
+        for name, (_, _, help_text) in _COMMANDS.items()
+    }
+    parsers["oracle"].add_argument(
         "--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
         help=f"enumeration size limit (default {DEFAULT_ENUMERATION_CAP})",
     )
-    gen_p = sub.add_parser(
-        "gen", parents=[out_opts],
-        help="generate a random weighted tree and its matrix",
-    )
+    gen_p = parsers["gen"]
     gen_p.add_argument("-n", type=int, required=True, help="number of vertices")
     gen_p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     gen_p.add_argument("--wmin", default="0.001", help="minimum edge weight")
@@ -139,6 +130,11 @@ def _require_format(fmt: str, allowed: tuple[str, ...], command: str) -> None:
             f"format {fmt!r} is not supported by {command} "
             f"(choose from {', '.join(allowed)})"
         )
+
+
+def _check_vertices(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise TooLarge(f"n = {echo(n)} exceeds the {MAX_VERTICES}-vertex limit of gen and weights")
 
 
 def _tree_text(tree: WeightedTree) -> str:
@@ -195,14 +191,12 @@ def _read_matrix(args) -> DissimilarityMatrix:
 
 
 def run_check(args) -> tuple[str, int]:
-    _require_format(args.format, ("json", "text"), "check")
     report = check_all(_read_matrix(args))
     text = report.to_json() if args.format == "json" else _report_text(report)
     return text, EXIT_OK if report.realizable else EXIT_UNREALIZABLE
 
 
 def run_reconstruct(args) -> tuple[str, int]:
-    _require_format(args.format, ("json", "dot", "text"), "reconstruct")
     result = reconstruct(_read_matrix(args))
     if isinstance(result, UnrealizableWitness):
         text = _witness_text(result) if args.format == "text" else result.to_json()
@@ -215,9 +209,10 @@ def run_reconstruct(args) -> tuple[str, int]:
 
 
 def run_weights(args) -> tuple[str, int]:
-    _require_format(args.format, ("json", "csv", "text"), "weights")
     policy = _resolve_policy(args)
-    matrix = all_pairs_weights(parse_tree(_read_input(args.input), policy))
+    tree = parse_tree(_read_input(args.input), policy)
+    _check_vertices(tree.n)
+    matrix = all_pairs_weights(tree)
     if args.format == "csv":
         return matrix.to_csv(), EXIT_OK
     if args.format == "text":
@@ -226,7 +221,6 @@ def run_weights(args) -> tuple[str, int]:
 
 
 def run_oracle(args) -> tuple[str, int]:
-    _require_format(args.format, ("json", "text"), "oracle")
     census = count_realizations(_read_matrix(args), cap=args.cap)
     code = {0: EXIT_UNREALIZABLE, 1: EXIT_OK}.get(census.count, EXIT_FALSIFIED)
     if args.format == "json":
@@ -243,34 +237,42 @@ def run_oracle(args) -> tuple[str, int]:
 
 
 def run_gen(args) -> tuple[str, int]:
-    _require_format(args.format, ("json", "csv", "dot", "text"), "gen")
     policy = _resolve_policy(args)
+    _check_vertices(args.n)
     tree = random_weighted_tree(args.n, args.wmin, args.wmax, args.seed, policy)
+    if args.format == "dot":
+        return tree_to_dot(tree), EXIT_OK
     matrix = all_pairs_weights(tree)
     if args.format == "json":
         return dump_json({"tree": tree.to_json_dict(), "matrix": matrix.to_json_dict()}), EXIT_OK
     if args.format == "csv":
         # Matrix only; feeding it back into `reconstruct` reproduces the tree.
         return matrix.to_csv(), EXIT_OK
-    if args.format == "dot":
-        return tree_to_dot(tree), EXIT_OK
     return _tree_text(tree) + "\n" + _matrix_text(matrix), EXIT_OK
 
 
-_HANDLERS = {
-    "check": run_check,
-    "reconstruct": run_reconstruct,
-    "weights": run_weights,
-    "oracle": run_oracle,
-    "gen": run_gen,
+# Every subcommand: its handler, the formats it writes and its help line.
+_COMMANDS = {
+    "check": (run_check, ("json", "text"),
+              "test whether a matrix is realizable and report witnesses"),
+    "reconstruct": (run_reconstruct, ("json", "dot", "text"),
+                    "build the unique realizing tree or explain why none exists"),
+    "weights": (run_weights, ("json", "csv", "text"),
+                "compute the all-pairs path-weight matrix of a tree"),
+    "oracle": (run_oracle, ("json", "text"),
+               "enumerate all labeled topologies and count realizations"),
+    "gen": (run_gen, ("json", "csv", "dot", "text"),
+            "generate a random weighted tree and its matrix"),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, formats, _ = _COMMANDS[args.command]
     stream = sys.stdout
     try:
-        text, code = _HANDLERS[args.command](args)
+        _require_format(args.format, formats, args.command)
+        text, code = handler(args)
     except (_UsageError, TreexactError) as exc:
         text, code, stream = f"error: {exc}", EXIT_INVALID, sys.stderr
     try:

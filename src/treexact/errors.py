@@ -2,6 +2,20 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "TreexactError",
+    "MalformedInput",
+    "InvalidMatrix",
+    "InvalidTree",
+    "UnknownVertex",
+    "PolicyMismatch",
+    "TooSmall",
+    "TooLarge",
+    "BadSequence",
+    "BadRange",
+    "UniquenessViolation",
+]
+
 
 class TreexactError(Exception):
     """Base class for every error raised by this package."""
@@ -51,7 +65,8 @@ class TooSmall(TreexactError):
 
 
 class TooLarge(TreexactError):
-    """Input size exceeds the enumeration cap."""
+    """Input size exceeds a limit: the oracle's enumeration cap, or the
+    command line's vertex limit for `gen` and `weights`."""
 
 
 class BadSequence(TreexactError):

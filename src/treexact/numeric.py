@@ -36,7 +36,6 @@ __all__ = [
     "ExactPolicy",
     "FloatPolicy",
     "EXACT",
-    "ensure_same_policy",
 ]
 
 

@@ -20,6 +20,7 @@ from .errors import BadRange, BadSequence, InvalidTree, TooLarge
 from .numeric import _INT_LIMIT, _MAX_DIGITS, EXACT, NUMBER_ERRORS, ExactPolicy, Policy, echo
 
 __all__ = [
+    "DEFAULT_ENUMERATION_CAP",
     "RealizationCensus",
     "prufer_decode",
     "realize_on_topology",

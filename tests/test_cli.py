@@ -6,13 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import treexact
 from treexact import parse_matrix, parse_tree, reconstruct, trees_equal
-from treexact.cli import build_parser, main, main_entry
+from treexact.cli import MAX_VERTICES, build_parser, main, main_entry
 
 STAR_CSV = "0,3,1,5\n3,0,2,6\n1,2,0,4\n5,6,4,0\n"
 ALL_TWO_CSV = "0,2,2,2\n2,0,2,2\n2,2,0,2\n2,2,2,0\n"
@@ -211,6 +212,16 @@ class TestWeights:
         assert code == 0
         assert out == "0,7\n7,0\n"
 
+    def test_path_tree_over_the_vertex_limit_is_refused_at_once(self, tmp_path, capsys):
+        n = MAX_VERTICES + 1
+        doc = json.dumps({"n": n, "edges": [{"u": i, "v": i + 1, "w": "1"} for i in range(1, n)]})
+        started = time.perf_counter()
+        argv = ["weights", "-f", "csv", "-i", write(tmp_path, "t.json", doc)]
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: n = {n} exceeds the {MAX_VERTICES}-vertex limit of gen and weights\n"
+
 
 class TestOracle:
     def test_star_count_one(self, tmp_path, capsys):
@@ -288,6 +299,18 @@ class TestGen:
     def test_bad_n_invalid(self, capsys):
         code, _, err = run_cli(capsys, ["gen", "-n", "0"])
         assert code == 2
+
+    def test_n_over_the_vertex_limit_is_refused_at_once(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, ["gen", "-n", "1000000000", "-f", "csv"])
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n = 1000000000 exceeds") and err.count("\n") == 1
+
+    def test_n_at_the_vertex_limit_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, ["gen", "-n", str(MAX_VERTICES), "-f", "dot"])
+        assert code == 0
+        assert out.count(" -- ") == MAX_VERTICES - 1
 
     def test_float_mode(self, capsys):
         code, out, _ = run_cli(capsys, ["gen", "-n", "4", "--seed", "1", "--mode", "float"])
