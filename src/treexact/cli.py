@@ -124,14 +124,6 @@ def _read_input(path: str) -> str:
         raise _UsageError(f"{source} is not UTF-8 text: {exc}")
 
 
-def _require_format(fmt: str, allowed: tuple[str, ...], command: str) -> None:
-    if fmt not in allowed:
-        raise _UsageError(
-            f"format {fmt!r} is not supported by {command} "
-            f"(choose from {', '.join(allowed)})"
-        )
-
-
 def _check_vertices(n: int) -> None:
     if n > MAX_VERTICES:
         raise TooLarge(f"n = {echo(n)} exceeds the {MAX_VERTICES}-vertex limit of gen and weights")
@@ -183,21 +175,20 @@ def _witness_text(witness: UnrealizableWitness) -> str:
     )
 
 
-def _read_matrix(args) -> DissimilarityMatrix:
-    policy = _resolve_policy(args)
+def _read_matrix(args, policy: Policy) -> DissimilarityMatrix:
     text = _read_input(args.input)
     fmt = "json" if text.lstrip().startswith("{") else "csv"
     return parse_matrix(text, fmt, policy)
 
 
-def run_check(args) -> tuple[str, int]:
-    report = check_all(_read_matrix(args))
+def run_check(args, policy: Policy) -> tuple[str, int]:
+    report = check_all(_read_matrix(args, policy))
     text = report.to_json() if args.format == "json" else _report_text(report)
     return text, EXIT_OK if report.realizable else EXIT_UNREALIZABLE
 
 
-def run_reconstruct(args) -> tuple[str, int]:
-    result = reconstruct(_read_matrix(args))
+def run_reconstruct(args, policy: Policy) -> tuple[str, int]:
+    result = reconstruct(_read_matrix(args, policy))
     if isinstance(result, UnrealizableWitness):
         text = _witness_text(result) if args.format == "text" else result.to_json()
         return text, EXIT_UNREALIZABLE
@@ -208,8 +199,7 @@ def run_reconstruct(args) -> tuple[str, int]:
     return dump_json(result.to_json_dict()), EXIT_OK
 
 
-def run_weights(args) -> tuple[str, int]:
-    policy = _resolve_policy(args)
+def run_weights(args, policy: Policy) -> tuple[str, int]:
     tree = parse_tree(_read_input(args.input), policy)
     _check_vertices(tree.n)
     matrix = all_pairs_weights(tree)
@@ -220,8 +210,8 @@ def run_weights(args) -> tuple[str, int]:
     return dump_json(matrix.to_json_dict()), EXIT_OK
 
 
-def run_oracle(args) -> tuple[str, int]:
-    census = count_realizations(_read_matrix(args), cap=args.cap)
+def run_oracle(args, policy: Policy) -> tuple[str, int]:
+    census = count_realizations(_read_matrix(args, policy), cap=args.cap)
     code = {0: EXIT_UNREALIZABLE, 1: EXIT_OK}.get(census.count, EXIT_FALSIFIED)
     if args.format == "json":
         return census.to_json(), code
@@ -236,8 +226,7 @@ def run_oracle(args) -> tuple[str, int]:
     return "\n".join(lines), code
 
 
-def run_gen(args) -> tuple[str, int]:
-    policy = _resolve_policy(args)
+def run_gen(args, policy: Policy) -> tuple[str, int]:
     _check_vertices(args.n)
     tree = random_weighted_tree(args.n, args.wmin, args.wmax, args.seed, policy)
     if args.format == "dot":
@@ -271,8 +260,12 @@ def main(argv=None) -> int:
     handler, formats, _ = _COMMANDS[args.command]
     stream = sys.stdout
     try:
-        _require_format(args.format, formats, args.command)
-        text, code = handler(args)
+        if args.format not in formats:
+            raise _UsageError(
+                f"format {args.format!r} is not supported by {args.command} "
+                f"(choose from {', '.join(formats)})"
+            )
+        text, code = handler(args, _resolve_policy(args))
     except (_UsageError, TreexactError) as exc:
         text, code, stream = f"error: {exc}", EXIT_INVALID, sys.stderr
     try:

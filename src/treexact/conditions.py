@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, product
 from json import dumps
-from operator import attrgetter
 
 from .core import DissimilarityMatrix, _adjacency, _walk
 from .errors import TooSmall, UniquenessViolation
@@ -203,8 +202,8 @@ def _median_best(grid, eq, b, labels, u, v, w):
 
 
 def _no_center(b, labels, quad):
-    """The witness of a quadruple without a center. Its `best_l` is the first
-    l in the most of the quadruple's six between-masks."""
+    """`best_l` of a quadruple without a center: the first l in the most of
+    the quadruple's six between-masks."""
     i, j, k, t = quad
     bi, bj, bk = b[i], b[j], b[k]
     m1, m2, m3, m4, m5, m6 = bi[j], bi[k], bi[t], bj[k], bj[t], bk[t]
@@ -216,7 +215,7 @@ def _no_center(b, labels, quad):
         )
         if score > most:
             best, most = l, score
-    return Witness("condition_i", "no_center_vertex", quadruple=quad, best_l=best)
+    return best
 
 
 def _companions_agree(grid, eq, u, v, w, l):
@@ -229,8 +228,9 @@ def _companions_agree(grid, eq, u, v, w, l):
 
 
 def _scan(m: DissimilarityMatrix):
-    """Collect the witnesses of all three checks:
-    (four_point, condition_i, condition_ii, twin).
+    """The witness rows of all three checks, (four_point, centers, median,
+    twin): rows (code, quadruple, triple), (quadruple, best_l) and
+    (quadruple, triple, best_l), which `_scan_report` makes `Witness`es.
 
     Under the exact policy Prim's tree T (`_prim`) sorts the labels: the
     residual X holds every label in a pair where d differs from T's path
@@ -314,12 +314,6 @@ def _scan(m: DissimilarityMatrix):
         no_median[u][v] |= 1 << w
         no_median[v][w] |= 1 << u
 
-    def no_median_witness(quad, triple):
-        return Witness(
-            "condition_ii", "no_median_vertex", quadruple=quad, triple=triple,
-            best_l=failing[triple],
-        )
-
     for u, v in combinations(labels, 2):
         inside = (u in residual) + (v in residual)
         if not inside:
@@ -328,7 +322,7 @@ def _scan(m: DissimilarityMatrix):
         for w in (later if inside == 2 else later_x)[v]:
             gw = grid[w]
             if lt(gu[v] + gv[w], gu[w]) or lt(gu[w] + gw[v], gu[v]) or lt(gv[u] + gu[w], gv[w]):
-                four_point.append(Witness("four_point", "triangle_violation", triple=(u, v, w)))
+                four_point.append(("triangle_violation", None, (u, v, w)))
             # Under the exact policy each companion sum equals d(u,l) + d(v,l)
             # + d(w,l) once the three factorizations hold, so a common mask
             # bit is a median.
@@ -362,10 +356,11 @@ def _scan(m: DissimilarityMatrix):
                     lacks_median(*triple)
                     for t in chain(own, one, two):
                         if t != j and t != k:
-                            median.append(no_median_witness(tuple(sorted((*triple, t))), triple))
+                            median.append((tuple(sorted((*triple, t))), triple, failing[triple]))
             for one, two, three in combinations(parts, 3):
                 for trio in product(one, two, three):
-                    centers.append(_no_center(b, labels, tuple(sorted((x, *trio)))))
+                    quad = tuple(sorted((x, *trio)))
+                    centers.append((quad, _no_center(b, labels, quad)))
     for i, j in combinations(labels, 2):
         inside = (i in residual) + (j in residual)
         gi, gj, bi, bj = grid[i], grid[j], b[i], b[j]
@@ -382,27 +377,27 @@ def _scan(m: DissimilarityMatrix):
                 # each of its triples needs a median.
                 hits = eq(s1, top) + eq(s2, top) + eq(s3, top)
                 if hits == 1:
-                    four_point.append(Witness("four_point", "quadruple_max_once", quadruple=quad))
+                    four_point.append(("quadruple_max_once", quad, None))
                 elif hits == 3:
                     common = bi[j] & bi[k] & bi[t] & bj[k] & bj[t] & b[k][t]
                     if not common:
-                        centers.append(_no_center(b, labels, quad))
+                        centers.append((quad, _no_center(b, labels, quad)))
                     elif twin is None and common & (common - 1):
                         twin = (quad, *[l for l in labels if common >> l & 1][:2])
                 elif no_median[i][j] & (1 << k | 1 << t) or no_median[k][t] & (1 << i | 1 << j):
                     for triple in ((i, j, k), (i, j, t), (i, k, t), (j, k, t)):
                         if triple in failing:
-                            median.append(no_median_witness(quad, triple))
+                            median.append((quad, triple, failing[triple]))
     # The enumerated witnesses came first and in no order; report order is
-    # lexicographic by quadruple, then by triple.
-    centers.sort(key=attrgetter("quadruple"))
-    median.sort(key=attrgetter("quadruple", "triple"))
+    # lexicographic by quadruple, then by triple, each pair occurring once.
+    centers.sort()
+    median.sort()
     # With only three points there is no quadruple to scan, yet the median
     # requirement still separates realizable inputs (a strict triangle on
     # three points leaves no vertex to sit between the other two), so the
     # lone triple's verdict is reported directly.
     if n == 3 and failing:
-        median.append(no_median_witness(None, (1, 2, 3)))
+        median.append((None, (1, 2, 3), failing[1, 2, 3]))
     return four_point, centers, median, twin
 
 
@@ -421,10 +416,13 @@ def _scan_report(m: DissimilarityMatrix) -> CheckReport:
             f"quadruple {quad} admits two centers {first} and {second} "
             "although the four-point check passed"
         )
+    four_point = tuple(Witness("four_point", *row) for row in four_point)
+    centers = tuple(Witness("condition_i", "no_center_vertex", q, None, l) for q, l in centers)
+    median = tuple(Witness("condition_ii", "no_median_vertex", *row) for row in median)
     return CheckReport(
-        four_point=CheckFragment(ok=fp_ok, witnesses=tuple(four_point)),
-        condition_i=CheckFragment(ok=not centers, witnesses=tuple(centers), caveat=not fp_ok),
-        condition_ii=CheckFragment(ok=not median, witnesses=tuple(median), caveat=not fp_ok),
+        four_point=CheckFragment(ok=fp_ok, witnesses=four_point),
+        condition_i=CheckFragment(ok=not centers, witnesses=centers, caveat=not fp_ok),
+        condition_ii=CheckFragment(ok=not median, witnesses=median, caveat=not fp_ok),
     )
 
 

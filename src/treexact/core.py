@@ -16,10 +16,9 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InvalidMatrix, InvalidTree, MalformedInput, UnknownVertex
+from .errors import InvalidMatrix, InvalidTree, MalformedInput, PolicyMismatch, UnknownVertex
 from .numeric import (
     EXACT, NUMBER_ERRORS, ExactPolicy, Policy, Scalar, _plain_decimals, _scaled_texts, echo,
-    ensure_same_policy,
 )
 
 __all__ = [
@@ -479,7 +478,12 @@ def all_pairs_weights(tree: WeightedTree) -> DissimilarityMatrix:
 
 def trees_equal(a: WeightedTree, b: WeightedTree) -> bool:
     """True iff same vertex count and identical edge sets with equal weights."""
-    policy = ensure_same_policy(a, b)
+    policy = a.policy
+    if b.policy != policy:
+        raise PolicyMismatch(
+            f"cannot mix numeric policies {policy.name!r} and {b.policy.name!r} "
+            "in one computation"
+        )
     if a.n != b.n or len(a.edges) != len(b.edges):
         return False
     for ea, eb in zip(a.edges, b.edges):

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
 
-from .errors import PolicyMismatch
-
 Scalar = Union[Fraction, float]
 
 # Everything `Policy.coerce` raises for a value it cannot read as a number.
@@ -253,15 +251,3 @@ class FloatPolicy:
 Policy = Union[ExactPolicy, FloatPolicy]
 
 EXACT = ExactPolicy()
-
-
-def ensure_same_policy(*objects) -> Policy:
-    """Return the common policy of the given carriers or raise PolicyMismatch."""
-    policy = objects[0].policy
-    for obj in objects[1:]:
-        if obj.policy != policy:
-            raise PolicyMismatch(
-                f"cannot mix numeric policies {policy.name!r} and {obj.policy.name!r} "
-                "in one computation"
-            )
-    return policy

@@ -222,10 +222,7 @@ def random_weighted_tree(
     rng = random.Random(seed)
     if n == 1:
         return WeightedTree.from_edges(1, [], policy)
-    if n == 2:
-        topology = ((1, 2),)
-    else:
-        topology = prufer_decode([rng.randint(1, n) for _ in range(n - 2)], n)
+    topology = prufer_decode([rng.randint(1, n) for _ in range(n - 2)], n)
     # The policy coerces each k/1000; under float that is k / 1000 correctly rounded.
     denominator = WEIGHT_GRID_DENOMINATOR
     edges = [(u, v, Fraction(rng.randint(k_min, k_max), denominator)) for u, v in topology]
