@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -27,7 +28,9 @@ from .core import (
     tree_to_dot,
 )
 from .errors import TooLarge, TreexactError
-from .numeric import EXACT, FloatPolicy, Policy, echo
+from .numeric import (
+    _INT_LIMIT, _MAX_DIGITS, EXACT, ExactPolicy, FloatPolicy, Policy, _decimal_places, echo,
+)
 from .oracle import DEFAULT_ENUMERATION_CAP, count_realizations, random_weighted_tree
 from .reconstruct import UnrealizableWitness, reconstruct
 
@@ -39,6 +42,12 @@ EXIT_FALSIFIED = 3
 # The most vertices `gen` and `weights` accept: both print all n^2 path weights,
 # and at n = 1000 `-f json --mode float` peaks at ~230 MB (Python 3.11).
 MAX_VERTICES = 1000
+# The most characters `gen` and `weights` may print for a matrix, as (n + 1)^2
+# times the widest entry: at 1.5e8, n = 1000 with 150-character entries
+# peaks at ~540 MB in `-f json` (Python 3.11).
+MAX_MATRIX_CHARS = 150_000_000
+# The longest repr of a positive float, as in 2.2250738585072014e-308.
+_FLOAT_WIDTH = 23
 
 
 class _UsageError(Exception):
@@ -129,6 +138,43 @@ def _check_vertices(n: int) -> None:
         raise TooLarge(f"n = {echo(n)} exceeds the {MAX_VERTICES}-vertex limit of gen and weights")
 
 
+def _check_width(tree: WeightedTree) -> None:
+    """Refuse a tree whose path-weight matrix `gen` and `weights` should not
+    print: an entry could have more digits than the exact reader accepts, or
+    the matrix could take more than MAX_MATRIX_CHARS characters. Before the
+    matrix is built, each path weight is bounded by the sum of the edge
+    weights, and its denominator by the lcm of theirs."""
+    width = _FLOAT_WIDTH
+    if isinstance(tree.policy, ExactPolicy):
+        too_wide = TooLarge(f"a path weight of this tree could have more than {_MAX_DIGITS} digits")
+        scale = 1
+        for _, _, w in tree.edges:
+            scale = math.lcm(scale, w.denominator)
+            if scale >= _INT_LIMIT:
+                raise too_wide
+        total = sum(w.numerator * (scale // w.denominator) for _, _, w in tree.edges)
+
+        def digits(x: int) -> int:
+            if x >= _INT_LIMIT:
+                raise too_wide
+            return len(str(x))
+
+        places = _decimal_places(scale)
+        if places is None:  # an entry p/q has p <= total and q <= scale
+            width = digits(total) + digits(scale)
+        else:  # a decimal with `places` places at most, up to total / scale
+            width = max(digits(total * (10**places // scale)), places + 1)
+        if width > _MAX_DIGITS:
+            raise too_wide
+        width += 1  # the point or the slash
+    chars = (tree.n + 1) ** 2 * width
+    if chars > MAX_MATRIX_CHARS:
+        raise TooLarge(
+            f"the path weights of this tree could take {chars} characters, beyond the "
+            f"{MAX_MATRIX_CHARS}-character limit of gen and weights"
+        )
+
+
 def _tree_text(tree: WeightedTree) -> str:
     lines = [f"tree on {tree.n} vertices"]
     fmt = tree.policy.format
@@ -202,6 +248,7 @@ def run_reconstruct(args, policy: Policy) -> tuple[str, int]:
 def run_weights(args, policy: Policy) -> tuple[str, int]:
     tree = parse_tree(_read_input(args.input), policy)
     _check_vertices(tree.n)
+    _check_width(tree)
     matrix = all_pairs_weights(tree)
     if args.format == "csv":
         return matrix.to_csv(), EXIT_OK
@@ -231,6 +278,7 @@ def run_gen(args, policy: Policy) -> tuple[str, int]:
     tree = random_weighted_tree(args.n, args.wmin, args.wmax, args.seed, policy)
     if args.format == "dot":
         return tree_to_dot(tree), EXIT_OK
+    _check_width(tree)
     matrix = all_pairs_weights(tree)
     if args.format == "json":
         return dump_json({"tree": tree.to_json_dict(), "matrix": matrix.to_json_dict()}), EXIT_OK

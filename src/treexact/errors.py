@@ -65,8 +65,10 @@ class TooSmall(TreexactError):
 
 
 class TooLarge(TreexactError):
-    """Input size exceeds a limit: the oracle's enumeration cap, or the
-    command line's vertex limit for `gen` and `weights`."""
+    """Input size exceeds a limit: the oracle's enumeration cap, the bits of
+    an exact matrix's grid, or what the command line's `gen` and `weights`
+    print (their vertex count, the digits of a path weight, the characters
+    of the matrix)."""
 
 
 class BadSequence(TreexactError):

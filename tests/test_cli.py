@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treexact
-from treexact import parse_matrix, parse_tree, reconstruct, trees_equal
-from treexact.cli import MAX_VERTICES, build_parser, main, main_entry
+from treexact import TooLarge, parse_matrix, parse_tree, random_weighted_tree, reconstruct, trees_equal
+from treexact.cli import MAX_VERTICES, _check_width, build_parser, main, main_entry
 
 STAR_CSV = "0,3,1,5\n3,0,2,6\n1,2,0,4\n5,6,4,0\n"
 ALL_TWO_CSV = "0,2,2,2\n2,0,2,2\n2,2,0,2\n2,2,2,0\n"
@@ -37,6 +38,12 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+def path_tree_json(weights):
+    """The path 1 - 2 - ... weighted by `weights` in order, as tree JSON."""
+    edges = [{"u": i, "v": i + 1, "w": w} for i, w in enumerate(weights, start=1)]
+    return json.dumps({"n": len(edges) + 1, "edges": edges})
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -55,6 +62,12 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["condition_i"]["ok"] is False
         assert doc["witnesses"][0]["quadruple"] == [1, 2, 3, 4]
+
+    def test_missing_file_invalid(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.csv")
+        code, out, err = run_cli(capsys, ["check", "-i", path])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
     def test_asymmetric_invalid(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["check", "-i", write(tmp_path, "m.csv", "0,1\n2,0\n")])
@@ -204,6 +217,13 @@ class TestWeights:
         assert code == 2
         assert "expected 2" in err
 
+    def test_reads_the_tree_of_gen_json(self, capsys, monkeypatch):
+        code, generated, _ = run_cli(capsys, ["gen", "-n", "6", "--seed", "2"])
+        assert code == 0
+        code, out, err = run_cli(capsys, ["weights", "-i", "-"], stdin=generated, monkeypatch=monkeypatch)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == json.loads(generated)["matrix"]
+
     def test_single_edge(self, tmp_path, capsys):
         doc = json.dumps({"n": 2, "edges": [{"u": 1, "v": 2, "w": "7"}]})
         code, out, _ = run_cli(
@@ -221,6 +241,33 @@ class TestWeights:
         assert time.perf_counter() - started < 1
         assert (code, out) == (2, "")
         assert err == f"error: n = {n} exceeds the {MAX_VERTICES}-vertex limit of gen and weights\n"
+
+    def test_path_weights_over_a_wide_scale_are_refused(self, tmp_path, capsys):
+        # Edges weigh 1/q, each q odd and of 999 digits: the end-to-end path
+        # weight has a ~6000-digit denominator.
+        rng = random.Random(1)
+        doc = path_tree_json([f"1/{rng.randrange(10**998, 10**999) | 1}" for _ in range(6)])
+        argv = ["weights", "-f", "csv", "-i", write(tmp_path, "t.json", doc)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: a path weight of this tree could have more than 1000 digits\n"
+
+    @pytest.mark.parametrize("n, digits, code", [(12, 1000, 2), (11, 999, 0)])
+    def test_path_weights_the_reader_refuses_are_not_printed(
+        self, tmp_path, capsys, monkeypatch, n, digits, code
+    ):
+        """Eleven edges of 10^999 sum to a 1001-digit path weight, which
+        `reconstruct` would refuse; ten edges of 10^998 sum to 1000 digits,
+        which read back."""
+        doc = path_tree_json(["1" + "0" * (digits - 1)] * (n - 1))
+        got, csv, err = run_cli(capsys, ["weights", "-f", "csv", "-i", write(tmp_path, "t.json", doc)])
+        assert got == code
+        if code == 2:
+            assert (csv, err.count("\n")) == ("", 1) and "more than 1000 digits" in err
+            return
+        got, out, err = run_cli(capsys, ["reconstruct", "-i", "-"], stdin=csv, monkeypatch=monkeypatch)
+        assert (got, err) == (0, "")
+        assert trees_equal(parse_tree(out), parse_tree(doc))
 
 
 class TestOracle:
@@ -311,6 +358,26 @@ class TestGen:
         code, out, _ = run_cli(capsys, ["gen", "-n", str(MAX_VERTICES), "-f", "dot"])
         assert code == 0
         assert out.count(" -- ") == MAX_VERTICES - 1
+
+    def test_wide_weights_over_the_character_limit_are_refused_at_once(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, ["gen", "-n", "1000", "--wmax", "1e900", "-f", "csv"])
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the path weights of this tree could take ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("wmax, fits", [("1e142", True), ("1e143", False)])
+    def test_character_limit_is_just_above_149_character_entries(self, wmax, fits):
+        """At n = 1000, weights up to 1e142 give path weights of at most 148
+        digits and a point: 1001^2 x 149 characters are within 1.5e8, 150
+        are not."""
+        tree = random_weighted_tree(1000, "0.001", wmax, seed=1)
+        if fits:
+            _check_width(tree)
+        else:
+            with pytest.raises(TooLarge, match="150300150 characters"):
+                _check_width(tree)
 
     def test_float_mode(self, capsys):
         code, out, _ = run_cli(capsys, ["gen", "-n", "4", "--seed", "1", "--mode", "float"])

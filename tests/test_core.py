@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,10 @@ class TestParseMatrix:
         with pytest.raises(MalformedInput):
             parse_matrix('{"n": 2, "d": [[0, true], [true, 0]]}', fmt="json", policy=policy)
 
+    def test_unknown_format(self):
+        with pytest.raises(MalformedInput, match="^unknown matrix format 'xml'$"):
+            parse_matrix("0", fmt="xml")
+
     def test_json_rows_must_be_arrays(self):
         with pytest.raises(MalformedInput):
             parse_matrix('{"n": 2, "d": [1, 2]}', fmt="json")
@@ -158,6 +163,36 @@ class TestMatrixValidation:
     def test_from_pairs_missing_pair(self):
         with pytest.raises(InvalidMatrix):
             DissimilarityMatrix.from_pairs(3, {(1, 2): 1, (1, 3): 1})
+
+    def test_from_pairs_names_the_first_missing_pairs_before_building(self):
+        started = time.perf_counter()
+        with pytest.raises(InvalidMatrix, match=r"^missing pairs: \[\(1, 2\), \(1, 3\), \(1, 4\), \(1, 5\), \(1, 6\)\]$"):
+            DissimilarityMatrix.from_pairs(10**5, {})
+        assert time.perf_counter() - started < 1
+
+    @pytest.mark.parametrize("n", [2.0, "2", True, None])
+    def test_from_pairs_vertex_count_must_be_an_int(self, n):
+        with pytest.raises(InvalidMatrix, match="^vertex count must be an integer"):
+            DissimilarityMatrix.from_pairs(n, {(1, 2): 1})
+
+    def test_from_pairs_diagonal_pair(self):
+        with pytest.raises(InvalidMatrix, match=r"^diagonal pair in pair mapping at \(2,2\)$"):
+            DissimilarityMatrix.from_pairs(2, {(1, 2): 1, (2, 2): 1})
+
+    @pytest.mark.parametrize("policy", [EXACT, FloatPolicy()])
+    @pytest.mark.parametrize("row", ["10", b"10", {"1": 0, "0": 1}, {"1", "0"}, 10])
+    def test_from_rows_refuses_a_row_that_is_not_a_sequence(self, row, policy):
+        """A string row would be read as its characters and a mapping by its keys."""
+        with pytest.raises(InvalidMatrix, match="^row 2 is not a sequence of entries$"):
+            DissimilarityMatrix.from_rows([["0", "1"], row], policy)
+
+    def test_from_rows_no_rows(self):
+        with pytest.raises(InvalidMatrix, match="^matrix must have at least one row$"):
+            DissimilarityMatrix.from_rows([])
+
+    def test_grid_shape_must_match_n(self):
+        with pytest.raises(InvalidMatrix, match="^internal grid shape does not match n=2$"):
+            DissimilarityMatrix(2, EXACT, ((0, 0, 0), (0, 0, 1)), 1)
 
     def test_from_pairs_repeated_pair_compares_by_policy(self):
         pairs = {(1, 2): 1.0, (2, 1): 1.0 + 1e-12}
@@ -270,6 +305,21 @@ class TestWeightedTree:
 
         again = parse_tree(json.dumps(t.to_json_dict()))
         assert trees_equal(t, again)
+        # the tree of `gen -f json` output is unwrapped
+        wrapped = {"tree": t.to_json_dict(), "matrix": all_pairs_weights(t).to_json_dict()}
+        assert trees_equal(t, parse_tree(json.dumps(wrapped)))
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("[1, 2]", 'tree JSON must be an object with "n" and "edges"'),
+            ('{"n": 2, "edges": [5]}', 'edge 0 must be an object with "u", "v", "w"'),
+        ],
+    )
+    def test_parse_tree_refuses_what_is_not_an_object(self, text, reason):
+        with pytest.raises(MalformedInput) as err:
+            parse_tree(text)
+        assert str(err.value) == reason
 
     def test_dot_render(self):
         t = WeightedTree.from_edges(2, [(1, 2, 7)])
@@ -347,6 +397,11 @@ class TestTreesEqual:
     def test_different_edge_sets(self):
         a = WeightedTree.from_edges(3, [(1, 2, 1), (2, 3, 1)])
         b = WeightedTree.from_edges(3, [(1, 3, 1), (3, 2, 1)])
+        assert not trees_equal(a, b)
+
+    def test_different_sizes(self):
+        a = WeightedTree.from_edges(2, [(1, 2, 1)])
+        b = WeightedTree.from_edges(3, [(1, 2, 1), (2, 3, 1)])
         assert not trees_equal(a, b)
 
     def test_policy_mismatch_is_an_error(self):

@@ -5,6 +5,7 @@ against the arithmetic it replaced."""
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,41 @@ class TestComparisonViewGrid:
         grid, _, _ = m.comparison_view()
         assert grid == old_grid(m)
         assert grid[1][2] == 3 * 5 * 7 * 11 * 13
+
+
+def coprime_pq_rows(n):
+    """An n x n matrix whose off-diagonal cells are p/q with a 400-digit p and
+    an odd 400-digit q, drawn as the CI step that times it draws them."""
+    rng = random.Random(5)
+    cells = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = rng.randrange(10**399, 10**400)
+            q = rng.randrange(10**399, 10**400) | 1
+            cells[i][j] = cells[j][i] = f"{p}/{q}"
+    return cells
+
+
+class TestGridBitLimit:
+    def test_grid_within_the_limit_is_built(self):
+        """n = 24: 277 distinct values over a 364,806-bit scale, 1.0e8 bits."""
+        m = DissimilarityMatrix.from_rows(coprime_pq_rows(24))
+        assert m.scale.bit_length() == 364806
+
+    def test_grid_over_the_limit_is_refused_before_it_is_lifted(self, tmp_path, capsys):
+        """n = 70: 2416 distinct values over a scale of ~3.2e6 bits, 7.8e9
+        bits, which took the lift past 1 GB."""
+        path = tmp_path / "pq70.csv"
+        path.write_text("\n".join(",".join(row) for row in coprime_pq_rows(70)) + "\n")
+        started = time.perf_counter()
+        code = main(["check", "-i", str(path)])
+        assert time.perf_counter() - started < 5
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the 2416 distinct values of the matrix over one denominator "
+            "exceed the 200000000-bit limit of the exact grid\n"
+        )
 
 
 MIXED = [
