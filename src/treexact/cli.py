@@ -146,26 +146,23 @@ def _check_width(tree: WeightedTree) -> None:
     weights, and its denominator by the lcm of theirs."""
     width = _FLOAT_WIDTH
     if isinstance(tree.policy, ExactPolicy):
-        too_wide = TooLarge(f"a path weight of this tree could have more than {_MAX_DIGITS} digits")
         scale = 1
         for _, _, w in tree.edges:
             scale = math.lcm(scale, w.denominator)
-            if scale >= _INT_LIMIT:
-                raise too_wide
+            if scale >= _INT_LIMIT:  # already too wide to print
+                break
         total = sum(w.numerator * (scale // w.denominator) for _, _, w in tree.edges)
 
         def digits(x: int) -> int:
-            if x >= _INT_LIMIT:
-                raise too_wide
-            return len(str(x))
+            return len(str(x)) if x < _INT_LIMIT else _MAX_DIGITS + 1
 
         places = _decimal_places(scale)
         if places is None:  # an entry p/q has p <= total and q <= scale
             width = digits(total) + digits(scale)
-        else:  # a decimal with `places` places at most, up to total / scale
+        else:  # a decimal with at most `places` places, at most total / scale
             width = max(digits(total * (10**places // scale)), places + 1)
         if width > _MAX_DIGITS:
-            raise too_wide
+            raise TooLarge(f"a path weight of this tree could have more than {_MAX_DIGITS} digits")
         width += 1  # the point or the slash
     chars = (tree.n + 1) ** 2 * width
     if chars > MAX_MATRIX_CHARS:
