@@ -78,8 +78,11 @@ def _read_cells(raw_rows, n: int, read) -> list[list]:
     memo = {}
     for i, row in enumerate(raw_rows, start=1):
         # A string, mapping or set would be read by its characters, keys or
-        # in no fixed order.
-        if isinstance(row, (str, bytes, Mapping, Set)) or not isinstance(row, Iterable):
+        # in no fixed order. The abstract classes are tested only off the
+        # common list and tuple rows: they cost ~1 us a row.
+        if not isinstance(row, (list, tuple)) and (
+            isinstance(row, (str, bytes, Mapping, Set)) or not isinstance(row, Iterable)
+        ):
             raise InvalidMatrix(f"row {i} is not a sequence of entries", row=i)
         row = list(row)
         if len(row) != n:
