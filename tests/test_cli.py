@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treexact
-from treexact import TooLarge, parse_matrix, parse_tree, random_weighted_tree, reconstruct, trees_equal
+from treexact import (
+    TooLarge, parse_matrix, parse_tree, random_weighted_tree, reconstruct, trees_equal,
+)
 from treexact.cli import MAX_VERTICES, _check_width, build_parser, main, main_entry
 
 STAR_CSV = "0,3,1,5\n3,0,2,6\n1,2,0,4\n5,6,4,0\n"
@@ -220,7 +222,9 @@ class TestWeights:
     def test_reads_the_tree_of_gen_json(self, capsys, monkeypatch):
         code, generated, _ = run_cli(capsys, ["gen", "-n", "6", "--seed", "2"])
         assert code == 0
-        code, out, err = run_cli(capsys, ["weights", "-i", "-"], stdin=generated, monkeypatch=monkeypatch)
+        code, out, err = run_cli(
+            capsys, ["weights", "-i", "-"], stdin=generated, monkeypatch=monkeypatch
+        )
         assert (code, err) == (0, "")
         assert json.loads(out) == json.loads(generated)["matrix"]
 
@@ -260,12 +264,15 @@ class TestWeights:
         `reconstruct` would refuse; ten edges of 10^998 sum to 1000 digits,
         which read back."""
         doc = path_tree_json(["1" + "0" * (digits - 1)] * (n - 1))
-        got, csv, err = run_cli(capsys, ["weights", "-f", "csv", "-i", write(tmp_path, "t.json", doc)])
+        argv = ["weights", "-f", "csv", "-i", write(tmp_path, "t.json", doc)]
+        got, csv, err = run_cli(capsys, argv)
         assert got == code
         if code == 2:
             assert (csv, err.count("\n")) == ("", 1) and "more than 1000 digits" in err
             return
-        got, out, err = run_cli(capsys, ["reconstruct", "-i", "-"], stdin=csv, monkeypatch=monkeypatch)
+        got, out, err = run_cli(
+            capsys, ["reconstruct", "-i", "-"], stdin=csv, monkeypatch=monkeypatch
+        )
         assert (got, err) == (0, "")
         assert trees_equal(parse_tree(out), parse_tree(doc))
 

@@ -166,8 +166,9 @@ class TestMatrixValidation:
 
     def test_from_pairs_names_the_first_missing_pairs_before_building(self):
         started = time.perf_counter()
-        with pytest.raises(InvalidMatrix, match=r"^missing pairs: \[\(1, 2\), \(1, 3\), \(1, 4\), \(1, 5\), \(1, 6\)\]$"):
+        with pytest.raises(InvalidMatrix) as err:
             DissimilarityMatrix.from_pairs(10**5, {})
+        assert str(err.value) == "missing pairs: [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)]"
         assert time.perf_counter() - started < 1
 
     @pytest.mark.parametrize("n", [2.0, "2", True, None])
@@ -305,9 +306,6 @@ class TestWeightedTree:
 
         again = parse_tree(json.dumps(t.to_json_dict()))
         assert trees_equal(t, again)
-        # the tree of `gen -f json` output is unwrapped
-        wrapped = {"tree": t.to_json_dict(), "matrix": all_pairs_weights(t).to_json_dict()}
-        assert trees_equal(t, parse_tree(json.dumps(wrapped)))
 
     @pytest.mark.parametrize(
         "text, reason",
