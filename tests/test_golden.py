@@ -1,4 +1,4 @@
-"""Golden corpus: the exact bytes of ~150 in-process CLI calls.
+"""Golden corpus: the exact bytes of ~160 in-process CLI calls.
 
 Each call pins one sha256 of its exit code, stdout and stderr, so that a
 change which must keep outputs byte-identical is checked by this file, and a
@@ -56,6 +56,16 @@ THIRD_HALF_TREE = json.dumps(
 )
 PQ_STAR_CSV = "0,1/3,5/6,1/2\n1/3,0,1/2,1/6\n5/6,1/2,0,2/3\n1/2,1/6,2/3,0\n"
 PQ_OFF_CSV = "0,1/3,5/6,1/2\n1/3,0,1/2,1/6\n5/6,1/2,0,3/4\n1/2,1/6,3/4,0\n"
+# Matrix 32 of `test_scan._matrices(1200, seed=7100)`, jittered under eps =
+# 0.01: every check passes within eps, yet Prim's tree misses (2, 5, 1), so the
+# report's one witness is `tree_fit`. Each float is written as its repr.
+TREE_FIT_CSV = """\
+0.0,5.047458299403451,6.020916220600476,1.0100729448175354,3.009671995555638
+5.047458299403451,0.0,0.9950779423312239,4.008350698015447,1.9985763301979689
+6.020916220600476,0.9950779423312239,0.0,4.9846537188653155,2.999234648508802
+1.0100729448175354,4.008350698015447,4.9846537188653155,0.0,1.9802877680913629
+3.009671995555638,1.9985763301979689,2.999234648508802,1.9802877680913629,0.0
+"""
 
 
 def _number_json(case) -> str:
@@ -104,6 +114,21 @@ def _cases():
                 for fmt in ("json", "csv", "text"):
                     add(f"weights-{tag}-exact-{fmt}", ["weights", "-f", fmt], tree)
                 add(f"weights-{tag}-eps-csv", ["weights", "-f", "csv", *MODES["eps"]], tree)
+
+    # Report kinds the seeded cases above do not reach: a quadruple without a
+    # center, the lone triple of three points, Prim's `tree_fit` row, and two
+    # n = 24 cases whose moved pair is a tree edge, so every label is in the
+    # residual and every quadruple is visited.
+    reports = [
+        ("no-center", [], "0,2,2,2\n2,0,2,2\n2,2,0,2\n2,2,2,0\n"),
+        ("three-points", [], "0,2,2\n2,0,2\n2,2,0\n"),
+        ("tree-fit", ["--mode", "float", "--eps", "0.01"], TREE_FIT_CSV),
+    ]
+    for index in (4, 10):
+        reports.append((f"pert24-{index}", [], gen.matrix_csv(gen.make_case(1, 24, index, True))))
+    for name, flags, csv in reports:
+        for fmt in ("json", "text"):
+            add(f"check-{name}-{fmt}", ["check", "-f", fmt, *flags], csv)
 
     for fmt in ("json", "csv", "text"):
         add(f"weights-third-half-exact-{fmt}", ["weights", "-f", fmt], THIRD_HALF_TREE)
@@ -206,6 +231,23 @@ def test_output_is_byte_identical(name, argv, stdin, pin_stderr):
     if code == 2:
         assert stdout == "" and stderr.startswith("error: ") and stderr.count("\n") == 1
     assert digest(code, stdout, stderr, pin_stderr) == pinned_digests()[name]
+
+
+def test_the_check_reports_hold_every_witness_kind():
+    """The `check` calls pin each row layout the report writers have: the
+    four-point triple and quadruple, the center quadruple, the median
+    quadruple and triple, the lone median triple and `tree_fit`."""
+    kinds = set()
+    for name, argv, stdin, _ in CASES:
+        if argv[:3] == ["check", "-f", "json"]:
+            code, stdout, _ = run(argv, stdin)
+            for w in json.loads(stdout)["witnesses"] if code == 1 else ():
+                kinds.add((w["code"], w["quadruple"] is None, w["triple"] is None))
+    assert kinds == {
+        ("triangle_violation", True, False), ("quadruple_max_once", False, True),
+        ("no_center_vertex", False, True), ("no_median_vertex", False, False),
+        ("no_median_vertex", True, False), ("no_tree_within_eps", True, False),
+    }
 
 
 if __name__ == "__main__":
