@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Mapping, Set
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -192,6 +192,8 @@ class DissimilarityMatrix:
         """Validate and build from an n x n nested sequence (0-based storage in,
         1-based labels out). Every number error comes before any validity
         error."""
+        if not isinstance(raw_rows, Sequence):  # an iterator has no length
+            raise InvalidMatrix(f"matrix rows must be a sequence, got {type(raw_rows).__name__}")
         n = len(raw_rows)
         if n < 1:
             raise InvalidMatrix("matrix must have at least one row")
@@ -215,8 +217,13 @@ class DissimilarityMatrix:
         """Build from a mapping {(i, j): value} covering every unordered pair."""
         if not _is_int(n):
             raise InvalidMatrix(f"vertex count must be an integer, got {echo(n)}")
+        if not isinstance(pairs, Mapping):
+            raise InvalidMatrix(f"pairs must be a mapping, got {type(pairs).__name__}")
         values = {}
-        for (i, j), value in pairs.items():
+        for key, value in pairs.items():
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise InvalidMatrix(f"pair key must be a tuple (i, j), got {echo(key)}")
+            i, j = key
             _check_label(i, n)
             _check_label(j, n)
             if i == j:

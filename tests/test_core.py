@@ -187,6 +187,24 @@ class TestMatrixValidation:
         with pytest.raises(InvalidMatrix, match="^row 2 is not a sequence of entries$"):
             DissimilarityMatrix.from_rows([["0", "1"], row], policy)
 
+    def test_from_rows_refuses_rows_without_a_length(self):
+        message = "^matrix rows must be a sequence, got list_iterator$"
+        with pytest.raises(InvalidMatrix, match=message):
+            DissimilarityMatrix.from_rows(iter([[0, 1], [1, 0]]))
+
+    @pytest.mark.parametrize(
+        "n, pairs, message",
+        [
+            (3, {(1, 2, 3): 1}, r"^pair key must be a tuple \(i, j\), got \(1, 2, 3\)$"),
+            (2, {1: 1}, r"^pair key must be a tuple \(i, j\), got 1$"),
+            (3, [(1, 2)], "^pairs must be a mapping, got list$"),
+        ],
+    )
+    def test_from_pairs_refuses_pairs_of_the_wrong_shape(self, n, pairs, message):
+        with pytest.raises(InvalidMatrix, match=message) as err:
+            DissimilarityMatrix.from_pairs(n, pairs)
+        assert "\n" not in str(err.value)
+
     def test_from_rows_no_rows(self):
         with pytest.raises(InvalidMatrix, match="^matrix must have at least one row$"):
             DissimilarityMatrix.from_rows([])
