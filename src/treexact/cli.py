@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .conditions import CheckReport, check_all
+from .conditions import CheckReport, _decide, _report_rows, _write_json
 from .core import (
     DissimilarityMatrix,
     WeightedTree,
@@ -185,27 +185,30 @@ def _matrix_text(m: DissimilarityMatrix) -> str:
 
 
 def _report_text(report: CheckReport) -> str:
-    def verdict(fragment):
-        tag = "ok" if fragment.ok else f"FAIL ({len(fragment.witnesses)} witnesses)"
-        if fragment.caveat:
-            tag += " [caveat: four-point failed]"
-        return tag
+    return _write_text(*_report_rows(report))
 
+
+def _write_text(realizable, fragments, groups) -> str:
+    """The text report of the rows `conditions._write_json` takes; a witness
+    line prints a row's leading best_l last."""
+
+    def verdict(ok, caveat, count):
+        tag = "ok" if ok else f"FAIL ({count} witnesses)"
+        return tag + " [caveat: four-point failed]" if caveat else tag
+
+    four_point, center, median = (verdict(*fragment) for fragment in fragments)
     lines = [
-        f"realizable: {'yes' if report.realizable else 'no'}",
-        f"four-point: {verdict(report.four_point)}",
-        f"center condition: {verdict(report.condition_i)}",
-        f"median condition: {verdict(report.condition_ii)}",
+        f"realizable: {'yes' if realizable else 'no'}",
+        f"four-point: {four_point}",
+        f"center condition: {center}",
+        f"median condition: {median}",
     ]
-    for w in report.witnesses:
-        parts = [f"witness: {w.condition} {w.code}"]
-        if w.quadruple:
-            parts.append("quadruple={" + ",".join(map(str, w.quadruple)) + "}")
-        if w.triple:
-            parts.append("triple={" + ",".join(map(str, w.triple)) + "}")
-        if w.best_l is not None:
-            parts.append(f"best_l={w.best_l}")
-        lines.append(" ".join(parts))
+    for (condition, code, quad, triple, best), rows in groups:
+        template = f"witness: {condition} {code}".replace("%", "%%")
+        template += " quadruple={" + ",".join(["%s"] * quad) + "}" if quad else ""
+        template += " triple={" + ",".join(["%s"] * triple) + "}" if triple else ""
+        template += " best_l=%s" if best else ""
+        lines.extend(template % (row[best:] + row[:best]) for row in rows)
     return "\n".join(lines)
 
 
@@ -225,9 +228,9 @@ def _read_matrix(args, policy: Policy) -> DissimilarityMatrix:
 
 
 def run_check(args, policy: Policy) -> tuple[str, int]:
-    report = check_all(_read_matrix(args, policy))
-    text = report.to_json() if args.format == "json" else _report_text(report)
-    return text, EXIT_OK if report.realizable else EXIT_UNREALIZABLE
+    rows = _decide(_read_matrix(args, policy))
+    text = _write_json(*rows) if args.format == "json" else _write_text(*rows)
+    return text, EXIT_OK if rows[0] else EXIT_UNREALIZABLE
 
 
 def run_reconstruct(args, policy: Policy) -> tuple[str, int]:

@@ -11,32 +11,39 @@ points iff it passes three checks:
   of its four triples must have a vertex l through which the triple's three
   distances factor additively (with the companion sum identities).
 
-`check_all` is the one entry point. Its verdict is Prim's pass (`_prim`,
-O(n^2)), under either numeric policy: a matrix that agrees with its minimum
-spanning tree gets the all-ok report, and no tree is built. Only a failure
-pays for explanations, ordered deterministically so identical inputs produce
-byte-identical reports. One scan serves all three checks. It builds the
-between-masks (for each pair u, v the set of l with d(u,l) + d(l,v) =
-d(u,v)), makes one pass over the triples that decides each triple's triangle
-inequalities and median, and one pass that classifies each quadruple once,
-reading its center off the masks and its triples' median verdicts off a
-table. The residual X of Prim's tree T holds the labels in a pair where d
-differs from T (every label under the float policy). The masks cost O(n^2 +
-|X| n^2): a pair outside X reads its mask off T's path. The two passes visit
-only the tuples with two or more members in X, O(|X|^2 n^2) of them. The
-witnesses of the tuples with one member in X are enumerated from T's
-branches, at a cost that follows their number. Under the float policy, and
-when X is nearly every label, the scan is O(n^4). Under the float policy a
-median candidate must also pass the companion sum identities, which hold by
-arithmetic under the exact policy. When the scan's epsilon rules find no
-witness, the report carries Prim's failure as a `tree_fit` witness.
+`check_all` is the library's entry point, and `_decide` all that it decides.
+Its verdict is Prim's pass (`_prim`, O(n^2)), under either numeric policy: a
+matrix that agrees with its minimum spanning tree gets the all-ok report, and
+no tree is built. Only a failure pays for explanations, ordered
+deterministically so identical inputs produce byte-identical reports. One
+scan serves all three checks. It builds the between-masks (for each pair u,
+v the set of l with d(u,l) + d(l,v) = d(u,v)), makes one pass over the
+triples that decides each triple's triangle inequalities and median, and one
+pass that classifies each quadruple once, reading its center off the masks
+and its triples' median verdicts off a table. The residual X of Prim's tree
+T holds the labels in a pair where d differs from T (every label under the
+float policy). The masks cost O(n^2 + |X| n^2): a pair outside X reads its
+mask off T's path. The two passes visit only the tuples with two or more
+members in X, O(|X|^2 n^2) of them. The witnesses of the tuples with one
+member in X are enumerated from T's branches, at a cost that follows their
+number. Under the float policy, and when X is nearly every label, the scan
+is O(n^4). Under the float policy a median candidate must also pass the
+companion sum identities, which hold by arithmetic under the exact policy.
+When the scan's epsilon rules find no witness, the report carries Prim's
+failure as a `tree_fit` witness.
+
+Reports are written from rows: the CLI's `check` writes `_decide`'s rows
+with one `%` template per witness kind (JSON by `_write_json`, text by
+`cli._write_text`) and makes no `Witness`. `check_all` makes them from the
+same rows, and a report's writers turn them back into rows first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, combinations, product
 from json import dumps
+from operator import itemgetter
 
 from .core import DissimilarityMatrix, _adjacency, _walk
 from .errors import TooSmall, UniquenessViolation
@@ -115,39 +122,77 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        """`dump_json(self.to_json_dict())`, written out directly: the layout
-        is fixed, and the pure-Python indenting encoder took much of `check`'s
-        time on a report with many witnesses."""
+        """`dump_json(self.to_json_dict())`, written by `_write_json`."""
+        return _write_json(*_report_rows(self))
 
-        def int_list(values):
-            if not values:
-                return "null"
-            return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
 
-        ws = self.witnesses
-        # A report repeats a few codes and conditions: dump each one once.
-        quoted = {text: dumps(text) for text in {w.code for w in ws} | {w.condition for w in ws}}
-        witnesses = ",\n".join(
-            "    {\n"
-            f'      "best_l": {"null" if w.best_l is None else w.best_l},\n'
-            f'      "code": {quoted[w.code]},\n'
-            f'      "condition": {quoted[w.condition]},\n'
-            f'      "quadruple": {int_list(w.quadruple)},\n'
-            f'      "triple": {int_list(w.triple)}\n'
-            "    }"
-            for w in ws
-        )
-        witnesses = f"[\n{witnesses}\n  ]" if witnesses else "[]"
-        ci, cii = self.condition_i, self.condition_ii
-        return (
-            "{\n"
-            f'  "condition_i": {{\n    "caveat": {dumps(ci.caveat)},\n    "ok": {dumps(ci.ok)}\n  }},\n'
-            f'  "condition_ii": {{\n    "caveat": {dumps(cii.caveat)},\n    "ok": {dumps(cii.ok)}\n  }},\n'
-            f'  "four_point": {{\n    "ok": {dumps(self.four_point.ok)}\n  }},\n'
-            f'  "realizable": {dumps(self.realizable)},\n'
-            f'  "witnesses": {witnesses}\n'
-            "}"
-        )
+# A witness kind is (condition, code, quadruple size, triple size, whether it
+# has a best_l). A row of a kind is a flat tuple in the JSON report's order:
+# best_l, the quadruple's labels, the triple's.
+_KINDS = _TRIANGLE, _MAX_ONCE, _NO_CENTER, _NO_MEDIAN, _LONE_MEDIAN, _TREE_FIT = (
+    ("four_point", "triangle_violation", 0, 3, False),
+    ("four_point", "quadruple_max_once", 4, 0, False),
+    ("condition_i", "no_center_vertex", 4, 0, True),
+    ("condition_ii", "no_median_vertex", 4, 3, True),
+    ("condition_ii", "no_median_vertex", 0, 3, True),
+    ("tree_fit", "no_tree_within_eps", 0, 3, False),
+)
+_after_best = itemgetter(slice(1, None))
+
+
+def _json_template(kind) -> str:
+    """The `%` template of a witness of `kind` as `dump_json` indents it."""
+    condition, code, quad, triple, best = kind
+
+    def labels(size):
+        return "[\n" + ",\n".join(["        %s"] * size) + "\n      ]" if size else "null"
+
+    return (
+        "    {\n"
+        f'      "best_l": {"%s" if best else "null"},\n'
+        f'      "code": {dumps(code).replace("%", "%%")},\n'
+        f'      "condition": {dumps(condition).replace("%", "%%")},\n'
+        f'      "quadruple": {labels(quad)},\n'
+        f'      "triple": {labels(triple)}\n'
+        "    }"
+    )
+
+
+_JSON_TEMPLATES = {kind: _json_template(kind) for kind in _KINDS}
+
+
+def _write_json(realizable, fragments, groups) -> str:
+    """`dump_json(CheckReport.to_json_dict())` from rows: `fragments` holds
+    the four-point, center and median checks' (ok, caveat, count), `groups`
+    (kind, rows) in report order."""
+    witnesses = []
+    for kind, rows in groups:
+        template = _JSON_TEMPLATES.get(kind) or _json_template(kind)
+        witnesses.extend(map(template.__mod__, rows))
+    witnesses = "[\n" + ",\n".join(witnesses) + "\n  ]" if witnesses else "[]"
+    (fp_ok, _, _), (ci_ok, ci_caveat, _), (cii_ok, cii_caveat, _) = fragments
+    return (
+        "{\n"
+        f'  "condition_i": {{\n    "caveat": {dumps(ci_caveat)},\n    "ok": {dumps(ci_ok)}\n  }},\n'
+        f'  "condition_ii": {{\n    "caveat": {dumps(cii_caveat)},\n'
+        f'    "ok": {dumps(cii_ok)}\n  }},\n'
+        f'  "four_point": {{\n    "ok": {dumps(fp_ok)}\n  }},\n'
+        f'  "realizable": {dumps(realizable)},\n'
+        f'  "witnesses": {witnesses}\n'
+        "}"
+    )
+
+
+def _report_rows(report: CheckReport):
+    """`report` as the writers take it, one group per witness."""
+    groups = []
+    for w in report.witnesses:
+        quad, triple = tuple(w.quadruple or ()), tuple(w.triple or ())
+        best = () if w.best_l is None else (w.best_l,)
+        kind = (w.condition, w.code, len(quad), len(triple), bool(best))
+        groups.append((kind, (best + quad + triple,)))
+    fragments = (report.four_point, report.condition_i, report.condition_ii)
+    return report.realizable, [(f.ok, f.caveat, len(f.witnesses)) for f in fragments], groups
 
 
 def _between_masks(grid, eq, n, adjacent, residual):
@@ -228,9 +273,9 @@ def _companions_agree(grid, eq, u, v, w, l):
 
 
 def _scan(m: DissimilarityMatrix):
-    """The witness rows of all three checks, (four_point, centers, median,
-    twin): rows (code, quadruple, triple), (quadruple, best_l) and
-    (quadruple, triple, best_l), which `_scan_report` makes `Witness`es.
+    """The witness rows of all three checks, (triangles, max_once, centers,
+    median, twin), each row in its kind's layout (`_KINDS`): triples,
+    quadruples, (best_l, *quadruple) and (best_l, *quadruple, *triple).
 
     Under the exact policy Prim's tree T (`_prim`) sorts the labels: the
     residual X holds every label in a pair where d differs from T's path
@@ -281,10 +326,11 @@ def _scan(m: DissimilarityMatrix):
 
     These are enumerated, not searched, before the quadruple pass, which
     reads the one-member triples of its two-member quadruples off
-    `no_median`. Each witness list comes out in report order: triples
-    without a quadruple first, then quadruples, each in lexicographic order.
-    `twin` is the first quadruple with two centers, and its two smallest
-    centers; whether it is an error depends on the four-point verdict.
+    `no_median`. Each witness list comes out in report order, lexicographic
+    by quadruple, then by triple; with three points `median` holds the lone
+    triple's row (best_l, 1, 2, 3). `twin` is the first quadruple with two
+    centers, and its two smallest centers; whether it is an error depends on
+    the four-point verdict.
     """
     grid, eq, lt = m.comparison_view()
     n = m.n
@@ -301,7 +347,7 @@ def _scan(m: DissimilarityMatrix):
     # in X without it, and otherwise only over later_x[k] = X & (k, n].
     later = [range(k + 1, n + 1) for k in range(n + 1)]
     later_x = [[l for l in later[k] if l in residual] for k in range(n + 1)]
-    four_point, centers, median = [], [], []
+    triangles, max_once, centers, median = [], [], [], []
     twin = None
     # A triple u < v < w without a median maps to its best failing l, and
     # sets bit w of no_median[u][v] and bit u of no_median[v][w]: two entries
@@ -322,7 +368,7 @@ def _scan(m: DissimilarityMatrix):
         for w in (later if inside == 2 else later_x)[v]:
             gw = grid[w]
             if lt(gu[v] + gv[w], gu[w]) or lt(gu[w] + gw[v], gu[v]) or lt(gv[u] + gu[w], gv[w]):
-                four_point.append(("triangle_violation", None, (u, v, w)))
+                triangles.append((u, v, w))
             # Under the exact policy each companion sum equals d(u,l) + d(v,l)
             # + d(w,l) once the three factorizations hold, so a common mask
             # bit is a median.
@@ -354,13 +400,14 @@ def _scan(m: DissimilarityMatrix):
                 for j, k in product(one, two):
                     triple = tuple(sorted((x, j, k)))
                     lacks_median(*triple)
+                    best = failing[triple]
                     for t in chain(own, one, two):
                         if t != j and t != k:
-                            median.append((tuple(sorted((*triple, t))), triple, failing[triple]))
+                            median.append((best, *sorted((*triple, t)), *triple))
             for one, two, three in combinations(parts, 3):
                 for trio in product(one, two, three):
-                    quad = tuple(sorted((x, *trio)))
-                    centers.append((quad, _no_center(b, labels, quad)))
+                    quad = sorted((x, *trio))
+                    centers.append((_no_center(b, labels, quad), *quad))
     for i, j in combinations(labels, 2):
         inside = (i in residual) + (j in residual)
         gi, gj, bi, bj = grid[i], grid[j], b[i], b[j]
@@ -377,78 +424,92 @@ def _scan(m: DissimilarityMatrix):
                 # each of its triples needs a median.
                 hits = eq(s1, top) + eq(s2, top) + eq(s3, top)
                 if hits == 1:
-                    four_point.append(("quadruple_max_once", quad, None))
+                    max_once.append(quad)
                 elif hits == 3:
                     common = bi[j] & bi[k] & bi[t] & bj[k] & bj[t] & b[k][t]
                     if not common:
-                        centers.append((quad, _no_center(b, labels, quad)))
+                        centers.append((_no_center(b, labels, quad), *quad))
                     elif twin is None and common & (common - 1):
                         twin = (quad, *[l for l in labels if common >> l & 1][:2])
                 elif no_median[i][j] & (1 << k | 1 << t) or no_median[k][t] & (1 << i | 1 << j):
                     for triple in ((i, j, k), (i, j, t), (i, k, t), (j, k, t)):
-                        if triple in failing:
-                            median.append((quad, triple, failing[triple]))
+                        best = failing.get(triple)
+                        if best is not None:
+                            median.append((best, *quad, *triple))
     # The enumerated witnesses came first and in no order; report order is
     # lexicographic by quadruple, then by triple, each pair occurring once.
-    centers.sort()
-    median.sort()
+    # A row after its best_l is its quadruple and triple: sorting by that key
+    # costs less than sorting nested rows and flattening them after.
+    centers.sort(key=_after_best)
+    median.sort(key=_after_best)
     # With only three points there is no quadruple to scan, yet the median
     # requirement still separates realizable inputs (a strict triangle on
     # three points leaves no vertex to sit between the other two), so the
     # lone triple's verdict is reported directly.
     if n == 3 and failing:
-        median.append((None, (1, 2, 3), failing[1, 2, 3]))
-    return four_point, centers, median, twin
+        median.append((failing[1, 2, 3], 1, 2, 3))
+    return triangles, max_once, centers, median, twin
 
 
-def _scan_report(m: DissimilarityMatrix) -> CheckReport:
-    """The report of one scan, without `check_all`'s shortcut.
-
-    When a quadruple has a center it is provably unique as long as the
-    four-point check passes; under the exact policy that uniqueness is
-    enforced and a second center raises UniquenessViolation.
-    """
-    four_point, centers, median, twin = _scan(m)
-    fp_ok = not four_point
-    if twin is not None and fp_ok and isinstance(m.policy, ExactPolicy):
+def _scan_rows(m: DissimilarityMatrix):
+    """One scan's rows, as `_decide` returns them, without its shortcut. A
+    quadruple's center is unique once the four-point check passes, so a
+    second one raises UniquenessViolation under the exact policy."""
+    triangles, max_once, centers, median, twin = _scan(m)
+    failures = len(triangles) + len(max_once)
+    if twin is not None and not failures and isinstance(m.policy, ExactPolicy):
         quad, first, second = twin
         raise UniquenessViolation(
             f"quadruple {quad} admits two centers {first} and {second} "
             "although the four-point check passed"
         )
-    four_point = tuple(Witness("four_point", *row) for row in four_point)
-    centers = tuple(Witness("condition_i", "no_center_vertex", q, None, l) for q, l in centers)
-    median = tuple(Witness("condition_ii", "no_median_vertex", *row) for row in median)
-    return CheckReport(
-        four_point=CheckFragment(ok=fp_ok, witnesses=four_point),
-        condition_i=CheckFragment(ok=not centers, witnesses=centers, caveat=not fp_ok),
-        condition_ii=CheckFragment(ok=not median, witnesses=median, caveat=not fp_ok),
+    fragments = [(not failures, False, failures)]
+    fragments += [(not rows, failures > 0, len(rows)) for rows in (centers, median)]
+    groups = (
+        (_TRIANGLE, triangles), (_MAX_ONCE, max_once), (_NO_CENTER, centers),
+        (_LONE_MEDIAN if m.n == 3 else _NO_MEDIAN, median),
     )
+    return not (failures or centers or median), fragments, groups
 
 
-def check_all(m: DissimilarityMatrix) -> CheckReport:
-    """Run all three checks; realizable means Prim's pass found no mismatch.
-
-    A matrix that agrees with its minimum spanning tree (`_prim`) gets the
-    all-ok report after O(n^2) work, with no tree built. Any other input
-    pays for the one scan that finds the witnesses of all three checks,
-    which reuses the Prim pass cached on the matrix: O(n^2 + |X| n^2) to
-    build the between-masks, O(|X|^2 n^2) over the tuples with two or more
-    members in the residual X, and the witnesses of the tuples with one
-    member enumerated from Prim's tree at a cost that follows their number;
-    O(n^4) under the float policy or when X is nearly every label. If the
-    scan finds no witness, the report's `tree_fit` witness holds Prim's
-    failing (v, p, x). The theorem rules that case out under the exact
-    policy.
-    """
+def _decide(m: DissimilarityMatrix):
+    """What `check_all` decides, as (realizable, fragments, groups): all ok
+    when Prim's pass (`_prim`, O(n^2)) finds no mismatch, else the rows of
+    the scan, whose cost the module docstring gives. When the scan finds no
+    witness, which the theorem rules out under the exact policy, a
+    `tree_fit` row holds Prim's failing (v, p, x)."""
     if m.n < 3:
         raise TooSmall(f"realizability checks need n >= 3, got n = {m.n}")
     mismatch = _prim(m).mismatch
     if mismatch is None:
-        ok = CheckFragment(ok=True, witnesses=())
-        return CheckReport(four_point=ok, condition_i=ok, condition_ii=ok)
-    report = _scan_report(m)
-    if report.realizable:
-        fit = Witness("tree_fit", "no_tree_within_eps", triple=mismatch)
-        report = replace(report, tree_fit=fit)
-    return report
+        return True, [(True, False, 0)] * 3, ()
+    realizable, fragments, groups = _scan_rows(m)
+    return False, fragments, ((_TREE_FIT, (mismatch,)),) if realizable else groups
+
+
+def _report(realizable, fragments, groups) -> CheckReport:
+    """The `CheckReport` of `_decide`'s rows: the one place that makes
+    `Witness` objects."""
+    witnesses = {"four_point": [], "condition_i": [], "condition_ii": [], "tree_fit": [None]}
+    for (condition, code, quad, triple, best), rows in groups:
+        witnesses[condition] += [
+            Witness(condition, code, row[best:best + quad] or None, row[best + quad:] or None,
+                    row[0] if best else None)
+            for row in rows
+        ]
+    checks = [
+        CheckFragment(ok, tuple(witnesses[name]), caveat)
+        for name, (ok, caveat, _) in zip(("four_point", "condition_i", "condition_ii"), fragments)
+    ]
+    return CheckReport(*checks, tree_fit=witnesses["tree_fit"][-1])
+
+
+def _scan_report(m: DissimilarityMatrix) -> CheckReport:
+    """The report of one scan, without `check_all`'s shortcut."""
+    return _report(*_scan_rows(m))
+
+
+def check_all(m: DissimilarityMatrix) -> CheckReport:
+    """Run all three checks: the report of `_decide`'s verdicts and rows.
+    Realizable means Prim's pass found no mismatch."""
+    return _report(*_decide(m))

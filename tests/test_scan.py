@@ -7,11 +7,13 @@ identities) directly. It is kept here only as the reference the program is
 compared against.
 """
 
+import io
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import pytest
 
@@ -30,6 +32,7 @@ from treexact import (
     reconstruct,
 )
 from treexact import conditions
+from treexact.cli import _report_text, main
 from treexact.conditions import _scan, _scan_report
 from treexact.core import dump_json
 from treexact.numeric import ExactPolicy
@@ -407,10 +410,10 @@ def test_two_centers_raise_only_when_four_point_is_trusted(monkeypatch):
     pairs.update({(i, c): 1 for i in range(1, 5) for c in (5, 6)})
     pairs[(5, 6)] = 2
     m = DissimilarityMatrix.from_pairs(6, pairs)
-    four_point, centers, median, twin = _scan(m)
-    assert four_point and twin == ((1, 2, 3, 4), 5, 6)
+    triangles, max_once, centers, median, twin = _scan(m)
+    assert (triangles or max_once) and twin == ((1, 2, 3, 4), 5, 6)
     assert check_all(m) == ref_check_all(m)
-    monkeypatch.setattr(conditions, "_scan", lambda m: ([], centers, median, twin))
+    monkeypatch.setattr(conditions, "_scan", lambda m: ([], [], centers, median, twin))
     with pytest.raises(UniquenessViolation, match=r"\(1, 2, 3, 4\) admits two centers 5 and 6"):
         _scan_report(m)
 
@@ -453,12 +456,18 @@ def test_mismatched_are_the_pairs_off_the_grown_tree():
     assert min(sizes.values()) > 10 and len(sizes) == 3
 
 
-def _n24_perturbed_report():
+def _n24_perturbed_matrix():
     rng = random.Random(7300)
     rows = _perturb(rng, _tree_metric(rng, 24, 0, (1, 2, 3, 5)), 1)
-    report = check_all(DissimilarityMatrix.from_rows(rows, EXACT))
-    assert len(report.witnesses) > 10
-    return report
+    return DissimilarityMatrix.from_rows(rows, EXACT)
+
+
+def _writer_matrices():
+    """The matrices whose reports `_writer_reports` holds."""
+    return {
+        "three_points": DissimilarityMatrix.from_rows([[0, 2, 2], [2, 0, 2], [2, 2, 0]]),
+        "n24_perturbed": _n24_perturbed_matrix(),
+    }
 
 
 def _writer_reports():
@@ -485,8 +494,7 @@ def _writer_reports():
             replace(ok, caveat=True),
         ),
         "tree_fit": CheckReport(ok, ok, ok, tree_fit=fit),
-        "three_points": check_all(DissimilarityMatrix.from_rows([[0, 2, 2], [2, 0, 2], [2, 2, 0]])),
-        "n24_perturbed": _n24_perturbed_report(),
+        **{name: check_all(m) for name, m in _writer_matrices().items()},
     }
 
 
@@ -495,3 +503,52 @@ def test_report_writer_matches_the_generic_dump():
     the generic sorted, indented dump prints for the same report."""
     for name, report in _writer_reports().items():
         assert report.to_json() == dump_json(report.to_json_dict()), name
+
+
+def _cli_check(monkeypatch, capsys, m, fmt):
+    """(exit code, stdout) of `treexact check -f fmt` on m's CSV."""
+    flags = []
+    if isinstance(m.policy, FloatPolicy):
+        flags = ["--mode", "float", "--eps", repr(m.policy.epsilon)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(m.to_csv()))
+    code = main(["check", "-f", fmt, *flags])
+    return code, capsys.readouterr().out
+
+
+def test_cli_check_makes_no_witness(monkeypatch, capsys):
+    """`check` writes its report straight from the scan's rows: on an n = 24
+    perturbed input it makes no `Witness`, where `check_all` makes one per
+    witness."""
+    made = Counter()
+
+    def counted(*args, **kwargs):
+        made["witness"] += 1
+        return Witness(*args, **kwargs)
+
+    monkeypatch.setattr(conditions, "Witness", counted)
+    m = _n24_perturbed_matrix()
+    for fmt in ("json", "text"):
+        assert _cli_check(monkeypatch, capsys, m, fmt)[0] == 1
+    assert made["witness"] == 0
+    witnesses = check_all(m).witnesses
+    assert len(witnesses) > 10 and made["witness"] == len(witnesses)
+
+
+def test_cli_check_writes_what_the_report_writers_write(monkeypatch, capsys):
+    """The CLI writes from rows, the library from a `CheckReport`: on the
+    writer matrices and every 20th matrix of the naive-loop corpus, its JSON
+    is the generic dump of `check_all`'s report and its text is
+    `_report_text` of it, and the report's rows give the report back."""
+    corpus = chain(
+        _matrices(1200, seed=7100), _perturbed_trees(200, seed=7200), _moved_trees(200, seed=7400)
+    )
+    verdicts = Counter()
+    for m in chain(_writer_matrices().values(), islice(corpus, 0, None, 20)):
+        report = check_all(m)
+        code = 0 if report.realizable else 1
+        json_text = dump_json(report.to_json_dict())
+        assert _cli_check(monkeypatch, capsys, m, "json") == (code, json_text + "\n")
+        assert _cli_check(monkeypatch, capsys, m, "text") == (code, _report_text(report) + "\n")
+        assert conditions._report(*conditions._report_rows(report)) == report
+        verdicts[code, report.tree_fit is None] += 1
+    assert min(verdicts[0, True], verdicts[1, True]) > 10
