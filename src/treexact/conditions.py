@@ -137,7 +137,6 @@ _KINDS = _TRIANGLE, _MAX_ONCE, _NO_CENTER, _NO_MEDIAN, _LONE_MEDIAN, _TREE_FIT =
     ("condition_ii", "no_median_vertex", 0, 3, True),
     ("tree_fit", "no_tree_within_eps", 0, 3, False),
 )
-_after_best = itemgetter(slice(1, None))
 
 
 def _json_template(kind) -> str:
@@ -440,8 +439,8 @@ def _scan(m: DissimilarityMatrix):
     # lexicographic by quadruple, then by triple, each pair occurring once.
     # A row after its best_l is its quadruple and triple: sorting by that key
     # costs less than sorting nested rows and flattening them after.
-    centers.sort(key=_after_best)
-    median.sort(key=_after_best)
+    for rows in (centers, median):
+        rows.sort(key=itemgetter(slice(1, None)))
     # With only three points there is no quadruple to scan, yet the median
     # requirement still separates realizable inputs (a strict triangle on
     # three points leaves no vertex to sit between the other two), so the
