@@ -483,7 +483,9 @@ def _decide(m: DissimilarityMatrix):
     if mismatch is None:
         return True, [(True, False, 0)] * 3, ()
     realizable, fragments, groups = _scan_rows(m)
-    return False, fragments, ((_TREE_FIT, (mismatch,)),) if realizable else groups
+    if realizable:
+        groups = ((_TREE_FIT, (mismatch,)),)
+    return False, fragments, groups
 
 
 def _report(realizable, fragments, groups) -> CheckReport:
