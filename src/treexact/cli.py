@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .conditions import CheckReport, _decide, _report_rows, _write_json
+from .conditions import _decide, _write_json
 from .core import (
     DissimilarityMatrix,
     WeightedTree,
@@ -182,10 +182,6 @@ def _tree_text(tree: WeightedTree) -> str:
 
 def _matrix_text(m: DissimilarityMatrix) -> str:
     return f"matrix on {m.n} vertices\n{m.to_csv()}"
-
-
-def _report_text(report: CheckReport) -> str:
-    return _write_text(*_report_rows(report))
 
 
 def _write_text(realizable, fragments, groups) -> str:

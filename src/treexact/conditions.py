@@ -20,9 +20,11 @@ scan serves all three checks. It builds the between-masks (for each pair u,
 v the set of l with d(u,l) + d(l,v) = d(u,v)), makes one pass over the
 triples that decides each triple's triangle inequalities and median, and one
 pass that classifies each quadruple once, reading its center off the masks
-and its triples' median verdicts off a table. The residual X of Prim's tree
-T holds the labels in a pair where d differs from T (every label under the
-float policy). The masks cost O(n^2 + |X| n^2): a pair outside X reads its
+and its triples' median verdicts off a table. The residual X of a positive
+tree T on exactly the labels holds the labels in a pair where d differs from
+T (every label under the float policy). T is Prim's tree, with one edge
+refitted when that shrinks X (`_refit`): a moved tree edge leaves two labels
+in X, not all. The masks cost O(n^2 + |X| n^2): a pair outside X reads its
 mask off T's path. The two passes visit only the tuples with two or more
 members in X, O(|X|^2 n^2) of them. The witnesses of the tuples with one
 member in X are enumerated from T's branches, at a cost that follows their
@@ -194,24 +196,26 @@ def _report_rows(report: CheckReport):
     return report.realizable, [(f.ok, f.caveat, len(f.witnesses)) for f in fragments], groups
 
 
-def _between_masks(grid, eq, n, adjacent, residual):
+def _between_masks(grid, eq, n, anc, residual):
     """`B[u][v]` for u != v: the bitmask of every l with d(u,v) = d(u,l) + d(v,l),
     bit l standing for label l.
 
     A pair that meets the residual X is tested against every l. For u and v
-    outside X, d agrees with the tree T of `adjacent` on every pair through u
-    or v, and T's weights are positive, so the l are the vertices of T's u-v
-    path, endpoints included: one walk of T from u builds that row. So the
-    masks cost O(n^2 + |X| n^2), and O(n^3) when X is every label.
+    outside X, d agrees with the tree T of `anc` on every pair through u or
+    v, and T's weights are positive, so the l are the vertices of T's u-v
+    path: anc[u] ^ anc[v] and the deepest common ancestor, whose anc is
+    anc[u] & anc[v]. So the masks cost O(n^2 + |X| n^2), and O(n^3) when X
+    is every label.
     """
     labels = range(1, n + 1)
     between = [[0] * (n + 1) for _ in range(n + 1)]
-    for u in labels:
-        if u not in residual:
-            row = between[u]
-            row[u] = 1 << u
-            for here, nxt, _ in _walk(adjacent, u):
-                row[nxt] = row[here] | 1 << nxt
+    bit = {a: 1 << x for x, a in enumerate(anc)}
+    outside = [u for u in labels if u not in residual]
+    for i, u in enumerate(outside):
+        row, au = between[u], anc[u]
+        for v in outside[i:]:
+            av = anc[v]
+            row[v] = between[v][u] = au ^ av | bit[au & av]
     for u in residual:
         row_u = grid[u]
         for v in labels:
@@ -224,6 +228,71 @@ def _between_masks(grid, eq, n, adjacent, residual):
                     mask |= 1 << l
             between[u][v] = between[v][u] = mask
     return between
+
+
+def _refit(grid, adjacent, anc, residual, mismatched):
+    """The residual and mismatched lists of Prim's tree T with the one edge
+    reweighted that leaves the fewest labels in the residual, or T's own if
+    none leaves fewer. A candidate edge, named by its endpoint c farther from
+    label 1, lies on every mismatched pair's path (bit c of anc[x] ^
+    anc[y]). It gets the weight w' = d(x,y) - (T(x,y) - w) that fits one
+    mismatched pair (x, y), if positive. The pairs off it agreed with T and
+    keep their path weight, so only the pairs across it, whose paths run
+    through c, are compared again: O(n^2) per candidate. A rejected matrix
+    leaves two labels in the residual of any tree at least, so two ends it.
+    """
+    labels = range(1, len(anc))
+    common = -1
+    for u in residual:
+        for v in mismatched[u]:
+            common &= anc[u] ^ anc[v]
+    x = min(residual)
+    y = mismatched[x][0]
+    best = residual, mismatched
+    for c in (c for c in labels if common >> c & 1):
+        dist = [0] * len(anc)
+        for here, nxt, w in _walk(adjacent, c):
+            dist[nxt] = dist[here] + w
+        shift = grid[x][y] - dist[x] - dist[y]
+        above = [b for b in labels if not anc[b] >> c & 1]
+        if min(dist[b] for b in above) + shift <= 0:  # w' <= 0; w is the least dist across
+            continue
+        found, pairs = set(), [[] for _ in anc]
+        for a in (a for a in labels if anc[a] >> c & 1):
+            row, base = grid[a], dist[a] + shift
+            for b in above:
+                if row[b] != base + dist[b]:
+                    found.update((a, b))
+                    pairs[a].append(b)
+                    pairs[b].append(a)
+            if len(found) >= len(best[0]):
+                break
+        else:
+            best = found, pairs
+            if len(found) == 2:
+                break
+    return best
+
+
+def _tree(m: DissimilarityMatrix):
+    """Prim's tree as adjacency lists and as anc[x], the bitmask of x and its
+    ancestors from label 1, with the residual and mismatched lists of
+    `_refit`'s tree when more than one pair mismatches it. Under the float
+    policy the tree has no edges and the residual is every label."""
+    n = m.n
+    exact = isinstance(m.policy, ExactPolicy)
+    if exact:
+        edges, _, residual, mismatched = _prim(m)
+    else:
+        edges, residual, mismatched = (), range(1, n + 1), ((),) * (n + 1)
+    adjacent = _adjacency(n, edges)
+    anc = [0] * (n + 1)
+    anc[1] = 2
+    for here, nxt, _ in _walk(adjacent, 1):
+        anc[nxt] = anc[here] | 1 << nxt
+    if exact and sum(map(len, mismatched)) > 2:
+        residual, mismatched = _refit(m.grid, adjacent, anc, residual, mismatched)
+    return adjacent, anc, residual, mismatched
 
 
 def _median_best(grid, eq, b, labels, u, v, w):
@@ -276,13 +345,15 @@ def _scan(m: DissimilarityMatrix):
     median, twin), each row in its kind's layout (`_KINDS`): triples,
     quadruples, (best_l, *quadruple) and (best_l, *quadruple, *triple).
 
-    Under the exact policy Prim's tree T (`_prim`) sorts the labels: the
-    residual X holds every label in a pair where d differs from T's path
-    weight, and mismatched[x] the labels l with d(x,l) != T(x,l). Under the
-    float policy eps-equality is not transitive, so X is every label and
-    the visit below is all of it. T is a tree on exactly the labels with
-    positive weights, and d agrees with it on every pair that has a member
-    outside X.
+    Under the exact policy a tree T sorts the labels: the residual X holds
+    every label in a pair where d differs from T's path weight, and
+    mismatched[x] the labels l with d(x,l) != T(x,l). The argument below
+    needs only that T is a tree on exactly the labels with positive weights;
+    d then agrees with it on every pair that has a member outside X. T is
+    Prim's tree (`_prim`), or that tree with one edge reweighted when that
+    leaves fewer labels in X (`_refit`). Under the float policy
+    eps-equality is not transitive, so X is every label and the visit below
+    is all of it.
 
     Tuples with two or more members in X are visited in full: a pass over
     the triples decides each one's triangle inequalities and median, and a
@@ -335,12 +406,8 @@ def _scan(m: DissimilarityMatrix):
     n = m.n
     labels = range(1, n + 1)
     exact = isinstance(m.policy, ExactPolicy)
-    if exact:
-        edges, _, residual, mismatched = _prim(m)
-    else:
-        edges, residual, mismatched = (), labels, ((),) * (n + 1)
-    adjacent = _adjacency(n, edges)
-    b = _between_masks(grid, eq, n, adjacent, residual)
+    adjacent, anc, residual, mismatched = _tree(m)
+    b = _between_masks(grid, eq, n, anc, residual)
     # The tuples are enumerated lexicographically by nested loops. An index
     # runs over all of later[k] = (k, n] when the tuple can reach two members
     # in X without it, and otherwise only over later_x[k] = X & (k, n].
@@ -503,11 +570,6 @@ def _report(realizable, fragments, groups) -> CheckReport:
         for name, (ok, caveat, _) in zip(("four_point", "condition_i", "condition_ii"), fragments)
     ]
     return CheckReport(*checks, tree_fit=witnesses["tree_fit"][-1])
-
-
-def _scan_report(m: DissimilarityMatrix) -> CheckReport:
-    """The report of one scan, without `check_all`'s shortcut."""
-    return _report(*_scan_rows(m))
 
 
 def check_all(m: DissimilarityMatrix) -> CheckReport:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 from treexact import DissimilarityMatrix, EXACT
+from treexact.cli import _write_text
+from treexact.conditions import _report, _report_rows, _scan_rows
 
 
 def star_matrix(policy=EXACT):
@@ -66,3 +68,14 @@ def perturb_one_pair(m, i, j, delta=Fraction(1, 2)):
     key = (min(i, j), max(i, j))
     pairs[key] = pairs[key] + delta
     return DissimilarityMatrix.from_pairs(m.n, pairs, m.policy)
+
+
+def scan_report(m):
+    """The `CheckReport` of one scan, without `check_all`'s all-ok shortcut."""
+    return _report(*_scan_rows(m))
+
+
+def report_text(report):
+    """The text report of a `CheckReport`, as `treexact check -f text`
+    writes it."""
+    return _write_text(*_report_rows(report))

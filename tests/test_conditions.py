@@ -10,12 +10,12 @@ from treexact import (
     check_all,
     random_weighted_tree,
 )
-from treexact.conditions import _scan_report
 
 from helpers import (
     all_two_matrix,
     caterpillar_outer_matrix,
     path3_matrix,
+    scan_report,
     star_matrix,
     unit_path_matrix,
 )
@@ -23,24 +23,24 @@ from helpers import (
 
 class TestFourPoint:
     def test_all_two_passes(self):
-        assert _scan_report(all_two_matrix()).four_point.ok
+        assert scan_report(all_two_matrix()).four_point.ok
 
     def test_star_passes(self):
-        frag = _scan_report(star_matrix()).four_point
+        frag = scan_report(star_matrix()).four_point
         assert frag.ok and frag.witnesses == ()
 
     def test_violation_witness(self):
         m = DissimilarityMatrix.from_pairs(
             4, {(1, 2): 1, (3, 4): 1, (1, 3): 1, (2, 4): 1, (1, 4): 1, (2, 3): 5}
         )
-        frag = _scan_report(m).four_point
+        frag = scan_report(m).four_point
         assert not frag.ok
         quads = [w.quadruple for w in frag.witnesses if w.code == "quadruple_max_once"]
         assert (1, 2, 3, 4) in quads
 
     def test_triangle_violation_on_three_points(self):
         m = DissimilarityMatrix.from_pairs(3, {(1, 2): 5, (1, 3): 1, (2, 3): 1})
-        frag = _scan_report(m).four_point
+        frag = scan_report(m).four_point
         assert not frag.ok
         assert frag.witnesses[0].code == "triangle_violation"
         assert frag.witnesses[0].triple == (1, 2, 3)
@@ -48,22 +48,22 @@ class TestFourPoint:
 
 class TestConditionI:
     def test_star_has_center(self):
-        frag = _scan_report(star_matrix()).condition_i
+        frag = scan_report(star_matrix()).condition_i
         assert frag.ok and not frag.caveat
 
     def test_all_two_has_no_center(self):
-        frag = _scan_report(all_two_matrix()).condition_i
+        frag = scan_report(all_two_matrix()).condition_i
         assert not frag.ok
         assert frag.witnesses[0].quadruple == (1, 2, 3, 4)
         assert frag.witnesses[0].code == "no_center_vertex"
         assert frag.witnesses[0].best_l in (1, 2, 3, 4)
 
     def test_vacuous_without_tied_quadruple(self):
-        assert _scan_report(unit_path_matrix()).condition_i.ok
+        assert scan_report(unit_path_matrix()).condition_i.ok
 
     def test_caveat_reflects_four_point(self):
         m = DissimilarityMatrix.from_pairs(3, {(1, 2): 5, (1, 3): 1, (2, 3): 1})
-        assert _scan_report(m).condition_i.caveat
+        assert scan_report(m).condition_i.caveat
 
     def test_center_may_live_outside_the_quadruple(self):
         # star with 5 arms: the quadruple {1,2,4,5} is centered at 3
@@ -75,16 +75,16 @@ class TestConditionI:
                 if i < j:
                     pairs[(i, j)] = arms[(i, 3)] + arms[(j, 3)]
         m = DissimilarityMatrix.from_pairs(5, pairs)
-        assert _scan_report(m).condition_i.ok
+        assert scan_report(m).condition_i.ok
 
 
 class TestConditionII:
     def test_unit_path_passes(self):
-        frag = _scan_report(unit_path_matrix()).condition_ii
+        frag = scan_report(unit_path_matrix()).condition_ii
         assert frag.ok
 
     def test_caterpillar_outer_labels_fail(self):
-        frag = _scan_report(caterpillar_outer_matrix()).condition_ii
+        frag = scan_report(caterpillar_outer_matrix()).condition_ii
         assert not frag.ok
         observed = [(w.quadruple, w.triple) for w in frag.witnesses]
         assert observed == [
@@ -96,16 +96,16 @@ class TestConditionII:
         assert all(w.code == "no_median_vertex" for w in frag.witnesses)
 
     def test_vacuous_without_strict_quadruple(self):
-        assert _scan_report(all_two_matrix()).condition_ii.ok
+        assert scan_report(all_two_matrix()).condition_ii.ok
 
     def test_three_point_strict_triangle_fails(self):
-        frag = _scan_report(all_two_matrix(n=3)).condition_ii
+        frag = scan_report(all_two_matrix(n=3)).condition_ii
         assert not frag.ok
         assert frag.witnesses[0].triple == (1, 2, 3)
         assert frag.witnesses[0].quadruple is None
 
     def test_three_point_path_metric_passes(self):
-        assert _scan_report(path3_matrix()).condition_ii.ok
+        assert scan_report(path3_matrix()).condition_ii.ok
 
 
 class TestCheckAll:

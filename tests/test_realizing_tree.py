@@ -21,10 +21,10 @@ from treexact import (
     reconstruct,
     trees_equal,
 )
-from treexact.cli import _report_text
-from treexact.conditions import _scan_report
 
-from helpers import all_two_matrix, caterpillar_outer_matrix, star_matrix
+from helpers import (
+    all_two_matrix, caterpillar_outer_matrix, report_text, scan_report, star_matrix,
+)
 
 
 def _rows(m):
@@ -113,7 +113,7 @@ def test_agreement_with_checks_and_oracle():
         verdict = isinstance(result, WeightedTree)
         assert census.count in (0, 1)
         assert verdict == (census.count == 1)
-        assert verdict == check_all(m).realizable == _scan_report(m).realizable
+        assert verdict == check_all(m).realizable == scan_report(m).realizable
         if verdict:
             realizable += 1
             assert trees_equal(result, census.realizations[0])
@@ -200,7 +200,7 @@ def test_companion_identity_star():
     )
     assert trees_equal(reconstruct(m), star)
     assert check_all(m).realizable and check_all(m).witnesses == ()
-    scan = _scan_report(m)
+    scan = scan_report(m)
     assert not scan.realizable
     assert any(
         w.code == "no_median_vertex" and w.triple == (1, 2, 3)
@@ -211,10 +211,10 @@ def test_companion_identity_star():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_report_equals_direct_scan_at_n24(seed):
     m = all_pairs_weights(random_weighted_tree(24, "0.001", "10", seed))
-    shortcut, scan = check_all(m), _scan_report(m)
+    shortcut, scan = check_all(m), scan_report(m)
     assert shortcut.realizable
     assert shortcut.to_json() == scan.to_json()
-    assert _report_text(shortcut) == _report_text(scan)
+    assert report_text(shortcut) == report_text(scan)
 
 
 def test_fixtures():

@@ -32,11 +32,13 @@ from treexact import (
     reconstruct,
 )
 from treexact import conditions
-from treexact.cli import _report_text, main
-from treexact.conditions import _scan, _scan_report
+from treexact.cli import main
+from treexact.conditions import _scan, _tree
 from treexact.core import dump_json
 from treexact.numeric import ExactPolicy
 from treexact.reconstruct import _prim
+
+from helpers import report_text, scan_report
 
 # ---------------------------------------------------------------- reference
 
@@ -261,6 +263,31 @@ def _moved_trees(count, seed):
         yield DissimilarityMatrix.from_rows(rows, EXACT)
 
 
+def _moved_edges(count, seed):
+    """(matrix, moved edge): exact tree metrics without hidden vertices, n =
+    9..12, with one tree edge moved by 1 or 1/2 either way. The edge is in
+    turn a leaf edge, an edge with an endpoint of degree two, and any edge.
+    While the moved edge stays in Prim's tree every pair across it disagrees
+    with that tree, and a refit of its weight leaves only its two labels in
+    the residual. Moved up past a neighbouring edge, it leaves Prim's tree,
+    which the refit may then keep: some refit weights there are not
+    positive."""
+    rng = random.Random(seed)
+    deltas = (-1, 1, Fraction(-1, 2), Fraction(1, 2))
+    for index in range(count):
+        n = 9 + index % 4
+        label = rng.sample(range(1, n + 1), n)
+        edges = [(label[v], label[rng.randrange(v)], rng.choice((1, 1, 2, 3))) for v in range(1, n)]
+        degree = Counter(x for u, v, _ in edges for x in (u, v))
+        least = (1, 2, None)[index % 3]
+        pool = [e for e in edges if least in (None, min(degree[e[0]], degree[e[1]]))]
+        u, v, w = rng.choice(pool or edges)
+        tree = all_pairs_weights(WeightedTree.from_edges(n, edges))
+        pairs = {(i, j): d for i, j, d in tree.pairs()}
+        pairs[min(u, v), max(u, v)] += rng.choice([d for d in deltas if w + d > 0])
+        yield DissimilarityMatrix.from_pairs(n, pairs, EXACT), {u, v}
+
+
 def _matrices(count, seed):
     rng = random.Random(seed)
     for index in range(count):
@@ -306,11 +333,12 @@ def _unreported_median_failures(m):
 
 def test_scan_matches_naive_loops():
     """1200 seeded matrices, n = 3..8, exact and float, 200 perturbed exact
-    tree metrics and 200 with two or three pairs moved, n = 9..12: the
-    scan's own report equals the reference's report and lists every witness
-    in the reference's sorted order. `check_all` equals it too wherever the
-    scan explains a failure: on every exact matrix, and on every float
-    matrix that `reconstruct` rejects and the reference finds witnesses for.
+    tree metrics, 200 with two or three pairs moved and 150 with one tree
+    edge moved, n = 9..12: the scan's own report equals the reference's
+    report and lists every witness in the reference's sorted order.
+    `check_all` equals it too wherever the scan explains a failure: on
+    every exact matrix, and on every float matrix that `reconstruct`
+    rejects and the reference finds witnesses for.
     Every other float matrix gets the all-ok report, or the one `tree_fit`
     witness when `reconstruct` rejects it. The corpus fails every check
     somewhere, including medians that only the companion identities reject,
@@ -318,19 +346,24 @@ def test_scan_matches_naive_loops():
     inputs on both sides of the median verdict. The larger failing matrices
     include residuals of exactly two labels and of every label, and
     quadruples with one member in the residual that lack a center or hold a
-    triple without a median: the witnesses the scan enumerates from Prim's
-    tree instead of testing each tuple."""
+    triple without a median: the witnesses the scan enumerates from its
+    tree instead of testing each tuple. The residual is the scan's, after
+    the refit: every tree edge moved within Prim's tree leaves two labels
+    in it, and some inputs with two or three pairs moved keep Prim's."""
     codes, companion_decided, contract = set(), 0, Counter()
     unreported, three_point, residuals, lone = 0, Counter(), Counter(), Counter()
+    kept, edge_residuals = Counter(), Counter()
     all_ok = CheckFragment(ok=True, witnesses=())
     corpus = chain(
-        _matrices(1200, seed=7100), _perturbed_trees(200, seed=7200), _moved_trees(200, seed=7400)
+        ((m, None) for m in chain(_matrices(1200, seed=7100), _perturbed_trees(200, seed=7200))),
+        ((m, "pairs") for m in _moved_trees(200, seed=7400)),
+        _moved_edges(150, seed=7800),
     )
-    for m in corpus:
+    for m, moved in corpus:
         want = ref_check_all(m)
         merged = want.four_point.witnesses + want.condition_i.witnesses
         merged = tuple(sorted(merged + want.condition_ii.witnesses, key=_key))
-        got = _scan_report(m)
+        got = scan_report(m)
         assert got == want, m.rows
         assert got.witnesses == merged
         assert got.to_json() == want.to_json()
@@ -349,9 +382,13 @@ def test_scan_matches_naive_loops():
             contract["all_ok"] += 1
         codes.update(w.code for w in want.witnesses)
         if m.n >= 9 and want.witnesses:
-            residual = _prim(m).residual
+            prim, residual = _prim(m), _tree(m)[2]
             size = len(residual)
             residuals["two" if size == 2 else "all" if size == m.n else "other"] += 1
+            if moved == "pairs" and sum(map(len, prim.mismatched)) > 2:
+                kept[residual == prim.residual] += 1
+            elif moved and any({v, p} == moved for v, p, _ in prim.edges):
+                edge_residuals[size] += 1
             for w in want.condition_i.witnesses + want.condition_ii.witnesses:
                 if w.quadruple and len(residual.intersection(w.quadruple)) == 1:
                     lone[w.code] += 1
@@ -368,6 +405,8 @@ def test_scan_matches_naive_loops():
     assert unreported > 0 and three_point[True] and three_point[False]
     assert contract["tree_fit"] and min(contract["scan"], contract["all_ok"]) > 100
     assert residuals["two"] and residuals["all"] and residuals["other"]
+    assert kept[True] and kept[False]
+    assert set(edge_residuals) == {2} and edge_residuals[2] > 100
     assert lone["no_center_vertex"] and lone["no_median_vertex"]
 
 
@@ -388,15 +427,15 @@ def test_companion_identities_reject_a_float_median():
     grid, eq, _ = m.comparison_view()
     assert all(_median_checks(grid, eq, (1, 2, 3), 4)[:3])
     assert not all(_median_checks(grid, eq, (1, 2, 3), 4))
-    assert _scan_report(m) == ref_check_all(m)
-    assert any(w.triple == (1, 2, 3) for w in _scan_report(m).condition_ii.witnesses)
+    assert scan_report(m) == ref_check_all(m)
+    assert any(w.triple == (1, 2, 3) for w in scan_report(m).condition_ii.witnesses)
     # `check` takes reconstruct's verdict, and Prim builds the star within eps.
     assert check_all(m).realizable
 
 
 def test_strict_triangle_on_three_points():
     m = DissimilarityMatrix.from_rows([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
-    assert check_all(m) == _scan_report(m) == ref_check_all(m)
+    assert check_all(m) == scan_report(m) == ref_check_all(m)
     (witness,) = check_all(m).witnesses
     assert (witness.quadruple, witness.triple) == (None, (1, 2, 3))
 
@@ -415,7 +454,7 @@ def test_two_centers_raise_only_when_four_point_is_trusted(monkeypatch):
     assert check_all(m) == ref_check_all(m)
     monkeypatch.setattr(conditions, "_scan", lambda m: ([], [], centers, median, twin))
     with pytest.raises(UniquenessViolation, match=r"\(1, 2, 3, 4\) admits two centers 5 and 6"):
-        _scan_report(m)
+        scan_report(m)
 
 
 def test_residual_is_the_moved_pair():
@@ -454,6 +493,56 @@ def test_mismatched_are_the_pairs_off_the_grown_tree():
         assert residual == {x for x in labels if mismatched[x]}
         sizes["none" if not residual else "all" if len(residual) == m.n else "some"] += 1
     assert min(sizes.values()) > 10 and len(sizes) == 3
+
+
+def _mismatches(m, edges):
+    """Every pair i < j where d differs from the path weight of the tree of
+    `edges`, summed by `all_pairs_weights`."""
+    tree = all_pairs_weights(WeightedTree.from_edges(m.n, edges))
+    return {(i, j) for i, j, d in m.pairs() if d != tree.d(i, j)}
+
+
+def test_refit_keeps_the_least_residual_of_one_edge_refits():
+    """When more than one pair mismatches Prim's tree T, the scan's
+    mismatched pairs are those of T or of T with one edge reweighted, with
+    the fewest labels. The candidate edges lie on every mismatched pair's
+    path; each is refitted to the first mismatched pair of the least label
+    in T's residual, and skipped unless its weight stays positive. Here each
+    path weight is summed by `all_pairs_weights`, and an edge lies on a
+    pair's path iff doubling its weight moves the pair's path weight."""
+    corpus = chain(
+        (m for m, _ in _moved_edges(150, seed=7900)),
+        _moved_trees(100, seed=8000), _perturbed_trees(100, seed=8100),
+    )
+    outcome = Counter()
+    for m in corpus:
+        prim = _prim(m)
+        edges = [(v, p, m.d(v, p)) for v, p, _ in prim.edges]
+        pairs = _mismatches(m, edges)
+        if len(pairs) < 2:
+            continue
+        x = min(prim.residual)
+        y = prim.mismatched[x][0]
+        tree = all_pairs_weights(WeightedTree.from_edges(m.n, edges))
+        fits = {frozenset(pairs)}
+        for index, (v, p, w) in enumerate(edges):
+            def reweighted(weight):
+                return edges[:index] + [(v, p, weight)] + edges[index + 1:]
+
+            doubled = all_pairs_weights(WeightedTree.from_edges(m.n, reweighted(2 * w)))
+            if not pairs <= _mismatches(doubled, edges):
+                continue
+            refit = m.d(x, y) - (tree.d(x, y) - w)
+            if refit <= 0:
+                outcome["not positive"] += 1
+                continue
+            fits.add(frozenset(_mismatches(m, reweighted(refit))))
+        _, _, residual, mismatched = _tree(m)
+        got = {(i, j) for i in residual for j in mismatched[i] if i < j}
+        assert got in fits and len(residual) == min(len({*chain(*fit)}) for fit in fits), m.rows
+        assert residual == {*chain(*got)}
+        outcome["refit" if got != pairs else "kept"] += 1
+    assert min(outcome.values()) > 5 and len(outcome) == 3
 
 
 def _n24_perturbed_matrix():
@@ -538,9 +627,10 @@ def test_cli_check_writes_what_the_report_writers_write(monkeypatch, capsys):
     """The CLI writes from rows, the library from a `CheckReport`: on the
     writer matrices and every 20th matrix of the naive-loop corpus, its JSON
     is the generic dump of `check_all`'s report and its text is
-    `_report_text` of it, and the report's rows give the report back."""
+    `report_text` of it, and the report's rows give the report back."""
     corpus = chain(
-        _matrices(1200, seed=7100), _perturbed_trees(200, seed=7200), _moved_trees(200, seed=7400)
+        _matrices(1200, seed=7100), _perturbed_trees(200, seed=7200), _moved_trees(200, seed=7400),
+        (m for m, _ in _moved_edges(150, seed=7800)),
     )
     verdicts = Counter()
     for m in chain(_writer_matrices().values(), islice(corpus, 0, None, 20)):
@@ -548,7 +638,7 @@ def test_cli_check_writes_what_the_report_writers_write(monkeypatch, capsys):
         code = 0 if report.realizable else 1
         json_text = dump_json(report.to_json_dict())
         assert _cli_check(monkeypatch, capsys, m, "json") == (code, json_text + "\n")
-        assert _cli_check(monkeypatch, capsys, m, "text") == (code, _report_text(report) + "\n")
+        assert _cli_check(monkeypatch, capsys, m, "text") == (code, report_text(report) + "\n")
         assert conditions._report(*conditions._report_rows(report)) == report
         verdicts[code] += 1
     assert min(verdicts[0], verdicts[1]) > 10
