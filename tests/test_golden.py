@@ -130,6 +130,29 @@ def _cases():
         for fmt in ("json", "text"):
             add(f"check-{name}-{fmt}", ["check", "-f", fmt, *flags], csv)
 
+    # A fixed-places CSV (three places in every cell, as the benchmark writes
+    # it) with cell (2, 5), and with `mirror` also cell (5, 2), rewritten.
+    # Underscores are left out: `Fraction` reads them only from Python 3.11.
+    fixed = [line.split(",") for line in gen.matrix_csv(gen.make_case(1, 6, 0)).splitlines()]
+    for name, text, mirror, pin_stderr in (
+        ("extra-place", "11.4140", False, True),
+        ("signs", "+11.414", True, True),
+        ("leading-zeros", "0011.414", False, True),
+        ("negative-zero", "-0.000", True, True),
+        ("fullwidth", "１.000", True, True),
+        ("digits-1000", "9" * 997 + ".000", True, True),
+        ("digits-1001", "9" * 998 + ".000", False, True),
+        ("asymmetric", "11.415", False, True),
+        ("bad-cell", "11.41x", False, False),
+    ):
+        rows = [list(row) for row in fixed]
+        rows[1][4] = text
+        if mirror:
+            rows[4][1] = text
+        csv = "\n".join(",".join(row) for row in rows) + "\n"
+        for command in ("check", "reconstruct"):
+            add(f"{command}-fixed-{name}", [command], csv, pin_stderr)
+
     for fmt in ("json", "csv", "text"):
         add(f"weights-third-half-exact-{fmt}", ["weights", "-f", fmt], THIRD_HALF_TREE)
     # The float reader refuses p/q text with Python's own message.

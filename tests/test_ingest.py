@@ -339,6 +339,16 @@ def seeded_rows(rng, plain):
     return rows
 
 
+# Cells to set into a matrix whose other cells have three places: signs,
+# leading zeros, a negative zero, 1000 and 1001 digits, one place more, digits
+# of another script and an underscore.
+FIXED_CELLS = [
+    "+1.500", "-1.500", "001.500", "-001.500", "+0.001", "-0.000", "0.000", "0", "1.",
+    "9" * 997 + ".000", "9" * 998 + ".000", "-" + "9" * 997 + ".000", "1." + "0" * 999,
+    "1.5000", "1.50", "１.000", "1_0.000", "1.5e0", "1/2", " 1.500", "1.500 ",
+]
+
+
 class TestIngestDifferential:
     """`from_rows` on the integer grid against per-cell `EXACT.coerce`: the
     same values, grid, text and equality, or the same first error."""
@@ -362,6 +372,39 @@ class TestIngestDifferential:
             doc = json.dumps({"n": len(rows), "d": rows})
             read = json.loads(doc, parse_float=EXACT.json_parse_float)
             assert built(lambda text: parse_matrix(text, "json"), doc) == built(reference_matrix, read["d"])
+
+    @pytest.mark.parametrize("text", FIXED_CELLS)
+    def test_fixed_places(self, text):
+        """One cell of a matrix whose other cells all have three places:
+        alone, with its mirror, and on the diagonal."""
+        base = [[f"{abs(i - j) * 1.25 + (i != j) * 0.001:.3f}" for j in range(4)] for i in range(4)]
+        for cells in (((0, 2),), ((0, 2), (2, 0)), ((1, 3), (3, 1)), ((2, 2),)):
+            rows = [list(row) for row in base]
+            for i, j in cells:
+                rows[i][j] = text
+            assert_ingests_like_reference(rows)
+            stripped = [[cell.strip() for cell in row] for row in rows]
+            csv = "\n".join(",".join(row) for row in rows)
+            assert built(parse_matrix, csv) == built(reference_matrix, stripped)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_fixed_places(self, seed):
+        """Matrices whose cells all have the same places, with spare zeros,
+        signs and a cell that breaks one rule now and then."""
+        rng = random.Random(seed)
+        for _ in range(40):
+            n, places = rng.randint(1, 7), rng.randint(0, 4)
+            rows = [["0" + "." * (places > 0) + "0" * places] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    digits = str(rng.randint(1, 10**6)).rjust(places + 1, "0")
+                    text = f"{digits[:len(digits) - places]}.{digits[len(digits) - places:]}"
+                    text = text.rstrip(".")
+                    rows[i][j] = rows[j][i] = rng.choice(["", "+", "0"]) + text
+            if rng.random() < 0.5:
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i][j] = rng.choice(FIXED_CELLS + ["-1.000", "0", "2"])
+            assert_ingests_like_reference(rows)
 
     @pytest.mark.parametrize("cell", ["1\n2", "1.5\n", "\n2"])
     def test_cells_with_line_breaks(self, cell):
