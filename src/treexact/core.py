@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .errors import (
@@ -113,17 +114,16 @@ def _exact_grid(raw_rows, n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The 1-based integer grid of an n x n nested sequence of exact cells
     and the least scale that puts every cell on the integers. Rows that are
     n lists of n strings, all plain decimals, are read together by
-    `_plain_decimals`. Otherwise `_read_cells` reads each cell as a pair in
-    lowest terms, and over the lcm of the denominators no factor is common
-    to the scale and every lifted value. That lcm grows with the number of
-    distinct denominators, so the grid is refused as TooLarge once its bits
-    would pass _MAX_GRID_BITS, before any value is lifted."""
+    `_plain_decimals`, one int per cell, and each grid row is built from its
+    own ints in row order. Otherwise `_read_cells` reads each distinct cell
+    once, as a pair in lowest terms, and over the lcm of the denominators no
+    factor is common to the scale and every lifted value. That lcm grows
+    with the number of distinct denominators, so the grid is refused as
+    TooLarge once its bits would pass _MAX_GRID_BITS, before any value is
+    lifted."""
     plain = None
-    if (
-        all(type(row) is list and len(row) == n for row in raw_rows)
-        and set(map(type, chain.from_iterable(raw_rows))) == {str}
-    ):
-        plain = _plain_decimals(set().union(*raw_rows))
+    if all(type(row) is list and len(row) == n for row in raw_rows):
+        plain = _plain_decimals(list(chain.from_iterable(raw_rows)))
     if plain is None:
         raw_rows = _read_cells(raw_rows, n, _exact_ratio)
         ratios = set().union(*raw_rows)
@@ -137,10 +137,12 @@ def _exact_grid(raw_rows, n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
                     f"exceed the {_MAX_GRID_BITS}-bit limit of the exact grid"
                 )
         lifted = {(num, den): num * (scale // den) for num, den in ratios}
+        values = map(lifted.__getitem__, chain.from_iterable(raw_rows))
     else:
-        lifted, scale = plain
+        values, scale = plain
+    values = iter(values)
     zeros = (0,) * (n + 1)
-    return (zeros, *((0, *map(lifted.__getitem__, row)) for row in raw_rows)), scale
+    return (zeros, *((0, *islice(values, n)) for _ in range(n))), scale
 
 
 def _canonical(cells, n: int, eq, zero) -> tuple[tuple, ...]:
@@ -308,8 +310,12 @@ class WeightedTree:
     """Tree on vertex set exactly {1..n} with positive edge weights.
 
     `edges` is canonical: each edge has u < v and the tuple is sorted by
-    (u, v). Leaves and vertex set are derived queries. Build through
-    `from_edges`, which normalizes and validates.
+    (u, v). Leaves and vertex set are derived queries. The constructor
+    `WeightedTree(n, edges, policy)` trusts its caller, as
+    `DissimilarityMatrix`'s does: the edges are canonical `Edge`s of a
+    spanning tree of 1..n, weighted by positive values of the policy
+    (`Fraction`s or floats). `from_edges` normalizes and validates any
+    other input.
     """
 
     n: int
@@ -372,8 +378,30 @@ class WeightedTree:
 
 
 def dump_json(payload: dict) -> str:
-    """The JSON layout of every output: two-space indent, sorted keys."""
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The JSON layout of every output: two-space indent, sorted keys. The
+    text is that of `json.dumps(payload, indent=2, sort_keys=True)`, written
+    without its pure-Python indenting encoder: strings are quoted by the C
+    `encode_basestring_ascii`, other scalars and empty containers by the C
+    encoder, and each container is one join of its items' texts. Every key
+    must be a string."""
+    return _json_text(payload, "\n")
+
+
+def _json_text(value, newline: str) -> str:
+    """`value` as `dump_json` writes it, its lines after the first indented
+    by `newline`."""
+    if isinstance(value, str):
+        return _quote(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    items = [_quote(item) if type(item) is str else _json_text(item, inner) for item in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _load_json(text: str, policy: Policy):
@@ -406,7 +434,9 @@ def parse_matrix(text: str, fmt: str = "csv", policy: Policy = EXACT) -> Dissimi
         for i, line in enumerate(lines, start=1):
             if not line.strip():
                 raise MalformedInput("blank line inside matrix", row=i)
-            raw_rows.append([cell.strip() for cell in line.split(",")])
+            cells = line.split(",")
+            # A line with no whitespace has no cell to strip.
+            raw_rows.append(cells if line.split(None, 1) == [line] else [c.strip() for c in cells])
         return DissimilarityMatrix.from_rows(raw_rows, policy)
     if kind == "json":
         obj = _load_json(text, policy)

@@ -21,6 +21,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import ClassVar, Union
 
 Scalar = Union[Fraction, float]
@@ -107,11 +108,9 @@ _MAX_EXPONENT = 1000
 _INT_LIMIT = 10**_MAX_DIGITS  # the least integer with more than _MAX_DIGITS digits
 # A plain ASCII decimal. Every other literal, digits of other scripts
 # included, goes through `Fraction(text)`.
-_PLAIN = r"([+-]?[0-9]+)(?:\.([0-9]*))?"
-_PLAIN_DECIMAL = re.compile(_PLAIN)
-# The start of a line that is not a plain decimal. A search keeps no state
-# per line, as a repeated group in one match of many lines would.
-_NOT_PLAIN_LINE = re.compile(f"^(?!{_PLAIN}$)", re.MULTILINE)
+_PLAIN_DECIMAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]*))?")
+# Writes every ASCII digit as 0: a plain decimal keeps its shape.
+_DIGITS_AS_ZERO = str.maketrans("123456789", "000000000")
 
 
 def _bounded_fraction(text: str) -> Fraction:
@@ -140,32 +139,42 @@ def _bounded_fraction(text: str) -> Fraction:
         raise _shortened(exc, text) from None
 
 
-def _plain_decimals(texts) -> tuple[dict[str, int], int] | None:
-    """Every string of the set `texts` as an integer over one scale, when
+def _plain_decimals(cells: list[str]) -> tuple[list[int], int] | None:
+    """Every cell of the list, in order, as an integer over one scale, when
     each is a plain decimal of at most _MAX_DIGITS characters; else None.
-    Each string is read once, as its digits and the count k of them after
-    the point, and lifted to 10**(most k). The map and that scale are then
-    divided by their common factor, so the scale is the least that puts
-    every value on the integers. One regex search over the strings joined
-    by newlines checks them all; a string with a newline of its own adds
-    one more and fails the count."""
-    joined = "\n".join(texts)
-    if (
-        joined.count("\n") >= len(texts)
-        or max(map(len, texts)) > _MAX_DIGITS
-        or _NOT_PLAIN_LINE.search(joined)
-    ):
+
+    The cells are joined by newlines; a cell with a newline of its own adds
+    one more and fails the count. They are checked by shape: the joined text
+    with every ASCII digit written as 0, split back into cells. A matrix has
+    few distinct shapes, so the regex runs a few times, not once per cell.
+    Each cell, its point dropped, is read by `int` in a map, so every cell
+    gets its own int, in order, with no Python code per cell. That int is
+    the value times 10**(the cell's places); when the places differ it is
+    multiplied up to the most places k, and the scale is 10**k. The ints and
+    that scale are then divided by their common factor, so the scale is the
+    least that puts every value on the integers."""
+    try:
+        joined = "\n".join(cells)
+    except TypeError:  # a cell that is not a string
         return None
-    places = max(len(text.partition(".")[2]) for text in texts)
-    lifted = {
-        text: int(whole + frac.ljust(places, "0"))
-        for text in texts
-        for whole, _, frac in [text.partition(".")]
-    }
-    common = math.gcd(10**places, *lifted.values())
+    if joined.count("\n") != len(cells) - 1:
+        return None
+    shapes = joined.translate(_DIGITS_AS_ZERO)
+    places = {}
+    for shape in set(shapes.split("\n")):
+        if len(shape) > _MAX_DIGITS or not _PLAIN_DECIMAL.fullmatch(shape):
+            return None
+        places[shape] = len(shape.partition(".")[2])
+    most = max(places.values())
+    values = map(int, map(str.replace, cells, repeat("."), repeat("")))
+    if min(places.values()) < most:
+        lift = {shape: 10 ** (most - k) for shape, k in places.items()}
+        values = map(operator.mul, values, map(lift.__getitem__, shapes.split("\n")))
+    values = list(values)
+    common = math.gcd(10**most, *values)
     if common > 1:
-        lifted = {text: v // common for text, v in lifted.items()}
-    return lifted, 10**places // common
+        values = list(map(operator.floordiv, values, repeat(common)))
+    return values, 10**most // common
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ witness scan the endpoints of every mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
-from .core import DissimilarityMatrix, WeightedTree, dump_json
+from .core import DissimilarityMatrix, Edge, WeightedTree, dump_json
 
 __all__ = ["UnrealizableWitness", "reconstruct"]
 
@@ -121,4 +122,10 @@ def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
             f"d({v},{x}) != d({v},{p}) + d({p},{x}); "
             f"no tree on exactly the points can attach {v} through {p}",
         )
-    return WeightedTree.from_edges(m.n, [(v, p, m.d(v, p)) for v, p, _ in edges], m.policy)
+    # Prim's tree spans 1..n with positive weights, so the trusted
+    # constructor takes it: canonical edges, weights as the policy's values.
+    scale = m.scale
+    tree = sorted(
+        Edge(min(v, p), max(v, p), w if scale is None else Fraction(w, scale)) for v, p, w in edges
+    )
+    return WeightedTree(m.n, tuple(tree), m.policy)

@@ -1,13 +1,14 @@
 """Core types: parsing, path weights, all-pairs matrices, tree equality."""
 
 import dataclasses
+import json
 import math
 import operator
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treexact import (
     EXACT,
@@ -31,6 +32,7 @@ from treexact import (
     tree_to_dot,
     trees_equal,
 )
+from treexact.core import dump_json
 from treexact.numeric import NUMBER_ERRORS
 
 from helpers import all_two_matrix, star_matrix
@@ -548,3 +550,34 @@ class TestOneRepresentation:
         assert not EXACT.eq(Fraction(1, 2), Fraction(1, 3))
         assert EXACT.lt(Fraction(1, 3), Fraction(1, 2))
         assert not EXACT.lt(Fraction(1, 2), Fraction(2, 4))
+
+
+# Strings with the characters JSON escapes: quotes, backslashes, control
+# characters, non-ASCII letters, a lone surrogate and an astral character.
+JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t é€ \ud800😀a')
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    max_leaves=20,
+)
+
+
+class TestDumpJson:
+    """`dump_json` writes the bytes of `json.dumps(payload, indent=2,
+    sort_keys=True)`; `test_golden` checks it on every payload the CLI
+    writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(JSON_TEXT, JSON_PAYLOADS, max_size=4))
+    def test_matches_the_indenting_encoder(self, payload):
+        assert dump_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("payload", [
+        {}, {"a": []}, {"a": {}}, {"a": ()}, {"a": [[], {}, [[]]]}, {"b": 1, "a": [True, None]},
+        {"n": 10**30, "w": -0.0, "x": float("inf"), "y": float("nan")},
+    ])
+    def test_empty_containers_and_edge_scalars(self, payload):
+        assert dump_json(payload) == json.dumps(payload, indent=2, sort_keys=True)

@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from treexact.cli import main
+from treexact.core import dump_json
 
 _HERE = Path(__file__).resolve().parent
 DIGESTS_PATH = _HERE / "golden.json"
@@ -270,6 +271,29 @@ def test_the_check_reports_hold_every_witness_kind():
         ("triangle_violation", True, False), ("quadruple_max_once", False, True),
         ("no_center_vertex", False, True), ("no_median_vertex", False, False),
         ("no_median_vertex", True, False), ("no_tree_within_eps", True, False),
+    }
+
+
+def test_every_written_payload_matches_the_indenting_encoder(monkeypatch):
+    """Each payload the golden calls pass to `dump_json` (tree, matrix, `gen`,
+    witness and census JSON) is written as `json.dumps(payload, indent=2,
+    sort_keys=True)` writes it."""
+    written = []
+
+    def recording(payload):
+        text = dump_json(payload)
+        assert text == json.dumps(payload, indent=2, sort_keys=True)
+        written.append(frozenset(payload))
+        return text
+
+    for name in ("cli", "oracle", "reconstruct"):
+        monkeypatch.setattr(importlib.import_module(f"treexact.{name}"), "dump_json", recording)
+    for name, argv, stdin, pin_stderr in CASES:
+        assert digest(*run(argv, stdin), pin_stderr) == pinned_digests()[name]
+    assert set(written) == {
+        frozenset({"n", "edges"}), frozenset({"n", "d"}), frozenset({"tree", "matrix"}),
+        frozenset({"realized", "stage", "indices", "message"}),
+        frozenset({"n", "topologies", "count", "realizations"}),
     }
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from treexact import (
     DissimilarityMatrix,
+    Edge,
     FloatPolicy,
     UnrealizableWitness,
     WeightedTree,
@@ -159,6 +160,29 @@ def test_float_equals_exact_on_grid_inputs(corpus):
             witnesses += 1
             assert floating == exact
     assert trees > 30 and witnesses > 30
+
+
+@pytest.mark.parametrize("corpus", [_corpus, _grid_corpus, _noisy_corpus])
+def test_built_tree_equals_the_validated_tree_of_its_edges(corpus):
+    """`reconstruct` builds its tree through the trusted constructor. It
+    equals, edge for edge and weight type for weight type, `from_edges` of
+    the same edges read off the matrix in another order and orientation,
+    under both policies."""
+    trees = 0
+    for m in corpus():
+        for matrix in (m,) if m.scale is None else (m, _as_float(m)):
+            built = reconstruct(matrix)
+            if not isinstance(built, WeightedTree):
+                continue
+            trees += 1
+            edges = [(v, u, matrix.d(u, v)) for u, v, _ in reversed(built.edges)]
+            valid = WeightedTree.from_edges(matrix.n, edges, matrix.policy)
+            assert built == valid
+            assert [tuple(map(type, e)) for e in built.edges] == [
+                tuple(map(type, e)) for e in valid.edges
+            ]
+            assert all(type(e) is Edge for e in built.edges)
+    assert trees > 100
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
