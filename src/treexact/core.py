@@ -114,13 +114,12 @@ def _exact_grid(raw_rows, n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The 1-based integer grid of an n x n nested sequence of exact cells
     and the least scale that puts every cell on the integers. Rows that are
     n lists of n strings, all plain decimals, are read together by
-    `_plain_decimals`, one int per cell, and each grid row is built from its
-    own ints in row order. Otherwise `_read_cells` reads each distinct cell
-    once, as a pair in lowest terms, and over the lcm of the denominators no
-    factor is common to the scale and every lifted value. That lcm grows
-    with the number of distinct denominators, so the grid is refused as
-    TooLarge once its bits would pass _MAX_GRID_BITS, before any value is
-    lifted."""
+    `_plain_decimals`, and each grid row is built from its own ints.
+    Otherwise `_read_cells` reads each cell as a pair in lowest terms, and
+    over the lcm of the denominators no factor is common to the scale and
+    every lifted value. That lcm grows with the number of distinct
+    denominators, so the grid is refused as TooLarge once its bits would
+    pass _MAX_GRID_BITS, before any value is lifted."""
     plain = None
     if all(type(row) is list and len(row) == n for row in raw_rows):
         plain = _plain_decimals(list(chain.from_iterable(raw_rows)))
@@ -310,12 +309,10 @@ class WeightedTree:
     """Tree on vertex set exactly {1..n} with positive edge weights.
 
     `edges` is canonical: each edge has u < v and the tuple is sorted by
-    (u, v). Leaves and vertex set are derived queries. The constructor
-    `WeightedTree(n, edges, policy)` trusts its caller, as
-    `DissimilarityMatrix`'s does: the edges are canonical `Edge`s of a
-    spanning tree of 1..n, weighted by positive values of the policy
-    (`Fraction`s or floats). `from_edges` normalizes and validates any
-    other input.
+    (u, v). Leaves and vertex set are derived queries. Like
+    `DissimilarityMatrix`'s, the constructor trusts its caller: canonical
+    `Edge`s of a spanning tree, weighted by positive policy values.
+    `from_edges` normalizes and validates.
     """
 
     n: int
@@ -378,12 +375,10 @@ class WeightedTree:
 
 
 def dump_json(payload: dict) -> str:
-    """The JSON layout of every output: two-space indent, sorted keys. The
-    text is that of `json.dumps(payload, indent=2, sort_keys=True)`, written
-    without its pure-Python indenting encoder: strings are quoted by the C
-    `encode_basestring_ascii`, other scalars and empty containers by the C
-    encoder, and each container is one join of its items' texts. Every key
-    must be a string."""
+    """The JSON layout of every output: two-space indent, sorted keys. These
+    are the bytes of `json.dumps(payload, indent=2, sort_keys=True)`, written
+    with the C string encoder and one join per container instead of the
+    pure-Python indenting encoder. Every key must be a string."""
     return _json_text(payload, "\n")
 
 

@@ -142,17 +142,12 @@ def _bounded_fraction(text: str) -> Fraction:
 def _plain_decimals(cells: list[str]) -> tuple[list[int], int] | None:
     """Every cell of the list, in order, as an integer over one scale, when
     each is a plain decimal of at most _MAX_DIGITS characters; else None.
-
-    The cells are joined by newlines; a cell with a newline of its own adds
-    one more and fails the count. They are checked by shape: the joined text
-    with every ASCII digit written as 0, split back into cells. A matrix has
-    few distinct shapes, so the regex runs a few times, not once per cell.
-    Each cell, its point dropped, is read by `int` in a map, so every cell
-    gets its own int, in order, with no Python code per cell. That int is
-    the value times 10**(the cell's places); when the places differ it is
-    multiplied up to the most places k, and the scale is 10**k. The ints and
-    that scale are then divided by their common factor, so the scale is the
-    least that puts every value on the integers."""
+    The cells are checked by shape, their text with every digit written as
+    0: a matrix has few shapes, and a cell with a newline fails the count.
+    Each cell, its point dropped, is read by `int` in a map, one int per cell
+    and no Python code per cell, and multiplied up to the most places k when
+    the places differ. The ints and 10**k are then divided by their common
+    factor, so the scale is the least that puts every value on the integers."""
     try:
         joined = "\n".join(cells)
     except TypeError:  # a cell that is not a string

@@ -122,10 +122,9 @@ def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
             f"d({v},{x}) != d({v},{p}) + d({p},{x}); "
             f"no tree on exactly the points can attach {v} through {p}",
         )
-    # Prim's tree spans 1..n with positive weights, so the trusted
-    # constructor takes it: canonical edges, weights as the policy's values.
-    scale = m.scale
+    # Prim's edges span 1..n with positive weights: the trusted constructor.
     tree = sorted(
-        Edge(min(v, p), max(v, p), w if scale is None else Fraction(w, scale)) for v, p, w in edges
+        Edge(min(v, p), max(v, p), w if m.scale is None else Fraction(w, m.scale))
+        for v, p, w in edges
     )
     return WeightedTree(m.n, tuple(tree), m.policy)
