@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .conditions import _decide, _write_json
+from .conditions import _decide, _write_json, _write_text
 from .core import (
     DissimilarityMatrix,
     WeightedTree,
@@ -182,30 +182,6 @@ def _tree_text(tree: WeightedTree) -> str:
 
 def _matrix_text(m: DissimilarityMatrix) -> str:
     return f"matrix on {m.n} vertices\n{m.to_csv()}"
-
-
-def _write_text(realizable, fragments, groups) -> str:
-    """The text report of the rows `conditions._write_json` takes; a witness
-    line prints a row's leading best_l last."""
-
-    def verdict(ok, caveat, count):
-        tag = "ok" if ok else f"FAIL ({count} witnesses)"
-        return tag + " [caveat: four-point failed]" if caveat else tag
-
-    four_point, center, median = (verdict(*fragment) for fragment in fragments)
-    lines = [
-        f"realizable: {'yes' if realizable else 'no'}",
-        f"four-point: {four_point}",
-        f"center condition: {center}",
-        f"median condition: {median}",
-    ]
-    for (condition, code, quad, triple, best), rows in groups:
-        template = f"witness: {condition} {code}".replace("%", "%%")
-        template += " quadruple={" + ",".join(["%s"] * quad) + "}" if quad else ""
-        template += " triple={" + ",".join(["%s"] * triple) + "}" if triple else ""
-        template += " best_l=%s" if best else ""
-        lines.extend(template % (row[best:] + row[:best]) for row in rows)
-    return "\n".join(lines)
 
 
 def _witness_text(witness: UnrealizableWitness) -> str:

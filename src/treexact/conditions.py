@@ -22,22 +22,23 @@ triples that decides each triple's triangle inequalities and median, and one
 pass that classifies each quadruple once, reading its center off the masks
 and its triples' median verdicts off a table. The residual X of a positive
 tree T on exactly the labels holds the labels in a pair where d differs from
-T (every label under the float policy). T is Prim's tree, with one edge
-refitted when that shrinks X (`_refit`): a moved tree edge leaves two labels
-in X, not all. The masks cost O(n^2 + |X| n^2): a pair outside X reads its
-mask off T's path. The two passes visit only the tuples with two or more
-members in X, O(|X|^2 n^2) of them. The witnesses of the tuples with one
-member in X are enumerated from T's branches, at a cost that follows their
-number. Under the float policy, and when X is nearly every label, the scan
-is O(n^4). Under the float policy a median candidate must also pass the
-companion sum identities, which hold by arithmetic under the exact policy.
-When the scan's epsilon rules find no witness, the report carries Prim's
-failure as a `tree_fit` witness.
+T (every label under the float policy). T is Prim's tree, read off the one
+Prim record that `_decide` hands down, with one edge refitted when that
+shrinks X (`_refit`): a moved tree edge leaves two labels in X, not all. The
+masks cost O(n^2 + |X| n^2): a pair outside X reads its mask off T's path.
+The two passes visit only the tuples with two or more members in X,
+O(|X|^2 n^2) of them. The witnesses of the tuples with one member in X are
+enumerated from T's branches, at a cost that follows their number. Under the
+float policy, and when X is nearly every label, the scan is O(n^4). Under
+the float policy a median candidate must also pass the companion sum
+identities, which hold by arithmetic under the exact policy. When the scan's
+epsilon rules find no witness, the report carries Prim's failure as a
+`tree_fit` witness.
 
-Reports are written from rows: the CLI's `check` writes `_decide`'s rows
-with one `%` template per witness kind (JSON by `_write_json`, text by
-`cli._write_text`) and makes no `Witness`. `check_all` makes them from the
-same rows, and a report's writers turn them back into rows first.
+Reports are written here, from rows: `_write_json` and `_write_text` fill one
+`%` template per witness kind (`_TEMPLATES`), and the CLI's `check` hands
+them `_decide`'s rows and makes no `Witness`. `check_all` makes its witnesses
+from the same rows; a report's writers turn them back into rows first.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from itertools import chain, combinations, product
 from json import dumps
 from operator import itemgetter
 
-from .core import DissimilarityMatrix, _adjacency, _walk
+from .core import DissimilarityMatrix
 from .errors import TooSmall, UniquenessViolation
 from .numeric import ExactPolicy
 from .reconstruct import _prim
@@ -141,13 +142,17 @@ _KINDS = _TRIANGLE, _MAX_ONCE, _NO_CENTER, _NO_MEDIAN, _LONE_MEDIAN, _TREE_FIT =
 )
 
 
-def _json_template(kind) -> str:
-    """The `%` template of a witness of `kind` as `dump_json` indents it."""
+def _templates(kind) -> tuple[str, str]:
+    """The `%` templates of a witness of `kind`: as `dump_json` indents it,
+    and as a text line, which prints best_l last."""
     condition, code, quad, triple, best = kind
 
     def labels(size):
         return "[\n" + ",\n".join(["        %s"] * size) + "\n      ]" if size else "null"
 
+    text = f"witness: {condition} {code}".replace("%", "%%")
+    text += " quadruple={" + ",".join(["%s"] * quad) + "}" if quad else ""
+    text += " triple={" + ",".join(["%s"] * triple) + "}" if triple else ""
     return (
         "    {\n"
         f'      "best_l": {"%s" if best else "null"},\n'
@@ -156,10 +161,10 @@ def _json_template(kind) -> str:
         f'      "quadruple": {labels(quad)},\n'
         f'      "triple": {labels(triple)}\n'
         "    }"
-    )
+    ), text + (" best_l=%s" if best else "")
 
 
-_JSON_TEMPLATES = {kind: _json_template(kind) for kind in _KINDS}
+_TEMPLATES = {kind: _templates(kind) for kind in _KINDS}
 
 
 def _write_json(realizable, fragments, groups) -> str:
@@ -168,7 +173,7 @@ def _write_json(realizable, fragments, groups) -> str:
     (kind, rows) in report order."""
     witnesses = []
     for kind, rows in groups:
-        template = _JSON_TEMPLATES.get(kind) or _json_template(kind)
+        template = (_TEMPLATES.get(kind) or _templates(kind))[0]
         witnesses.extend(map(template.__mod__, rows))
     witnesses = "[\n" + ",\n".join(witnesses) + "\n  ]" if witnesses else "[]"
     (fp_ok, _, _), (ci_ok, ci_caveat, _), (cii_ok, cii_caveat, _) = fragments
@@ -182,6 +187,20 @@ def _write_json(realizable, fragments, groups) -> str:
         f'  "witnesses": {witnesses}\n'
         "}"
     )
+
+
+def _write_text(realizable, fragments, groups) -> str:
+    """The text report of the rows `_write_json` takes; a witness line
+    prints a row's leading best_l last."""
+    lines = [f"realizable: {'yes' if realizable else 'no'}"]
+    names = ("four-point", "center condition", "median condition")
+    for name, (ok, caveat, count) in zip(names, fragments):
+        tag = "ok" if ok else f"FAIL ({count} witnesses)"
+        lines.append(f"{name}: {tag}" + (" [caveat: four-point failed]" if caveat else ""))
+    for kind, rows in groups:
+        template, best = (_TEMPLATES.get(kind) or _templates(kind))[1], kind[4]
+        lines.extend(template % (row[best:] + row[:best]) for row in rows)
+    return "\n".join(lines)
 
 
 def _report_rows(report: CheckReport):
@@ -230,16 +249,17 @@ def _between_masks(grid, eq, n, anc, residual):
     return between
 
 
-def _refit(grid, adjacent, anc, residual, mismatched):
+def _refit(grid, path, anc, residual, mismatched):
     """The residual and mismatched lists of Prim's tree T with the one edge
     reweighted that leaves the fewest labels in the residual, or T's own if
     none leaves fewer. A candidate edge, named by its endpoint c farther from
     label 1, lies on every mismatched pair's path (bit c of anc[x] ^
     anc[y]). It gets the weight w' = d(x,y) - (T(x,y) - w) that fits one
-    mismatched pair (x, y), if positive. The pairs off it agreed with T and
-    keep their path weight, so only the pairs across it, whose paths run
-    through c, are compared again: O(n^2) per candidate. A rejected matrix
-    leaves two labels in the residual of any tree at least, so two ends it.
+    mismatched pair (x, y), if positive, from T(c, .) = Prim's path[c]. The
+    pairs off it agreed with T and keep their path weight, so only the pairs
+    across it, whose paths run through c, are compared again: O(n^2) per
+    candidate. A rejected matrix leaves two labels in the residual of any
+    tree at least, so two ends it.
     """
     labels = range(1, len(anc))
     common = -1
@@ -250,9 +270,7 @@ def _refit(grid, adjacent, anc, residual, mismatched):
     y = mismatched[x][0]
     best = residual, mismatched
     for c in (c for c in labels if common >> c & 1):
-        dist = [0] * len(anc)
-        for here, nxt, w in _walk(adjacent, c):
-            dist[nxt] = dist[here] + w
+        dist = path[c]
         shift = grid[x][y] - dist[x] - dist[y]
         above = [b for b in labels if not anc[b] >> c & 1]
         if min(dist[b] for b in above) + shift <= 0:  # w' <= 0; w is the least dist across
@@ -274,25 +292,23 @@ def _refit(grid, adjacent, anc, residual, mismatched):
     return best
 
 
-def _tree(m: DissimilarityMatrix):
-    """Prim's tree as adjacency lists and as anc[x], the bitmask of x and its
-    ancestors from label 1, with the residual and mismatched lists of
-    `_refit`'s tree when more than one pair mismatches it. Under the float
-    policy the tree has no edges and the residual is every label."""
+def _tree(m: DissimilarityMatrix, prim):
+    """anc[x] of the tree of Prim's record, the bitmask of x and its ancestors
+    from label 1, with the residual and mismatched lists of `_refit`'s tree
+    when more than one pair mismatches it. Under the float policy the tree
+    has no edges and the residual is every label."""
     n = m.n
     exact = isinstance(m.policy, ExactPolicy)
-    if exact:
-        edges, _, residual, mismatched = _prim(m)
-    else:
+    edges, _, residual, mismatched, path = prim
+    if not exact:
         edges, residual, mismatched = (), range(1, n + 1), ((),) * (n + 1)
-    adjacent = _adjacency(n, edges)
     anc = [0] * (n + 1)
     anc[1] = 2
-    for here, nxt, _ in _walk(adjacent, 1):
-        anc[nxt] = anc[here] | 1 << nxt
+    for v, p, _ in edges:  # p joined before v, so anc[p] is set
+        anc[v] = anc[p] | 1 << v
     if exact and sum(map(len, mismatched)) > 2:
-        residual, mismatched = _refit(m.grid, adjacent, anc, residual, mismatched)
-    return adjacent, anc, residual, mismatched
+        residual, mismatched = _refit(m.grid, path, anc, residual, mismatched)
+    return anc, residual, mismatched
 
 
 def _median_best(grid, eq, b, labels, u, v, w):
@@ -340,7 +356,7 @@ def _companions_agree(grid, eq, u, v, w, l):
     return eq(x1, x2) and eq(x2, x3) and eq(x1, x3)
 
 
-def _scan(m: DissimilarityMatrix):
+def _scan(m: DissimilarityMatrix, prim):
     """The witness rows of all three checks, (triangles, max_once, centers,
     median, twin), each row in its kind's layout (`_KINDS`): triples,
     quadruples, (best_l, *quadruple) and (best_l, *quadruple, *triple).
@@ -350,10 +366,10 @@ def _scan(m: DissimilarityMatrix):
     mismatched[x] the labels l with d(x,l) != T(x,l). The argument below
     needs only that T is a tree on exactly the labels with positive weights;
     d then agrees with it on every pair that has a member outside X. T is
-    Prim's tree (`_prim`), or that tree with one edge reweighted when that
-    leaves fewer labels in X (`_refit`). Under the float policy
-    eps-equality is not transitive, so X is every label and the visit below
-    is all of it.
+    the tree of `prim`, m's Prim record (`_prim`), or that tree with one
+    edge reweighted when that leaves fewer labels in X (`_refit`). Under the
+    float policy eps-equality is not transitive, so X is every label and the
+    visit below is all of it.
 
     Tuples with two or more members in X are visited in full: a pass over
     the triples decides each one's triangle inequalities and median, and a
@@ -406,7 +422,7 @@ def _scan(m: DissimilarityMatrix):
     n = m.n
     labels = range(1, n + 1)
     exact = isinstance(m.policy, ExactPolicy)
-    adjacent, anc, residual, mismatched = _tree(m)
+    anc, residual, mismatched = _tree(m, prim)
     b = _between_masks(grid, eq, n, anc, residual)
     # The tuples are enumerated lexicographically by nested loops. An index
     # runs over all of later[k] = (k, n] when the tuple can reach two members
@@ -452,9 +468,9 @@ def _scan(m: DissimilarityMatrix):
     for x in residual:
         for l in mismatched[x]:
             if l not in sides:
-                branch = [0] * (n + 1)
-                for here, nxt, _ in _walk(adjacent, l):
-                    branch[nxt] = nxt if here == l else branch[here]
+                branch = [1] * (n + 1)  # the branch toward label 1 is named 1
+                for v, p, _ in prim.edges:  # in join order: branch[p] is set
+                    branch[v] = v if p == l else branch[p]
                 groups = {}
                 for y in outside:
                     groups.setdefault(branch[y], []).append(y)
@@ -517,11 +533,11 @@ def _scan(m: DissimilarityMatrix):
     return triangles, max_once, centers, median, twin
 
 
-def _scan_rows(m: DissimilarityMatrix):
+def _scan_rows(m: DissimilarityMatrix, prim):
     """One scan's rows, as `_decide` returns them, without its shortcut. A
     quadruple's center is unique once the four-point check passes, so a
     second one raises UniquenessViolation under the exact policy."""
-    triangles, max_once, centers, median, twin = _scan(m)
+    triangles, max_once, centers, median, twin = _scan(m, prim)
     failures = len(triangles) + len(max_once)
     if twin is not None and not failures and isinstance(m.policy, ExactPolicy):
         quad, first, second = twin
@@ -540,18 +556,18 @@ def _scan_rows(m: DissimilarityMatrix):
 
 def _decide(m: DissimilarityMatrix):
     """What `check_all` decides, as (realizable, fragments, groups): all ok
-    when Prim's pass (`_prim`, O(n^2)) finds no mismatch, else the rows of
-    the scan, whose cost the module docstring gives. When the scan finds no
-    witness, which the theorem rules out under the exact policy, a
-    `tree_fit` row holds Prim's failing (v, p, x)."""
+    when Prim's pass (`_prim`, O(n^2), run once) finds no mismatch, else the
+    rows of the scan it hands Prim's record to, whose cost the module
+    docstring gives. When the scan finds no witness, which the theorem rules
+    out under the exact policy, a `tree_fit` row holds Prim's failing (v, p, x)."""
     if m.n < 3:
         raise TooSmall(f"realizability checks need n >= 3, got n = {m.n}")
-    mismatch = _prim(m).mismatch
-    if mismatch is None:
+    prim = _prim(m)
+    if prim.mismatch is None:
         return True, [(True, False, 0)] * 3, ()
-    realizable, fragments, groups = _scan_rows(m)
+    realizable, fragments, groups = _scan_rows(m, prim)
     if realizable:
-        groups = ((_TREE_FIT, (mismatch,)),)
+        groups = ((_TREE_FIT, (prim.mismatch,)),)
     return False, fragments, groups
 
 

@@ -22,7 +22,8 @@ from .errors import (
     InvalidMatrix, InvalidTree, MalformedInput, PolicyMismatch, TooLarge, UnknownVertex,
 )
 from .numeric import (
-    EXACT, NUMBER_ERRORS, ExactPolicy, Policy, Scalar, _plain_decimals, _scaled_texts, echo,
+    _MAX_GRID_BITS, EXACT, NUMBER_ERRORS, ExactPolicy, Policy, Scalar, _plain_decimals,
+    _scaled_texts, echo,
 )
 
 __all__ = [
@@ -36,13 +37,6 @@ __all__ = [
     "trees_equal",
     "tree_to_dot",
 ]
-
-
-# The most bits an exact grid may hold, as its distinct values times the bits
-# of its scale. A CSV of 400-digit p/q cells holds 1.0e8 at n = 24 and 1.9e8
-# at n = 28, where `check` takes 4.7 s and 10 s on a 2-vCPU host; at n = 40
-# it holds 8.1e8 and takes 79 s.
-_MAX_GRID_BITS = 200_000_000
 
 
 class Edge(NamedTuple):
@@ -113,8 +107,8 @@ def _exact_ratio(cell) -> tuple[int, int]:
 def _exact_grid(raw_rows, n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The 1-based integer grid of an n x n nested sequence of exact cells
     and the least scale that puts every cell on the integers. Rows that are
-    n lists of n strings, all plain decimals, are read together by
-    `_plain_decimals`, and each grid row is built from its own ints.
+    n lists of n strings, all plain decimals within the bound below, are read
+    together by `_plain_decimals`, and each grid row is built from its own ints.
     Otherwise `_read_cells` reads each cell as a pair in lowest terms, and
     over the lcm of the denominators no factor is common to the scale and
     every lifted value. That lcm grows with the number of distinct

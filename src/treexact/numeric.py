@@ -106,6 +106,11 @@ def _shortened(exc: ValueError, value) -> ValueError:
 _MAX_DIGITS = 1000
 _MAX_EXPONENT = 1000
 _INT_LIMIT = 10**_MAX_DIGITS  # the least integer with more than _MAX_DIGITS digits
+# The most bits an exact grid may hold, as its distinct values times the bits
+# of its scale. A CSV of 400-digit p/q cells holds 1.0e8 at n = 24 and 1.9e8
+# at n = 28, where `check` takes 4.7 s and 10 s on a 2-vCPU host; at n = 40
+# it holds 8.1e8 and takes 79 s.
+_MAX_GRID_BITS = 200_000_000
 # A plain ASCII decimal. Every other literal, digits of other scripts
 # included, goes through `Fraction(text)`.
 _PLAIN_DECIMAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]*))?")
@@ -141,7 +146,9 @@ def _bounded_fraction(text: str) -> Fraction:
 
 def _plain_decimals(cells: list[str]) -> tuple[list[int], int] | None:
     """Every cell of the list, in order, as an integer over one scale, when
-    each is a plain decimal of at most _MAX_DIGITS characters; else None.
+    each is a plain decimal of at most _MAX_DIGITS characters and the cells
+    times the bits of 10**k, k the most places, stay within _MAX_GRID_BITS;
+    else None, and the general reader, which shares repeated values, reads them.
     The cells are checked by shape, their text with every digit written as
     0: a matrix has few shapes, and a cell with a newline fails the count.
     Each cell, its point dropped, is read by `int` in a map, one int per cell
@@ -161,6 +168,8 @@ def _plain_decimals(cells: list[str]) -> tuple[list[int], int] | None:
             return None
         places[shape] = len(shape.partition(".")[2])
     most = max(places.values())
+    if len(cells) * (10**most).bit_length() > _MAX_GRID_BITS:
+        return None
     values = map(int, map(str.replace, cells, repeat("."), repeat("")))
     if min(places.values()) < most:
         lift = {shape: 10 ** (most - k) for shape, k in places.items()}

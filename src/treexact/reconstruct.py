@@ -7,8 +7,9 @@ minimum spanning tree of d (Hakimi and Yau, 1965). `reconstruct` grows that
 tree by Prim in O(n^2) and checks each entry against the tree as it grows,
 so one pass both decides realizability and builds the tree, under either
 numeric policy. Prim runs to the end and reports the first mismatch; the
-same pass, cached on the matrix, is `check_all`'s verdict and gives its
-witness scan the endpoints of every mismatch.
+same pass is `check_all`'s verdict, and `conditions._decide` hands its record
+down to the witness scan, which reads the endpoints of every mismatch, the
+tree and its path weights off it.
 """
 
 from __future__ import annotations
@@ -48,15 +49,16 @@ class UnrealizableWitness:
 
 
 class _Prim(NamedTuple):
-    edges: tuple  # (v, p, grid[v][p]) for each vertex v that joined through p
+    edges: tuple  # (v, p, grid[v][p]) in join order: v joined through p, which came earlier
     mismatch: tuple[int, int, int] | None  # the first (v, p, x), in Prim order
     residual: frozenset  # every label in a pair where d differs from the tree
     mismatched: tuple  # mismatched[x]: every l with d(x, l) != T(x, l)
+    path: list  # path[x][l]: T(x, l), the path weight in the tree
 
 
 def _prim(m: DissimilarityMatrix) -> _Prim:
     """Grow the whole minimum spanning tree by Prim from vertex 1 and compare
-    every entry with the tree's path weight. O(n^2); cached on the matrix.
+    every entry with the tree's path weight. O(n^2).
 
     When v joins through p, v is a leaf of the grown subtree, so its path to
     every x already in the subtree passes through p: the tree's path weight
@@ -66,9 +68,6 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
     witness scan wants every such pair: it reads each label's mismatched
     partners, and their union, the residual.
     """
-    cached = m.__dict__.get("_prim")
-    if cached is not None:
-        return cached
     grid, eq, _ = m.comparison_view()
     n = m.n
     joined = [1]
@@ -98,9 +97,7 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
                 key[x] = row_v[x]
                 parent[x] = v
     residual = frozenset(x for x, others in enumerate(mismatched) if others)
-    result = _Prim(tuple(edges), mismatch, residual, tuple(map(tuple, mismatched)))
-    object.__setattr__(m, "_prim", result)
-    return result
+    return _Prim(tuple(edges), mismatch, residual, tuple(map(tuple, mismatched)), path)
 
 
 def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
@@ -113,7 +110,7 @@ def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:
     exact policy, whose comparison grid is integers, and within epsilon under
     the float policy.
     """
-    edges, mismatch, _, _ = _prim(m)
+    edges, mismatch = _prim(m)[:2]
     if mismatch is not None:
         v, p, x = mismatch
         return UnrealizableWitness(

@@ -3,8 +3,8 @@
 from fractions import Fraction
 
 from treexact import DissimilarityMatrix, EXACT
-from treexact.cli import _write_text
-from treexact.conditions import _report, _report_rows, _scan_rows
+from treexact.conditions import _report, _report_rows, _scan_rows, _write_text
+from treexact.reconstruct import _prim
 
 
 def star_matrix(policy=EXACT):
@@ -72,7 +72,7 @@ def perturb_one_pair(m, i, j, delta=Fraction(1, 2)):
 
 def scan_report(m):
     """The `CheckReport` of one scan, without `check_all`'s all-ok shortcut."""
-    return _report(*_scan_rows(m))
+    return _report(*_scan_rows(m, _prim(m)))
 
 
 def report_text(report):

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,28 @@ class TestGridBitLimit:
             "error: the 2416 distinct values of the matrix over one denominator "
             "exceed the 200000000-bit limit of the exact grid\n"
         )
+
+    def test_wide_places_go_to_the_sharing_reader(self):
+        """n = 300 `1`s and one mirrored pair of 997-place cells: one int per
+        cell over 10**997 would hold 3.0e8 bits, past the limit, so the cells
+        are read by the reader that shares repeated values. The grid and scale
+        are the same, and the parse's traced peak stays under 10 MB (~46 MB
+        with one int per cell)."""
+        n, wide = 300, "1." + "3" * 996 + "7"
+        rows = [["0" if i == j else "1" for j in range(n)] for i in range(n)]
+        rows[0][1] = rows[1][0] = wide
+        text = "\n".join(map(",".join, rows)) + "\n"
+        tracemalloc.start()
+        try:
+            m = parse_matrix(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one = 10**997
+        grid = [[0] * (n + 1)] + [[0] + [0 if i == j else one for j in range(n)] for i in range(n)]
+        grid[1][2] = grid[2][1] = int(wide.replace(".", ""))
+        assert m.scale == one and m.grid == tuple(map(tuple, grid))
+        assert peak < 10_000_000
 
 
 MIXED = [

@@ -8,6 +8,7 @@ compared against.
 """
 
 import io
+import json
 import random
 import sys
 from collections import Counter
@@ -382,7 +383,8 @@ def test_scan_matches_naive_loops():
             contract["all_ok"] += 1
         codes.update(w.code for w in want.witnesses)
         if m.n >= 9 and want.witnesses:
-            prim, residual = _prim(m), _tree(m)[2]
+            prim = _prim(m)
+            residual = _tree(m, prim)[1]
             size = len(residual)
             residuals["two" if size == 2 else "all" if size == m.n else "other"] += 1
             if moved == "pairs" and sum(map(len, prim.mismatched)) > 2:
@@ -449,10 +451,10 @@ def test_two_centers_raise_only_when_four_point_is_trusted(monkeypatch):
     pairs.update({(i, c): 1 for i in range(1, 5) for c in (5, 6)})
     pairs[(5, 6)] = 2
     m = DissimilarityMatrix.from_pairs(6, pairs)
-    triangles, max_once, centers, median, twin = _scan(m)
+    triangles, max_once, centers, median, twin = _scan(m, _prim(m))
     assert (triangles or max_once) and twin == ((1, 2, 3, 4), 5, 6)
     assert check_all(m) == ref_check_all(m)
-    monkeypatch.setattr(conditions, "_scan", lambda m: ([], [], centers, median, twin))
+    monkeypatch.setattr(conditions, "_scan", lambda m, prim: ([], [], centers, median, twin))
     with pytest.raises(UniquenessViolation, match=r"\(1, 2, 3, 4\) admits two centers 5 and 6"):
         scan_report(m)
 
@@ -483,7 +485,7 @@ def test_mismatched_are_the_pairs_off_the_grown_tree():
     )
     sizes = Counter()
     for m in corpus:
-        edges, _, residual, mismatched = _prim(m)
+        edges, _, residual, mismatched, _ = _prim(m)
         weighted = [(v, p, m.d(v, p)) for v, p, _ in edges]
         tree = all_pairs_weights(WeightedTree.from_edges(m.n, weighted))
         labels = range(1, m.n + 1)
@@ -537,7 +539,7 @@ def test_refit_keeps_the_least_residual_of_one_edge_refits():
                 outcome["not positive"] += 1
                 continue
             fits.add(frozenset(_mismatches(m, reweighted(refit))))
-        _, _, residual, mismatched = _tree(m)
+        _, residual, mismatched = _tree(m, prim)
         got = {(i, j) for i in residual for j in mismatched[i] if i < j}
         assert got in fits and len(residual) == min(len({*chain(*fit)}) for fit in fits), m.rows
         assert residual == {*chain(*got)}
@@ -621,6 +623,76 @@ def test_cli_check_makes_no_witness(monkeypatch, capsys):
     assert made["witness"] == 0
     witnesses = check_all(m).witnesses
     assert len(witnesses) > 10 and made["witness"] == len(witnesses)
+
+
+def test_one_prim_pass_per_check(monkeypatch, capsys):
+    """`check` runs Prim's pass once and hands its record down, on failing
+    inputs (one with a moved tree edge, which the refit reads) and on a
+    realizable one, under both policies; nothing is left on the matrix."""
+    calls = Counter()
+
+    def counted(m):
+        calls["prim"] += 1
+        return _prim(m)
+
+    monkeypatch.setattr(conditions, "_prim", counted)
+    moved_edge = next(m for m, moved in _moved_edges(150, seed=7800) if moved)
+    tree = WeightedTree.from_edges(5, [(1, 2, 1), (2, 3, 2), (2, 4, 3), (4, 5, 1)])
+    for m, code in ((_n24_perturbed_matrix(), 1), (moved_edge, 1), (all_pairs_weights(tree), 0)):
+        rows = [list(row[1:]) for row in m.rows[1:]]
+        for matrix in (m, DissimilarityMatrix.from_rows(rows, FloatPolicy())):
+            for fmt in ("json", "text"):
+                calls.clear()
+                assert _cli_check(monkeypatch, capsys, matrix, fmt)[0] == code
+                assert calls["prim"] == 1
+            calls.clear()
+            check_all(matrix)
+            assert calls["prim"] == 1
+            reconstruct(matrix)
+            assert "_prim" not in vars(matrix)
+
+
+def _text_fields(line):
+    """A text witness line as the JSON report's witness object."""
+    words = line.split()
+    got = dict.fromkeys(("quadruple", "triple", "best_l"), None)
+    got.update(condition=words[1], code=words[2])
+    for word in words[3:]:
+        key, _, value = word.partition("=")
+        got[key] = int(value) if key == "best_l" else [int(x) for x in value.strip("{}").split(",")]
+    return got
+
+
+def test_text_witness_lines_read_back_as_the_json_witnesses(monkeypatch, capsys):
+    """Each witness line of `check -f text` reads back as the JSON report's
+    witness in its place: same condition, code, quadruple, triple and best_l.
+    The inputs are the writer matrices and every 20th matrix of the
+    naive-loop corpus, plus each matrix whose report holds a kind not yet
+    seen, so that every kind is met, `tree_fit` and the lone triple among
+    them."""
+    corpus = chain(
+        _matrices(1200, seed=7100), _perturbed_trees(200, seed=7200), _moved_trees(200, seed=7400),
+        (m for m, _ in _moved_edges(150, seed=7800)),
+    )
+    kinds = set()
+
+    def kind(w):
+        quad, triple = w["quadruple"] or (), w["triple"] or ()
+        return w["condition"], w["code"], len(quad), len(triple), w["best_l"] is not None
+
+    for index, m in enumerate(chain(_writer_matrices().values(), corpus)):
+        report = check_all(m).to_json_dict()
+        if index % 20 and {kind(w) for w in report["witnesses"]} <= kinds:
+            continue
+        code, out = _cli_check(monkeypatch, capsys, m, "json")
+        witnesses = json.loads(out)["witnesses"]
+        text_code, text = _cli_check(monkeypatch, capsys, m, "text")
+        lines = text.splitlines()
+        got = [_text_fields(line) for line in lines if line.startswith("witness: ")]
+        assert text_code == code and got == witnesses, m.rows
+        assert lines[0] == f"realizable: {'yes' if code == 0 else 'no'}"
+        kinds.update(map(kind, witnesses))
+    assert kinds == set(conditions._KINDS)
 
 
 def test_cli_check_writes_what_the_report_writers_write(monkeypatch, capsys):
