@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
@@ -28,9 +27,7 @@ from .core import (
     tree_to_dot,
 )
 from .errors import TooLarge, TreexactError
-from .numeric import (
-    _INT_LIMIT, _MAX_DIGITS, EXACT, ExactPolicy, FloatPolicy, Policy, _decimal_places, echo,
-)
+from .numeric import _MAX_DIGITS, EXACT, ExactPolicy, FloatPolicy, Policy, _widest_text, echo
 from .oracle import DEFAULT_ENUMERATION_CAP, count_realizations, random_weighted_tree
 from .reconstruct import UnrealizableWitness, reconstruct
 
@@ -46,8 +43,6 @@ MAX_VERTICES = 1000
 # times the widest entry: at 1.5e8, n = 1000 with 150-character entries
 # peaks at ~540 MB in `-f json` (Python 3.11).
 MAX_MATRIX_CHARS = 150_000_000
-# The longest repr of a positive float, as in 2.2250738585072014e-308.
-_FLOAT_WIDTH = 23
 
 
 class _UsageError(Exception):
@@ -140,31 +135,15 @@ def _check_vertices(n: int) -> None:
 
 def _check_width(tree: WeightedTree) -> None:
     """Refuse a tree whose path-weight matrix `gen` and `weights` should not
-    print: an entry could have more digits than the exact reader accepts, or
-    the matrix could take more than MAX_MATRIX_CHARS characters. Before the
-    matrix is built, each path weight is bounded by the sum of the edge
-    weights, and its denominator by the lcm of theirs."""
-    width = _FLOAT_WIDTH
-    if isinstance(tree.policy, ExactPolicy):
-        scale = 1
-        for _, _, w in tree.edges:
-            scale = math.lcm(scale, w.denominator)
-            if scale >= _INT_LIMIT:  # already too wide to print
-                break
-        total = sum(w.numerator * (scale // w.denominator) for _, _, w in tree.edges)
-
-        def digits(x: int) -> int:
-            return len(str(x)) if x < _INT_LIMIT else _MAX_DIGITS + 1
-
-        places = _decimal_places(scale)
-        if places is None:  # an entry p/q has p <= total and q <= scale
-            width = digits(total) + digits(scale)
-        else:  # a decimal with at most `places` places, at most total / scale
-            width = max(digits(total * (10**places // scale)), places + 1)
-        if width > _MAX_DIGITS:
-            raise TooLarge(f"a path weight of this tree could have more than {_MAX_DIGITS} digits")
-        width += 1  # the point or the slash
-    chars = (tree.n + 1) ** 2 * width
+    print: an entry could have more digits than the exact reader accepts, or the
+    matrix could take more than MAX_MATRIX_CHARS characters. A float entry takes at
+    most 23 (2.2250738585072014e-308), so a float tree within MAX_VERTICES always fits."""
+    if not isinstance(tree.policy, ExactPolicy):
+        return
+    width = _widest_text([w for _, _, w in tree.edges])
+    if width > _MAX_DIGITS:
+        raise TooLarge(f"a path weight of this tree could have more than {_MAX_DIGITS} digits")
+    chars = (tree.n + 1) ** 2 * (width + 1)  # the point or the slash
     if chars > MAX_MATRIX_CHARS:
         raise TooLarge(
             f"the path weights of this tree could take {chars} characters, beyond the "

@@ -38,9 +38,9 @@ __all__ = [
 ]
 
 
-def _decimal_places(den: int) -> int | None:
-    """The fewest decimal places that write every multiple of 1/den, or None
-    when 1/den does not terminate (den has a prime factor other than 2, 5)."""
+def _decimal_places(den: int) -> tuple[int, int]:
+    """(max(a, b), rest) for den = 2^a * 5^b * rest, rest coprime to 10: every
+    multiple of rest/den terminates in max(a, b) places, and 1/den only if rest is 1."""
     twos = fives = 0
     while den % 2 == 0:
         den //= 2
@@ -48,7 +48,7 @@ def _decimal_places(den: int) -> int | None:
     while den % 5 == 0:
         den //= 5
         fives += 1
-    return max(twos, fives) if den == 1 else None
+    return max(twos, fives), den
 
 
 def _fraction_to_text(value: Fraction) -> str:
@@ -56,8 +56,8 @@ def _fraction_to_text(value: Fraction) -> str:
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
-    places = _decimal_places(den)
-    if places is None:
+    places, rest = _decimal_places(den)
+    if rest > 1:
         return f"{num}/{den}"
     scaled = abs(num) * 10**places // den
     digits = str(scaled).rjust(places + 1, "0")
@@ -69,8 +69,8 @@ def _scaled_texts(values, scale: int) -> dict[int, str]:
     """`_fraction_to_text(Fraction(v, scale))` for each integer v of `values`,
     keyed by v. When 1/scale terminates, every v / scale is written with the
     places of 1/scale and its trailing zeros dropped, with no `Fraction`."""
-    places = _decimal_places(scale)
-    if places is None:
+    places, rest = _decimal_places(scale)
+    if rest > 1:
         return {v: _fraction_to_text(Fraction(v, scale)) for v in values}
     if places == 0:
         return {v: str(v) for v in values}
@@ -82,6 +82,27 @@ def _scaled_texts(values, scale: int) -> dict[int, str]:
         text = f"{head}.{tail}" if tail else head
         texts[v] = f"-{text}" if v < 0 else text
     return texts
+
+
+def _widest_text(weights) -> int:
+    """The most digits `_scaled_texts` writes for a sum of some of these positive
+    exact weights (a sequence), or _MAX_DIGITS + 1 when that is more. A sum is
+    at most their total over a divisor of their lcm `scale`: a decimal in at most
+    the places of scale's 2 and 5 factors, or p/q (p <= total, q <= scale) when
+    scale has another factor."""
+    scale = 1
+    for w in weights:
+        scale = math.lcm(scale, w.denominator)
+        if scale >= _INT_LIMIT:  # already too wide to print
+            break
+    total = sum(w.numerator * (scale // w.denominator) for w in weights)
+
+    def digits(x: int) -> int:
+        return len(str(x)) if x < _INT_LIMIT else _MAX_DIGITS + 1
+
+    places, rest = _decimal_places(scale)
+    quotient = digits(total) + digits(scale) if rest > 1 else 0
+    return min(max(digits(total // scale) + places, quotient), _MAX_DIGITS + 1)
 
 
 _ECHO_LIMIT = 80  # the longest literal an error message repeats whole

@@ -16,7 +16,9 @@ import treexact
 from treexact import (
     TooLarge, parse_matrix, parse_tree, random_weighted_tree, reconstruct, trees_equal,
 )
-from treexact.cli import MAX_VERTICES, _check_width, build_parser, main, main_entry
+from treexact.cli import (
+    MAX_MATRIX_CHARS, MAX_VERTICES, _check_width, build_parser, main, main_entry,
+)
 
 STAR_CSV = "0,3,1,5\n3,0,2,6\n1,2,0,4\n5,6,4,0\n"
 ALL_TWO_CSV = "0,2,2,2\n2,0,2,2\n2,2,0,2\n2,2,2,0\n"
@@ -75,6 +77,12 @@ class TestCheck:
         code, _, err = run_cli(capsys, ["check", "-i", write(tmp_path, "m.csv", "0,1\n2,0\n")])
         assert code == 2
         assert "asymmetric" in err
+
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_blank_line_inside_matrix_invalid(self, capsys, monkeypatch, blank):
+        stdin = f"0,1\n{blank}\n1,0\n"
+        code, out, err = run_cli(capsys, ["check"], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", "error: blank line inside matrix at row 2\n")
 
     def test_too_small_invalid(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["check", "-i", write(tmp_path, "m.csv", "0,1\n1,0\n")])
@@ -276,6 +284,15 @@ class TestWeights:
         assert (got, err) == (0, "")
         assert trees_equal(parse_tree(out), parse_tree(doc))
 
+    def test_wide_decimal_under_a_lcm_with_another_factor_is_refused(self, tmp_path, capsys):
+        """Edges of 1/2^1200 and 1/3: the lcm has the factor 3, yet d(1, 2) is
+        written as a decimal of 1201 digits, which the reader would refuse."""
+        doc = path_tree_json([f"1/{2**1200}", "1/3"])
+        argv = ["weights", "-f", "csv", "-i", write(tmp_path, "t.json", doc)]
+        assert run_cli(capsys, argv) == (
+            2, "", "error: a path weight of this tree could have more than 1000 digits\n"
+        )
+
 
 class TestOracle:
     def test_star_count_one(self, tmp_path, capsys):
@@ -385,6 +402,14 @@ class TestGen:
         else:
             with pytest.raises(TooLarge, match="150300150 characters"):
                 _check_width(tree)
+
+    def test_float_matrices_fit_the_character_limit(self):
+        """A positive float is written in at most 23 characters, so a float
+        matrix of MAX_VERTICES vertices stays within MAX_MATRIX_CHARS and
+        `_check_width` need not look at a float tree."""
+        for value in (sys.float_info.max, sys.float_info.min, 5e-324):
+            assert len(repr(value)) <= 23
+        assert (MAX_VERTICES + 1) ** 2 * 23 <= MAX_MATRIX_CHARS
 
     def test_float_mode(self, capsys):
         code, out, _ = run_cli(capsys, ["gen", "-n", "4", "--seed", "1", "--mode", "float"])
@@ -862,10 +887,33 @@ def test_closed_pipe_ends_quietly():
     leaves the exit code at 0 and stderr empty."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(treexact.__file__)))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "treexact.cli", "gen", "-n", "300", "-f", "csv"],
+        [sys.executable, "-m", "treexact.cli", "gen", "-n", "300", "--seed", "1", "-f", "csv"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     assert proc.stdout.read(1) == b"0"
     proc.stdout.close()
     assert proc.stderr.read() == b""
     assert proc.wait(timeout=60) == 0
+
+
+def test_closed_pipe_points_stdout_at_the_null_device(tmp_path, monkeypatch):
+    """In process: when the print to stdout meets a closed pipe, `main` keeps
+    its exit code and sends later writes to stdout's descriptor to the null
+    device, so the flush at exit cannot fail again."""
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main(["gen", "-n", "3", "-f", "csv"]) == 0
+        os.write(fd, b"after the pipe closed")
+    finally:
+        os.close(fd)
+    assert path.read_bytes() == b""

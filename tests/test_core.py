@@ -78,8 +78,9 @@ class TestParseMatrix:
             parse_matrix('{"n": 3, "d": [[0, 1, 2], [1, 0], [2, 1, 0]]}', fmt="json")
 
     def test_csv_tolerates_spaces_and_trailing_newline(self):
-        m = parse_matrix("0, 3 ,1\n3,0,2\n1,2,0\n\n")
-        assert m.d(1, 2) == 3
+        for tail in ("\n\n", "\n\n  \n\n"):
+            m = parse_matrix("0, 3 ,1\n3,0,2\n1,2,0" + tail)
+            assert m.d(1, 2) == 3
 
     def test_json_strings_and_numbers(self):
         m = parse_matrix(

@@ -26,7 +26,7 @@ from treexact import (
 )
 from treexact.cli import main
 from treexact.core import _bad_entry
-from treexact.numeric import _fraction_to_text, _scaled_texts
+from treexact.numeric import _fraction_to_text, _scaled_texts, _widest_text
 
 
 def reference_fraction(text):
@@ -501,6 +501,45 @@ class TestGridText:
             0: "0", 1000: "1", 1500: "1.5", -2500: "-2.5", 7: "0.007",
         }
         assert _scaled_texts({0, 5}, 3) == {0: "0", 5: "5/3"}
+
+    def test_widest_text_bounds_every_written_path_weight(self):
+        """On 1500 seeded trees of 2-9 vertices over mixed denominators, no
+        entry of the path-weight matrix has more digits than `_widest_text`,
+        some have exactly that many, and some are decimals wider than p/q
+        under the lcm (p <= total, q <= lcm) would be. When the lcm has no
+        prime factor but 2 and 5, the rule is the decimal bound written over
+        the lcm's places: max(digits(total * 10**places / lcm), places + 1)."""
+        rng = random.Random(11)
+        met = wider_than_quotient = 0
+        for _ in range(1500):
+            n = rng.randint(2, 9)
+            edges = []
+            for v in range(2, n + 1):
+                k = rng.randint(1, 60)
+                den = rng.choice([1, 3, 7, 12, 1000, 2**k, 5**k, 3 * 2**k])
+                num = rng.randint(1, 10 ** rng.randint(1, 12))
+                edges.append((rng.randint(1, v - 1), v, Fraction(num, den)))
+            tree = WeightedTree.from_edges(n, edges)
+            weights = [w for _, _, w in tree.edges]
+            width = _widest_text(weights)
+            texts = [text for row in all_pairs_weights(tree)._cell_texts() for text in row]
+            longest = max(sum(ch.isdigit() for ch in text) for text in texts)
+            assert longest <= width
+            met += longest == width
+            lcm = math.lcm(*(w.denominator for w in weights))
+            total = sum(w * lcm for w in weights).numerator
+            twos = fives = 0
+            rest = lcm
+            while rest % 2 == 0:
+                rest, twos = rest // 2, twos + 1
+            while rest % 5 == 0:
+                rest, fives = rest // 5, fives + 1
+            places = max(twos, fives)
+            if rest == 1:
+                assert width == max(len(str(total * 10**places // lcm)), places + 1)
+            else:
+                wider_than_quotient += longest > len(str(total)) + len(str(lcm))
+        assert met and wider_than_quotient
 
 
 def test_exact_commands_do_not_build_fraction_rows(tmp_path, capsys, monkeypatch):
