@@ -272,7 +272,11 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader closed the pipe early. Send what is still buffered to
         # the null device, so the flush at exit cannot fail a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        finally:
+            os.close(null)
     return code
 
 

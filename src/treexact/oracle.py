@@ -4,7 +4,9 @@ random weighted trees for property tests.
 
 Edge weights on a fixed topology are forced (adjacent vertices' path is the
 single edge between them), so realization per topology is just a consistency
-check, no solving involved.
+check, no solving involved. While the census decodes a topology, it stops
+at the first two-edge path whose sum misses its entry; a topology that
+decodes whole is decided by every path sum.
 """
 
 from __future__ import annotations
@@ -161,10 +163,13 @@ def count_realizations(
 ) -> RealizationCensus:
     """Census over all n^(n-2) labeled topologies (1 by convention for n <= 2).
 
-    Every Prüfer sequence is decoded and its tree decided by the path-sum
-    definition; nothing is cached across calls. Raises TooLarge above the
-    cap. The realization list is sorted by edge set so identical inputs
-    yield identical censuses.
+    Every Prüfer sequence is decided by the path-sum definition. A table
+    built once per call marks each failing two-edge path; while a sequence
+    decodes, it stops at the first such path between a new edge and an edge
+    already decoded at the same leaf, and a sequence that decodes whole is
+    decided by `_fits`. Nothing is cached across calls. Raises TooLarge
+    above the cap. The realization list is sorted by edge set so identical
+    inputs yield identical censuses.
     """
     n = m.n
     if n > cap:
@@ -172,13 +177,38 @@ def count_realizations(
     if n == 1:
         return RealizationCensus(1, 1, (WeightedTree.from_edges(1, [], m.policy),))
     grid, eq, _ = m.comparison_view()
+    # Bit x of bent[c][v] is set when the path c-v-x fails the test that
+    # `_fits` makes on it from source c; entries that repeat a vertex are
+    # never read.
+    bent = [[0] * (n + 1) for _ in range(n + 1)]
+    for c, v, x in product(range(1, n + 1), repeat=3):
+        if not eq(grid[c][v] + grid[v][x], grid[c][x]):
+            bent[c][v] |= 1 << x
     found = []
     examined = 0
     for seq in product(range(1, n + 1), repeat=n - 2):
         examined += 1
-        edges = _decode(seq, n)
-        if _fits(grid, eq, n, edges):
-            found.append(_weighted(m, edges))
+        # `_decode` inline. When (leaf, x) is emitted, every child of leaf
+        # has been, so fails[leaf] holds each y on a failing path child-leaf-y.
+        degree = [1] * (n + 1)
+        for x in seq:
+            degree[x] += 1
+        fails = [0] * (n + 1)
+        leaf = ptr = degree.index(1, 1)
+        for x in seq:
+            if fails[leaf] >> x & 1:
+                break
+            fails[x] |= bent[leaf][x]
+            degree[x] -= 1
+            if degree[x] == 1 and x < ptr:
+                leaf = x
+            else:
+                leaf = ptr = degree.index(1, ptr + 1)
+        else:
+            if not fails[leaf] >> n & 1:
+                edges = _decode(seq, n)
+                if _fits(grid, eq, n, edges):
+                    found.append(_weighted(m, edges))
     found.sort(key=lambda t: tuple((u, v) for u, v, _ in t.edges))
     return RealizationCensus(n, examined, tuple(found))
 

@@ -886,22 +886,18 @@ def test_closed_pipe_ends_quietly():
     """A reader that takes one byte of a large output and closes the pipe
     leaves the exit code at 0 and stderr empty."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(treexact.__file__)))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "treexact.cli", "gen", "-n", "300", "--seed", "1", "-f", "csv"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.read(1) == b"0"
-    proc.stdout.close()
-    assert proc.stderr.read() == b""
-    assert proc.wait(timeout=60) == 0
+    ) as proc:
+        assert proc.stdout.read(1) == b"0"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 0
 
 
-def test_closed_pipe_points_stdout_at_the_null_device(tmp_path, monkeypatch):
-    """In process: when the print to stdout meets a closed pipe, `main` keeps
-    its exit code and sends later writes to stdout's descriptor to the null
-    device, so the flush at exit cannot fail again."""
-    path = tmp_path / "stdout"
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+def _closed_pipe(fd):
+    """A stdout on descriptor `fd` whose every write meets a closed pipe."""
 
     class ClosedPipe(io.StringIO):
         def write(self, text):
@@ -910,10 +906,35 @@ def test_closed_pipe_points_stdout_at_the_null_device(tmp_path, monkeypatch):
         def fileno(self):
             return fd
 
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    return ClosedPipe()
+
+
+def test_closed_pipe_points_stdout_at_the_null_device(tmp_path, monkeypatch):
+    """In process: when the print to stdout meets a closed pipe, `main` keeps
+    its exit code and sends later writes to stdout's descriptor to the null
+    device, so the flush at exit cannot fail again."""
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "stdout", _closed_pipe(fd))
     try:
         assert main(["gen", "-n", "3", "-f", "csv"]) == 0
         os.write(fd, b"after the pipe closed")
     finally:
         os.close(fd)
     assert path.read_bytes() == b""
+
+
+def test_closed_pipe_leaves_no_descriptor_open(tmp_path, monkeypatch):
+    """Each closed-pipe exit of `main` closes the null-device descriptor it
+    opens, so five of them leave the count of open descriptors unchanged."""
+    listing = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "stdout", _closed_pipe(fd))
+    try:
+        before = len(os.listdir(listing))
+        for _ in range(5):
+            assert main(["gen", "-n", "3", "-f", "csv"]) == 0
+        after = len(os.listdir(listing))
+    finally:
+        os.close(fd)
+    assert after == before

@@ -23,6 +23,7 @@ from treexact import (
     reconstruct,
     trees_equal,
 )
+from treexact.oracle import _decode, _fits
 
 from helpers import all_two_matrix, path3_matrix, star_matrix
 
@@ -212,6 +213,65 @@ def test_census_matches_a_path_weight_reference():
             counts.append(census.count)
     assert {0, 1} <= set(counts)
     assert max(counts) >= 2
+
+
+def _full_census(m):
+    """The census without the two-edge test: every Prüfer sequence is
+    decoded by `_decode` and decided by `_fits`. Returns the number of
+    sequences and the sorted edge sets of the realizations."""
+    n = m.n
+    grid, eq, _ = m.comparison_view()
+    examined, hits = 0, []
+    for seq in product(range(1, n + 1), repeat=n - 2):
+        examined += 1
+        edges = _decode(seq, n)
+        if _fits(grid, eq, n, edges):
+            hits.append(tuple(sorted((min(u, v), max(u, v)) for u, v in edges)))
+    return examined, sorted(hits)
+
+
+def _jittered_tree_metric(n, seed, eps, inside):
+    """The float path-weight matrix of a random tree with non-integer
+    weights, each off-diagonal cell scaled by 1 + r with |r| up to eps / 2
+    (`inside`) or between eps and 3 eps (outside), a random sign each."""
+    rng = random.Random(seed)
+    policy = FloatPolicy(eps)
+    tree = random_weighted_tree(n, "0.5", "5", seed=seed, policy=policy)
+    rows = all_pairs_weights(tree).rows
+    pairs = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            r = rng.uniform(0, eps / 2) if inside else rng.uniform(eps, 3 * eps)
+            pairs[(i, j)] = rows[i][j] * (1 + rng.choice((-1, 1)) * r)
+    return DissimilarityMatrix.from_pairs(n, pairs, policy)
+
+
+def test_census_matches_a_census_without_the_two_edge_test():
+    """The two-edge test only cuts short sequences that `_fits` rejects: on
+    random {1..3} matrices under exact, and on jittered non-integer float
+    tree metrics under two tolerances, the census has the same number of
+    sequences and the same ordered realizations as one without it."""
+    rng = random.Random(11)
+    corpus = []
+    for _ in range(24):
+        n = rng.randint(3, 7)
+        pairs = {(i, j): rng.randint(1, 3) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+        corpus.append(DissimilarityMatrix.from_pairs(n, pairs, EXACT))
+    for n in range(3, 8):
+        corpus.append(all_pairs_weights(random_weighted_tree(n, "0.5", "5", seed=n)))
+    for eps in (1e-3, 1e-6):
+        for inside in (True, False):
+            for n in range(4, 8):
+                corpus.append(_jittered_tree_metric(n, rng.randrange(10**6), eps, inside))
+    counts = []
+    for m in corpus:
+        census = count_realizations(m)
+        examined, want = _full_census(m)
+        assert census.topologies_examined == examined == m.n ** (m.n - 2)
+        assert census.count == len(want)
+        assert [tuple((u, v) for u, v, _ in t.edges) for t in census.realizations] == want
+        counts.append((m.policy.name, census.count))
+    assert {("exact", 0), ("exact", 1), ("float", 0), ("float", 1)} <= set(counts)
 
 
 class TestRandomWeightedTree:
