@@ -1,12 +1,12 @@
-"""Ground truth at desk scale: enumerate every labeled tree topology through
-Prüfer sequences, count exact-vertex realizations of a matrix, and generate
-random weighted trees for property tests.
+"""Ground truth at desk scale: decode Prüfer sequences, count the
+exact-vertex realizations of a matrix over every labeled tree topology, and
+generate random weighted trees for property tests.
 
 Edge weights on a fixed topology are forced (adjacent vertices' path is the
 single edge between them), so realization per topology is just a consistency
-check, no solving involved. While the census decodes a topology, it stops
-at the first two-edge path whose sum misses its entry; a topology that
-decodes whole is decided by every path sum.
+check, no solving involved. The census grows every topology edge by edge
+and tests each path sum once, when its path closes; a failing sum drops
+every topology that holds the edges chosen so far.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
 from fractions import Fraction
 
 from .core import DissimilarityMatrix, WeightedTree, _is_int, dump_json
@@ -158,16 +157,58 @@ def realize_on_topology(m: DissimilarityMatrix, topology) -> WeightedTree | None
     return _weighted(m, edges) if _fits(grid, eq, m.n, edges) else None
 
 
+def _outward(adjacency, root: int, entry: int) -> list[tuple[int, int]]:
+    """The component of `root` in the forest `adjacency` as (vertex,
+    predecessor) pairs, each after its predecessor, walking outward from
+    `root`; `root` comes first, with `entry`, across a new edge, as its
+    predecessor."""
+    walk = [(root, entry)]
+    for x, pred in walk:  # the list grows while it is read
+        for y in adjacency[x]:
+            if y != pred:
+                walk.append((y, x))
+    return walk
+
+
+def _joins(adjacency, v: int, n: int):
+    """Each parent p of v outside v's component, with the walks of both
+    sides outward from the new edge (v, p). The forest must be the same
+    each time the generator resumes."""
+    rest = _outward(adjacency, v, v)[1:]
+    inside = {v, *(x for x, _ in rest)}
+    for p in range(1, n + 1):
+        if p not in inside:
+            yield p, [(v, p), *rest], _outward(adjacency, p, v)
+
+
+def _crosses(grid, eq, dist, sources, walk) -> bool:
+    """True iff every pair (a, b), a from `sources` and b from `walk` on
+    the other side of a new edge, has a path sum equal to its entry.
+
+    As in `_fits`, each sum is built one edge at a time outward from its
+    source a, starting from dist[a][x], a's sum to each x on its own side;
+    the sums to b are kept in dist[a][b]."""
+    for a, _ in sources:
+        row, target = dist[a], grid[a]
+        for b, pred in walk:
+            row[b] = row[pred] + grid[pred][b]
+            if not eq(row[b], target[b]):
+                return False
+    return True
+
+
 def count_realizations(
     m: DissimilarityMatrix, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> RealizationCensus:
     """Census over all n^(n-2) labeled topologies (1 by convention for n <= 2).
 
-    Every Prüfer sequence is decided by the path-sum definition. A table
-    built once per call marks each failing two-edge path; while a sequence
-    decodes, it stops at the first such path between a new edge and an edge
-    already decoded at the same leaf, and a sequence that decodes whole is
-    decided by `_fits`. Nothing is cached across calls. Raises TooLarge
+    A depth-first search chooses a parent p(v) for v = 2..n in turn, in
+    another component of the forest chosen so far; these choices are the
+    trees rooted at 1, each once (Cayley). Each new edge tests every path
+    sum across it, in both directions, and a failing one rejects every tree
+    that holds the forest. So every ordered pair of a tree is tested once,
+    with the sum and comparison of `_fits`, and every topology is decided by
+    the path-sum definition. Nothing is cached across calls. Raises TooLarge
     above the cap. The realization list is sorted by edge set so identical
     inputs yield identical censuses.
     """
@@ -177,40 +218,30 @@ def count_realizations(
     if n == 1:
         return RealizationCensus(1, 1, (WeightedTree.from_edges(1, [], m.policy),))
     grid, eq, _ = m.comparison_view()
-    # Bit x of bent[c][v] is set when the path c-v-x fails the test that
-    # `_fits` makes on it from source c; entries that repeat a vertex are
-    # never read.
-    bent = [[0] * (n + 1) for _ in range(n + 1)]
-    for c, v, x in product(range(1, n + 1), repeat=3):
-        if not eq(grid[c][v] + grid[v][x], grid[c][x]):
-            bent[c][v] |= 1 << x
+    adjacency: list[list[int]] = [[] for _ in range(n + 1)]
+    dist = [[0] * (n + 1) for _ in range(n + 1)]
+    parent = [0] * (n + 1)
     found = []
-    examined = 0
-    for seq in product(range(1, n + 1), repeat=n - 2):
-        examined += 1
-        # `_decode` inline. When (leaf, x) is emitted, every child of leaf
-        # has been, so fails[leaf] holds each y on a failing path child-leaf-y.
-        degree = [1] * (n + 1)
-        for x in seq:
-            degree[x] += 1
-        fails = [0] * (n + 1)
-        leaf = ptr = degree.index(1, 1)
-        for x in seq:
-            if fails[leaf] >> x & 1:
+    stack = [_joins(adjacency, 2, n)]  # stack[i] chooses the parent of i + 2
+    while stack:
+        v = len(stack) + 1
+        for p, near, far in stack[-1]:
+            if _crosses(grid, eq, dist, near, far) and _crosses(grid, eq, dist, far, near):
+                parent[v] = p
+                if v == n:
+                    found.append(_weighted(m, [(u, parent[u]) for u in range(2, n + 1)]))
+                    continue
+                adjacency[v].append(p)
+                adjacency[p].append(v)
+                stack.append(_joins(adjacency, v + 1, n))
                 break
-            fails[x] |= bent[leaf][x]
-            degree[x] -= 1
-            if degree[x] == 1 and x < ptr:
-                leaf = x
-            else:
-                leaf = ptr = degree.index(1, ptr + 1)
         else:
-            if not fails[leaf] >> n & 1:
-                edges = _decode(seq, n)
-                if _fits(grid, eq, n, edges):
-                    found.append(_weighted(m, edges))
+            stack.pop()
+            if stack:
+                adjacency[v - 1].pop()
+                adjacency[parent[v - 1]].pop()
     found.sort(key=lambda t: tuple((u, v) for u, v, _ in t.edges))
-    return RealizationCensus(n, examined, tuple(found))
+    return RealizationCensus(n, n ** (n - 2), tuple(found))
 
 
 def random_weighted_tree(

@@ -16,6 +16,7 @@ from treexact import (
     TooLarge,
     WeightedTree,
     all_pairs_weights,
+    check_all,
     count_realizations,
     prufer_decode,
     random_weighted_tree,
@@ -25,7 +26,7 @@ from treexact import (
 )
 from treexact.oracle import _decode, _fits
 
-from helpers import all_two_matrix, path3_matrix, star_matrix
+from helpers import all_two_matrix, path3_matrix, perturb_one_pair, star_matrix
 
 
 def prufer_encode(edges, n):
@@ -247,10 +248,12 @@ def _jittered_tree_metric(n, seed, eps, inside):
 
 
 def test_census_matches_a_census_without_the_two_edge_test():
-    """The two-edge test only cuts short sequences that `_fits` rejects: on
-    random {1..3} matrices under exact, and on jittered non-integer float
-    tree metrics under two tolerances, the census has the same number of
-    sequences and the same ordered realizations as one without it."""
+    """The search only cuts short topologies that `_fits` rejects: on
+    random {1..3} matrices under exact, on jittered non-integer float tree
+    metrics under two tolerances, and on non-integer float tree metrics at a
+    tolerance below the float spacing, the census has the same number of topologies
+    and the same ordered realizations as one that decides every Prüfer
+    sequence with `_fits`."""
     rng = random.Random(11)
     corpus = []
     for _ in range(24):
@@ -263,6 +266,12 @@ def test_census_matches_a_census_without_the_two_edge_test():
         for inside in (True, False):
             for n in range(4, 8):
                 corpus.append(_jittered_tree_metric(n, rng.randrange(10**6), eps, inside))
+    # At eps = 1e-16, `eq` is `==` on cells of 0.5 and more, so a verdict
+    # can turn on the order of a path sum's terms.
+    for n in range(4, 7):
+        for _ in range(10):
+            tree = random_weighted_tree(n, "0.5", "5", seed=rng.randrange(10**6), policy=FloatPolicy(1e-16))
+            corpus.append(all_pairs_weights(tree))
     counts = []
     for m in corpus:
         census = count_realizations(m)
@@ -272,6 +281,74 @@ def test_census_matches_a_census_without_the_two_edge_test():
         assert [tuple((u, v) for u, v, _ in t.edges) for t in census.realizations] == want
         counts.append((m.policy.name, census.count))
     assert {("exact", 0), ("exact", 1), ("float", 0), ("float", 1)} <= set(counts)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_census_lists_every_topology_once_when_every_tree_fits(n):
+    """Under eps = 1e9 every topology fits a {1..3} matrix, so the census
+    lists each of Cayley's n^(n-2) trees, the `prufer_decode` of each
+    sequence, exactly once."""
+    rng = random.Random(n)
+    pairs = {(i, j): rng.randint(1, 3) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    census = count_realizations(DissimilarityMatrix.from_pairs(n, pairs, FloatPolicy(1e9)))
+    every = sorted(prufer_decode(seq, n) for seq in product(range(1, n + 1), repeat=n - 2))
+    assert census.topologies_examined == len(every) == n ** (n - 2)
+    assert [tuple((u, v) for u, v, _ in t.edges) for t in census.realizations] == every
+
+
+def _steiner_tree_metric(n, seed):
+    """The path weights among 1..n of a random tree on n + 1 vertices whose
+    vertex n + 1 has degree 3 or more: a tree metric that no tree on
+    exactly 1..n realizes."""
+    while True:
+        tree = random_weighted_tree(n + 1, "0.5", "5", seed=seed)
+        degree = [0] * (n + 2)
+        for u, v, _ in tree.edges:
+            degree[u] += 1
+            degree[v] += 1
+        hubs = [x for x in range(1, n + 2) if degree[x] >= 3]
+        if hubs:
+            break
+        seed += 1
+    swap = {hubs[0]: n + 1, n + 1: hubs[0]}
+    edges = [(swap.get(u, u), swap.get(v, v), w) for u, v, w in tree.edges]
+    rows = all_pairs_weights(WeightedTree.from_edges(n + 1, edges)).rows
+    return DissimilarityMatrix.from_pairs(
+        n, {(i, j): rows[i][j] for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    )
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_deciders_agree_above_the_default_cap(n):
+    """Above n = 8, under a raised cap: the census finds one tree iff
+    `reconstruct` builds one iff `check_all` calls d realizable, and the
+    two trees are equal, on a realizable input, the same with one pair
+    moved, a random {1..3} matrix and a tree metric that needs a Steiner
+    vertex."""
+    rng = random.Random(n)
+    realizable = all_pairs_weights(random_weighted_tree(n, "0.5", "5", seed=n))
+    a, b = sorted(rng.sample(range(1, n + 1), 2))
+    pairs = {(i, j): rng.randint(1, 3) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    steiner = _steiner_tree_metric(n, n)
+    assert check_all(steiner).four_point.ok
+    corpus = [
+        realizable,
+        perturb_one_pair(realizable, a, b),
+        DissimilarityMatrix.from_pairs(n, pairs),
+        steiner,
+    ]
+    verdicts = []
+    for m in corpus:
+        census = count_realizations(m, cap=11)
+        rebuilt = reconstruct(m)
+        built = isinstance(rebuilt, WeightedTree)
+        assert census.topologies_examined == n ** (n - 2)
+        assert (census.count == 1) == built == check_all(m).realizable
+        assert census.count in (0, 1)
+        if built:
+            assert trees_equal(census.realizations[0], rebuilt)
+        verdicts.append(built)
+    assert verdicts == [True, False, False, False]
 
 
 class TestRandomWeightedTree:
