@@ -36,19 +36,19 @@ epsilon rules find no witness, the report carries Prim's failure as a
 `tree_fit` witness.
 
 Reports are written here, from rows: `_write_json` and `_write_text` fill one
-`%` template per witness kind (`_TEMPLATES`), and the CLI's `check` hands
-them `_decide`'s rows and makes no `Witness`. `check_all` makes its witnesses
-from the same rows; a report's writers turn them back into rows first.
+`%` template per witness kind (`_TEMPLATES`), the JSON ones rendered by
+`dump_json`'s writer at import, and the CLI's `check` hands them `_decide`'s
+rows and makes no `Witness`. `check_all` makes its witnesses from the same
+rows; a report's writers turn them back into rows first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from json import dumps
 from operator import itemgetter
 
-from .core import DissimilarityMatrix
+from .core import DissimilarityMatrix, _json_text, dump_json
 from .errors import TooSmall, UniquenessViolation
 from .numeric import ExactPolicy
 from .reconstruct import _prim
@@ -125,8 +125,13 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        """`dump_json(self.to_json_dict())`, written by `_write_json`."""
-        return _write_json(*_report_rows(self))
+        """`dump_json(self.to_json_dict())`, written by `_write_json` when every
+        label is an int and every flag a bool, as in `check_all`'s reports."""
+        rows = _, fragments, groups = _report_rows(self)
+        flags = {type(flag) for ok, caveat, _ in fragments for flag in (ok, caveat)}
+        if flags == {bool} and {type(x) for _, g in groups for row in g for x in row} <= {int}:
+            return _write_json(*rows)
+        return dump_json(self.to_json_dict())
 
 
 # A witness kind is (condition, code, quadruple size, triple size, whether it
@@ -142,51 +147,52 @@ _KINDS = _TRIANGLE, _MAX_ONCE, _NO_CENTER, _NO_MEDIAN, _LONE_MEDIAN, _TREE_FIT =
 )
 
 
+def _json_template(payload, newline="\n") -> str:
+    """`payload` as `dump_json` writes it after `newline`, each string "%s"
+    in it a `%` slot."""
+    return _json_text(payload, newline).replace('"%s"', "%s")
+
+
+# The report with each flag a `%` slot, in the order `_write_json` fills
+# them: without witnesses, and the head and tail around two witness slots,
+# between which come a comma and the newline that indents a witness.
+_SLOTS = {**CheckReport(*[CheckFragment("%s", (), "%s")] * 3).to_json_dict(), "realizable": "%s"}
+_NO_WITNESSES = _json_template(_SLOTS)
+_HEAD, _SEPARATOR, _TAIL = _json_template({**_SLOTS, "witnesses": ["%s", "%s"]}).rsplit("%s", 2)
+_REPORT = _HEAD + "%s" + _TAIL
+_FLAGS = {flag: _json_text(flag, "") for flag in (False, True)}
+
+
 def _templates(kind) -> tuple[str, str]:
-    """The `%` templates of a witness of `kind`: as `dump_json` indents it,
-    and as a text line, which prints best_l last."""
+    """The `%` templates of a witness of `kind`: as `dump_json` writes it in
+    the report, and as a text line, which prints best_l last. The kind's
+    strings have their `%` escaped first, so they make no slot."""
     condition, code, quad, triple, best = kind
-
-    def labels(size):
-        return "[\n" + ",\n".join(["        %s"] * size) + "\n      ]" if size else "null"
-
-    text = f"witness: {condition} {code}".replace("%", "%%")
+    condition, code = condition.replace("%", "%%"), code.replace("%", "%%")
+    witness = Witness(condition, code, ("%s",) * quad, ("%s",) * triple, "%s" if best else None)
+    text = f"witness: {condition} {code}"
     text += " quadruple={" + ",".join(["%s"] * quad) + "}" if quad else ""
     text += " triple={" + ",".join(["%s"] * triple) + "}" if triple else ""
-    return (
-        "    {\n"
-        f'      "best_l": {"%s" if best else "null"},\n'
-        f'      "code": {dumps(code).replace("%", "%%")},\n'
-        f'      "condition": {dumps(condition).replace("%", "%%")},\n'
-        f'      "quadruple": {labels(quad)},\n'
-        f'      "triple": {labels(triple)}\n'
-        "    }"
-    ), text + (" best_l=%s" if best else "")
+    text += " best_l=%s" if best else ""
+    return _json_template(witness.to_json_dict(), _SEPARATOR[1:]), text
 
 
 _TEMPLATES = {kind: _templates(kind) for kind in _KINDS}
 
 
 def _write_json(realizable, fragments, groups) -> str:
-    """`dump_json(CheckReport.to_json_dict())` from rows: `fragments` holds
-    the four-point, center and median checks' (ok, caveat, count), `groups`
-    (kind, rows) in report order."""
+    """`dump_json(CheckReport.to_json_dict())` from rows of int labels and
+    bool flags: `fragments` holds the four-point, center and median checks'
+    (ok, caveat, count), `groups` (kind, rows) in report order."""
     witnesses = []
     for kind, rows in groups:
         template = (_TEMPLATES.get(kind) or _templates(kind))[0]
         witnesses.extend(map(template.__mod__, rows))
-    witnesses = "[\n" + ",\n".join(witnesses) + "\n  ]" if witnesses else "[]"
     (fp_ok, _, _), (ci_ok, ci_caveat, _), (cii_ok, cii_caveat, _) = fragments
-    return (
-        "{\n"
-        f'  "condition_i": {{\n    "caveat": {dumps(ci_caveat)},\n    "ok": {dumps(ci_ok)}\n  }},\n'
-        f'  "condition_ii": {{\n    "caveat": {dumps(cii_caveat)},\n'
-        f'    "ok": {dumps(cii_ok)}\n  }},\n'
-        f'  "four_point": {{\n    "ok": {dumps(fp_ok)}\n  }},\n'
-        f'  "realizable": {dumps(realizable)},\n'
-        f'  "witnesses": {witnesses}\n'
-        "}"
-    )
+    flags = map(_FLAGS.__getitem__, (ci_caveat, ci_ok, cii_caveat, cii_ok, fp_ok, realizable))
+    if not witnesses:
+        return _NO_WITNESSES % (*flags,)
+    return _REPORT % (*flags, _SEPARATOR.join(witnesses))
 
 
 def _write_text(realizable, fragments, groups) -> str:

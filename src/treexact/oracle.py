@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DissimilarityMatrix, WeightedTree, _is_int, dump_json
+from .core import DissimilarityMatrix, Edge, WeightedTree, _is_int, dump_json
 from .errors import BadRange, BadSequence, InvalidTree, TooLarge
 from .numeric import _INT_LIMIT, _MAX_DIGITS, EXACT, NUMBER_ERRORS, ExactPolicy, Policy, echo
 
@@ -133,16 +133,12 @@ def _fits(grid, eq, n: int, edges) -> bool:
     return True
 
 
-def _weighted(m: DissimilarityMatrix, edges) -> WeightedTree:
-    return WeightedTree.from_edges(m.n, [(u, v, m.d(u, v)) for u, v in edges], m.policy)
-
-
 def realize_on_topology(m: DissimilarityMatrix, topology) -> WeightedTree | None:
     """Weight a fixed topology by the matrix and keep it iff it reproduces
     every pairwise value. Returns None when the topology cannot realize m.
 
     Raises InvalidTree unless `topology` is the edge set of a tree on 1..n;
-    `WeightedTree.from_edges` checks it with unit weights.
+    `WeightedTree.from_edges` checks it with unit weights, once.
     """
     unit = []
     for edge in topology:
@@ -152,9 +148,10 @@ def realize_on_topology(m: DissimilarityMatrix, topology) -> WeightedTree | None
             raise InvalidTree(f"edge {edge!r} is not a pair of labels") from None
         unit.append((u, v, 1))
     shape = WeightedTree.from_edges(m.n, unit, m.policy)
-    edges = [(u, v) for u, v, _ in shape.edges]
     grid, eq, _ = m.comparison_view()
-    return _weighted(m, edges) if _fits(grid, eq, m.n, edges) else None
+    if not _fits(grid, eq, m.n, [(u, v) for u, v, _ in shape.edges]):
+        return None
+    return WeightedTree(m.n, tuple(Edge(u, v, m.d(u, v)) for u, v, _ in shape.edges), m.policy)
 
 
 def _outward(adjacency, root: int, entry: int) -> list[tuple[int, int]]:
@@ -218,6 +215,11 @@ def count_realizations(
     if n == 1:
         return RealizationCensus(1, 1, (WeightedTree.from_edges(1, [], m.policy),))
     grid, eq, _ = m.comparison_view()
+    # Each pair's `Edge`, made once per call, for the trusted tree constructor.
+    edge: list[list] = [[None] * (n + 1) for _ in range(n + 1)]
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            edge[u][v] = edge[v][u] = Edge(u, v, m.d(u, v))
     adjacency: list[list[int]] = [[] for _ in range(n + 1)]
     dist = [[0] * (n + 1) for _ in range(n + 1)]
     parent = [0] * (n + 1)
@@ -229,7 +231,7 @@ def count_realizations(
             if _crosses(grid, eq, dist, near, far) and _crosses(grid, eq, dist, far, near):
                 parent[v] = p
                 if v == n:
-                    found.append(_weighted(m, [(u, parent[u]) for u in range(2, n + 1)]))
+                    found.append(tuple(sorted(edge[u][parent[u]] for u in range(2, n + 1))))
                     continue
                 adjacency[v].append(p)
                 adjacency[p].append(v)
@@ -240,8 +242,8 @@ def count_realizations(
             if stack:
                 adjacency[v - 1].pop()
                 adjacency[parent[v - 1]].pop()
-    found.sort(key=lambda t: tuple((u, v) for u, v, _ in t.edges))
-    return RealizationCensus(n, n ** (n - 2), tuple(found))
+    found.sort()  # by edge set: two trees first differ in an edge's labels
+    return RealizationCensus(n, n ** (n - 2), tuple(WeightedTree(n, e, m.policy) for e in found))
 
 
 def random_weighted_tree(

@@ -570,6 +570,15 @@ def _writer_reports():
         "condition_ii", "no_median_vertex", quadruple=(1, 2, 3, 4), triple=(1, 2, 4), best_l=3
     )
     fit = Witness("tree_fit", "no_tree_within_eps", triple=(2, 1, 3))
+    # Hand-made kinds and labels, which no scan makes: strings that look
+    # like `%` slots or need escaping, labels that are not ints, a flag
+    # that is not a bool.
+    odd_strings = Witness(
+        "%s", "quadruple_%s_%d_100%_\\_\"%s\"_\u00e9\u00df", quadruple=(1, 2, 3, 4),
+        triple=(2, 3, 4), best_l=5,
+    )
+    string_labels = Witness("four_point", "triangle_violation", triple=("a", "%s", '"b"'))
+    bool_best = Witness("condition_i", "no_center_vertex", quadruple=(1, 2, 3, 4), best_l=True)
     return {
         "all_ok": CheckReport(ok, ok, ok),
         "triangle_only": CheckReport(
@@ -585,13 +594,18 @@ def _writer_reports():
             replace(ok, caveat=True),
         ),
         "tree_fit": CheckReport(ok, ok, ok, tree_fit=fit),
+        "odd_strings": CheckReport(CheckFragment(ok=False, witnesses=(odd_strings,)), ok, ok),
+        "string_labels": CheckReport(CheckFragment(ok=False, witnesses=(string_labels,)), ok, ok),
+        "bool_best_l": CheckReport(ok, CheckFragment(ok=False, witnesses=(bool_best,)), ok),
+        "int_flag": CheckReport(CheckFragment(ok=1, witnesses=()), ok, ok),
         **{name: check_all(m) for name, m in _writer_matrices().items()},
     }
 
 
 def test_report_writer_matches_the_generic_dump():
-    """`CheckReport.to_json` writes its layout directly; it must equal what
-    the generic sorted, indented dump prints for the same report."""
+    """`CheckReport.to_json` writes its layout from templates; it must equal
+    what the generic sorted, indented dump prints for the same report, hand-made
+    kinds, labels and flags among them."""
     for name, report in _writer_reports().items():
         assert report.to_json() == dump_json(report.to_json_dict()), name
 
