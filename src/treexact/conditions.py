@@ -35,11 +35,11 @@ identities, which hold by arithmetic under the exact policy. When the scan's
 epsilon rules find no witness, the report carries Prim's failure as a
 `tree_fit` witness.
 
-Reports are written here, from rows: `_write_json` and `_write_text` fill one
-`%` template per witness kind (`_TEMPLATES`), the JSON ones rendered by
-`dump_json`'s writer at import, and the CLI's `check` hands them `_decide`'s
-rows and makes no `Witness`. `check_all` makes its witnesses from the same
-rows; a report's writers turn them back into rows first.
+The CLI's reports are written here, from rows: `_write_json` and
+`_write_text` fill one `%` template per witness kind (`_TEMPLATES`), the JSON
+ones rendered by `dump_json`'s writer at import, and `check` hands them
+`_decide`'s rows and makes no `Witness`. `check_all` makes its witnesses from
+the same rows, and `CheckReport.to_json` is `dump_json` of the report.
 """
 
 from __future__ import annotations
@@ -125,12 +125,6 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        """`dump_json(self.to_json_dict())`, written by `_write_json` when every
-        label is an int and every flag a bool, as in `check_all`'s reports."""
-        rows = _, fragments, groups = _report_rows(self)
-        flags = {type(flag) for ok, caveat, _ in fragments for flag in (ok, caveat)}
-        if flags == {bool} and {type(x) for _, g in groups for row in g for x in row} <= {int}:
-            return _write_json(*rows)
         return dump_json(self.to_json_dict())
 
 
@@ -159,7 +153,6 @@ def _json_template(payload, newline="\n") -> str:
 _SLOTS = {**CheckReport(*[CheckFragment("%s", (), "%s")] * 3).to_json_dict(), "realizable": "%s"}
 _NO_WITNESSES = _json_template(_SLOTS)
 _HEAD, _SEPARATOR, _TAIL = _json_template({**_SLOTS, "witnesses": ["%s", "%s"]}).rsplit("%s", 2)
-_REPORT = _HEAD + "%s" + _TAIL
 _FLAGS = {flag: _json_text(flag, "") for flag in (False, True)}
 
 
@@ -192,7 +185,7 @@ def _write_json(realizable, fragments, groups) -> str:
     flags = map(_FLAGS.__getitem__, (ci_caveat, ci_ok, cii_caveat, cii_ok, fp_ok, realizable))
     if not witnesses:
         return _NO_WITNESSES % (*flags,)
-    return _REPORT % (*flags, _SEPARATOR.join(witnesses))
+    return _HEAD % (*flags,) + _SEPARATOR.join(witnesses) + _TAIL
 
 
 def _write_text(realizable, fragments, groups) -> str:
@@ -207,18 +200,6 @@ def _write_text(realizable, fragments, groups) -> str:
         template, best = (_TEMPLATES.get(kind) or _templates(kind))[1], kind[4]
         lines.extend(template % (row[best:] + row[:best]) for row in rows)
     return "\n".join(lines)
-
-
-def _report_rows(report: CheckReport):
-    """`report` as the writers take it, one group per witness."""
-    groups = []
-    for w in report.witnesses:
-        quad, triple = tuple(w.quadruple or ()), tuple(w.triple or ())
-        best = () if w.best_l is None else (w.best_l,)
-        kind = (w.condition, w.code, len(quad), len(triple), bool(best))
-        groups.append((kind, (best + quad + triple,)))
-    fragments = (report.four_point, report.condition_i, report.condition_ii)
-    return report.realizable, [(f.ok, f.caveat, len(f.witnesses)) for f in fragments], groups
 
 
 def _between_masks(grid, eq, n, anc, residual):

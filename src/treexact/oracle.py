@@ -151,7 +151,8 @@ def realize_on_topology(m: DissimilarityMatrix, topology) -> WeightedTree | None
     grid, eq, _ = m.comparison_view()
     if not _fits(grid, eq, m.n, [(u, v) for u, v, _ in shape.edges]):
         return None
-    return WeightedTree(m.n, tuple(Edge(u, v, m.d(u, v)) for u, v, _ in shape.edges), m.policy)
+    rows = m.rows
+    return WeightedTree(m.n, tuple(Edge(u, v, rows[u][v]) for u, v, _ in shape.edges), m.policy)
 
 
 def _outward(adjacency, root: int, entry: int) -> list[tuple[int, int]]:
@@ -205,9 +206,10 @@ def count_realizations(
     sum across it, in both directions, and a failing one rejects every tree
     that holds the forest. So every ordered pair of a tree is tested once,
     with the sum and comparison of `_fits`, and every topology is decided by
-    the path-sum definition. Nothing is cached across calls. Raises TooLarge
-    above the cap. The realization list is sorted by edge set so identical
-    inputs yield identical censuses.
+    the path-sum definition. A realization's weights are read off the
+    matrix's `rows` view. The census keeps nothing across calls. Raises
+    TooLarge above the cap. The realization list is sorted by edge set so
+    identical inputs yield identical censuses.
     """
     n = m.n
     if n > cap:
@@ -215,11 +217,7 @@ def count_realizations(
     if n == 1:
         return RealizationCensus(1, 1, (WeightedTree.from_edges(1, [], m.policy),))
     grid, eq, _ = m.comparison_view()
-    # Each pair's `Edge`, made once per call, for the trusted tree constructor.
-    edge: list[list] = [[None] * (n + 1) for _ in range(n + 1)]
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            edge[u][v] = edge[v][u] = Edge(u, v, m.d(u, v))
+    rows = m.rows
     adjacency: list[list[int]] = [[] for _ in range(n + 1)]
     dist = [[0] * (n + 1) for _ in range(n + 1)]
     parent = [0] * (n + 1)
@@ -231,7 +229,10 @@ def count_realizations(
             if _crosses(grid, eq, dist, near, far) and _crosses(grid, eq, dist, far, near):
                 parent[v] = p
                 if v == n:
-                    found.append(tuple(sorted(edge[u][parent[u]] for u in range(2, n + 1))))
+                    edges = (
+                        Edge(min(a, b), max(a, b), rows[a][b]) for a, b in enumerate(parent[2:], 2)
+                    )
+                    found.append(WeightedTree(n, tuple(sorted(edges)), m.policy))
                     continue
                 adjacency[v].append(p)
                 adjacency[p].append(v)
@@ -242,8 +243,8 @@ def count_realizations(
             if stack:
                 adjacency[v - 1].pop()
                 adjacency[parent[v - 1]].pop()
-    found.sort()  # by edge set: two trees first differ in an edge's labels
-    return RealizationCensus(n, n ** (n - 2), tuple(WeightedTree(n, e, m.policy) for e in found))
+    found.sort(key=lambda t: t.edges)  # two trees first differ in an edge's labels
+    return RealizationCensus(n, n ** (n - 2), tuple(found))
 
 
 def random_weighted_tree(

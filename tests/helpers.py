@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from treexact import DissimilarityMatrix, EXACT
-from treexact.conditions import _report, _report_rows, _scan_rows, _write_text
+from treexact.conditions import _report, _scan_rows, _write_text
 from treexact.reconstruct import _prim
 
 
@@ -75,7 +75,20 @@ def scan_report(m):
     return _report(*_scan_rows(m, _prim(m)))
 
 
+def report_rows(report):
+    """A `CheckReport` as the CLI's writers take `_decide`'s rows, one group
+    per witness."""
+    groups = []
+    for w in report.witnesses:
+        quad, triple = tuple(w.quadruple or ()), tuple(w.triple or ())
+        best = () if w.best_l is None else (w.best_l,)
+        kind = (w.condition, w.code, len(quad), len(triple), bool(best))
+        groups.append((kind, (best + quad + triple,)))
+    fragments = (report.four_point, report.condition_i, report.condition_ii)
+    return report.realizable, [(f.ok, f.caveat, len(f.witnesses)) for f in fragments], groups
+
+
 def report_text(report):
     """The text report of a `CheckReport`, as `treexact check -f text`
     writes it."""
-    return _write_text(*_report_rows(report))
+    return _write_text(*report_rows(report))
