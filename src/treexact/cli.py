@@ -7,6 +7,9 @@ realizations: never observed under the exact policy, but under --mode
 float the tolerance can fit two trees). JSON output is byte-deterministic
 for identical inputs and flags; matrix input format (CSV vs JSON) is
 sniffed from the first non-blank character.
+
+`conditions` and `oracle` are imported by the handlers that run them, so a
+process loads only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import functools
 import os
 import sys
 
-from .conditions import _decide, _write_json, _write_text
 from .core import (
     DissimilarityMatrix,
     WeightedTree,
@@ -28,7 +30,6 @@ from .core import (
 )
 from .errors import TooLarge, TreexactError
 from .numeric import _MAX_DIGITS, EXACT, ExactPolicy, FloatPolicy, Policy, _widest_text, echo
-from .oracle import DEFAULT_ENUMERATION_CAP, count_realizations, random_weighted_tree
 from .reconstruct import UnrealizableWitness, reconstruct
 
 EXIT_OK = 0
@@ -47,6 +48,17 @@ MAX_MATRIX_CHARS = 150_000_000
 
 class _UsageError(Exception):
     """Bad flag combination or unsupported format; maps to exit 2."""
+
+
+class _CapHelp(str):
+    """The help line of `oracle --cap`. argparse fills it in with `%` only to
+    print help, so the oracle's default cap is read then, and building the
+    parser does not import the oracle."""
+
+    def __mod__(self, params):
+        from .oracle import DEFAULT_ENUMERATION_CAP
+
+        return super().__mod__({**params, "cap": DEFAULT_ENUMERATION_CAP})
 
 
 @functools.cache
@@ -88,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name, (_, _, help_text) in _COMMANDS.items()
     }
     parsers["oracle"].add_argument(
-        "--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-        help=f"enumeration size limit (default {DEFAULT_ENUMERATION_CAP})",
+        "--cap", type=int, help=_CapHelp("enumeration size limit (default %(cap)s)"),
     )
     gen_p = parsers["gen"]
     gen_p.add_argument("-n", type=int, required=True, help="number of vertices")
@@ -179,6 +190,8 @@ def _read_matrix(args, policy: Policy) -> DissimilarityMatrix:
 
 
 def run_check(args, policy: Policy) -> tuple[str, int]:
+    from .conditions import _decide, _write_json, _write_text
+
     rows = _decide(_read_matrix(args, policy))
     text = _write_json(*rows) if args.format == "json" else _write_text(*rows)
     return text, EXIT_OK if rows[0] else EXIT_UNREALIZABLE
@@ -209,7 +222,10 @@ def run_weights(args, policy: Policy) -> tuple[str, int]:
 
 
 def run_oracle(args, policy: Policy) -> tuple[str, int]:
-    census = count_realizations(_read_matrix(args, policy), cap=args.cap)
+    from .oracle import DEFAULT_ENUMERATION_CAP, count_realizations
+
+    cap = DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
+    census = count_realizations(_read_matrix(args, policy), cap=cap)
     code = {0: EXIT_UNREALIZABLE, 1: EXIT_OK}.get(census.count, EXIT_FALSIFIED)
     if args.format == "json":
         return census.to_json(), code
@@ -225,6 +241,8 @@ def run_oracle(args, policy: Policy) -> tuple[str, int]:
 
 
 def run_gen(args, policy: Policy) -> tuple[str, int]:
+    from .oracle import random_weighted_tree
+
     _check_vertices(args.n)
     tree = random_weighted_tree(args.n, args.wmin, args.wmax, args.seed, policy)
     if args.format == "dot":

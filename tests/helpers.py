@@ -1,7 +1,11 @@
 """Shared fixture matrices and small utilities for the test suite."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import treexact
 from treexact import DissimilarityMatrix, EXACT
 from treexact.conditions import _report, _scan_rows, _write_text
 from treexact.reconstruct import _prim
@@ -92,3 +96,14 @@ def report_text(report):
     """The text report of a `CheckReport`, as `treexact check -f text`
     writes it."""
     return _write_text(*report_rows(report))
+
+
+def run_fresh(code, *argv, cwd=None):
+    """Run `code` in a new interpreter that imports treexact from the same
+    place as this suite, with `argv` as its arguments; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(treexact.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=60
+    )
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    return run.stdout
