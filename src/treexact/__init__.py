@@ -5,8 +5,10 @@ The public surface is the union of the six modules' `__all__` lists; each
 public name is declared once, in its own module.
 
 `import treexact` loads `core`, `errors`, `numeric` and `reconstruct`.
-`conditions` and `oracle` load on the first other name asked of the package
-(PEP 562), which binds every public name and `__all__`.
+A submodule name (`cli`, `conditions`, `oracle`) loads that submodule alone,
+as `import treexact.<name>` does. Any other name the package does not hold
+loads `conditions` and `oracle` (PEP 562) and binds every public name and
+`__all__`.
 """
 
 import importlib
@@ -37,6 +39,8 @@ def _load() -> None:
 
 
 def __getattr__(name: str):
+    if name in ("cli", "conditions", "oracle"):
+        return importlib.import_module(f".{name}", __name__)
     _load()
     try:
         return globals()[name]

@@ -5,8 +5,8 @@ Exit codes are a stable contract: 0 success/realizable, 1 not realizable,
 2 invalid input, 3 uniqueness falsified (an oracle census with two or more
 realizations: never observed under the exact policy, but under --mode
 float the tolerance can fit two trees). JSON output is byte-deterministic
-for identical inputs and flags; matrix input format (CSV vs JSON) is
-sniffed from the first non-blank character.
+for identical inputs and flags. Matrix input goes to `parse_matrix`, which
+tells CSV from JSON itself.
 
 `conditions` and `oracle` are imported by the handlers that run them, so a
 process loads only what its subcommand uses.
@@ -50,17 +50,6 @@ class _UsageError(Exception):
     """Bad flag combination or unsupported format; maps to exit 2."""
 
 
-class _CapHelp(str):
-    """The help line of `oracle --cap`. argparse fills it in with `%` only to
-    print help, so the oracle's default cap is read then, and building the
-    parser does not import the oracle."""
-
-    def __mod__(self, params):
-        from .oracle import DEFAULT_ENUMERATION_CAP
-
-        return super().__mod__({**params, "cap": DEFAULT_ENUMERATION_CAP})
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every `main` call."""
@@ -100,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name, (_, _, help_text) in _COMMANDS.items()
     }
     parsers["oracle"].add_argument(
-        "--cap", type=int, help=_CapHelp("enumeration size limit (default %(cap)s)"),
+        "--cap", type=int, default=8, help="enumeration size limit (default %(default)s)",
     )
     gen_p = parsers["gen"]
     gen_p.add_argument("-n", type=int, required=True, help="number of vertices")
@@ -184,9 +173,7 @@ def _witness_text(witness: UnrealizableWitness) -> str:
 
 
 def _read_matrix(args, policy: Policy) -> DissimilarityMatrix:
-    text = _read_input(args.input)
-    fmt = "json" if text.lstrip().startswith("{") else "csv"
-    return parse_matrix(text, fmt, policy)
+    return parse_matrix(_read_input(args.input), policy=policy)
 
 
 def run_check(args, policy: Policy) -> tuple[str, int]:
@@ -222,10 +209,9 @@ def run_weights(args, policy: Policy) -> tuple[str, int]:
 
 
 def run_oracle(args, policy: Policy) -> tuple[str, int]:
-    from .oracle import DEFAULT_ENUMERATION_CAP, count_realizations
+    from .oracle import count_realizations
 
-    cap = DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
-    census = count_realizations(_read_matrix(args, policy), cap=cap)
+    census = count_realizations(_read_matrix(args, policy), cap=args.cap)
     code = {0: EXIT_UNREALIZABLE, 1: EXIT_OK}.get(census.count, EXIT_FALSIFIED)
     if args.format == "json":
         return census.to_json(), code

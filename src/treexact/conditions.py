@@ -158,10 +158,8 @@ _FLAGS = {flag: _json_text(flag, "") for flag in (False, True)}
 
 def _templates(kind) -> tuple[str, str]:
     """The `%` templates of a witness of `kind`: as `dump_json` writes it in
-    the report, and as a text line, which prints best_l last. The kind's
-    strings have their `%` escaped first, so they make no slot."""
+    the report, and as a text line, which prints best_l last."""
     condition, code, quad, triple, best = kind
-    condition, code = condition.replace("%", "%%"), code.replace("%", "%%")
     witness = Witness(condition, code, ("%s",) * quad, ("%s",) * triple, "%s" if best else None)
     text = f"witness: {condition} {code}"
     text += " quadruple={" + ",".join(["%s"] * quad) + "}" if quad else ""
@@ -176,11 +174,11 @@ _TEMPLATES = {kind: _templates(kind) for kind in _KINDS}
 def _write_json(realizable, fragments, groups) -> str:
     """`dump_json(CheckReport.to_json_dict())` from rows of int labels and
     bool flags: `fragments` holds the four-point, center and median checks'
-    (ok, caveat, count), `groups` (kind, rows) in report order."""
+    (ok, caveat, count), `groups` (kind, rows) in report order, each kind
+    one of `_KINDS`."""
     witnesses = []
     for kind, rows in groups:
-        template = (_TEMPLATES.get(kind) or _templates(kind))[0]
-        witnesses.extend(map(template.__mod__, rows))
+        witnesses.extend(map(_TEMPLATES[kind][0].__mod__, rows))
     (fp_ok, _, _), (ci_ok, ci_caveat, _), (cii_ok, cii_caveat, _) = fragments
     flags = map(_FLAGS.__getitem__, (ci_caveat, ci_ok, cii_caveat, cii_ok, fp_ok, realizable))
     if not witnesses:
@@ -197,7 +195,7 @@ def _write_text(realizable, fragments, groups) -> str:
         tag = "ok" if ok else f"FAIL ({count} witnesses)"
         lines.append(f"{name}: {tag}" + (" [caveat: four-point failed]" if caveat else ""))
     for kind, rows in groups:
-        template, best = (_TEMPLATES.get(kind) or _templates(kind))[1], kind[4]
+        template, best = _TEMPLATES[kind][1], kind[4]
         lines.extend(template % (row[best:] + row[:best]) for row in rows)
     return "\n".join(lines)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
@@ -393,6 +394,11 @@ def _json_text(value, newline: str) -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
+# `\s` is what `str.isspace` matches, so this tests the first other
+# character without copying the text.
+_JSON_START = re.compile(r"\s*\{")
+
+
 def _load_json(text: str, policy: Policy):
     try:
         return json.loads(text, parse_float=policy.json_parse_float)
@@ -404,30 +410,16 @@ def _load_json(text: str, policy: Policy):
         raise MalformedInput("invalid JSON: nested too deeply")
 
 
-def parse_matrix(text: str, fmt: str = "csv", policy: Policy = EXACT) -> DissimilarityMatrix:
+def parse_matrix(text: str, *, policy: Policy = EXACT) -> DissimilarityMatrix:
     """Parse CSV or JSON text into a validated DissimilarityMatrix.
 
-    CSV is n lines of n comma-separated values. JSON is an object
-    ``{"n": int, "d": [[...]]}`` whose cells may be numbers or decimal
-    strings; an object wrapping the matrix under a "matrix" key (as emitted
-    by the generator subcommand) is unwrapped.
+    The text is JSON when its first character that `str.isspace` does not
+    skip is `{`, and CSV otherwise. JSON is an object ``{"n": int, "d":
+    [[...]]}`` whose cells may be numbers or decimal strings; an object
+    wrapping the matrix under a "matrix" key (as emitted by the generator
+    subcommand) is unwrapped. CSV is n lines of n comma-separated values.
     """
-    kind = fmt.lower()
-    if kind == "csv":
-        lines = text.splitlines()
-        while lines and not lines[-1].strip():
-            lines.pop()
-        if not lines:
-            raise MalformedInput("empty matrix input")
-        raw_rows = []
-        for i, line in enumerate(lines, start=1):
-            if not line.strip():
-                raise MalformedInput("blank line inside matrix", row=i)
-            cells = line.split(",")
-            # A line with no whitespace has no cell to strip.
-            raw_rows.append(cells if line.split(None, 1) == [line] else [c.strip() for c in cells])
-        return DissimilarityMatrix.from_rows(raw_rows, policy)
-    if kind == "json":
+    if _JSON_START.match(text):
         obj = _load_json(text, policy)
         if isinstance(obj, dict) and "d" not in obj and isinstance(obj.get("matrix"), dict):
             obj = obj["matrix"]
@@ -442,7 +434,19 @@ def parse_matrix(text: str, fmt: str = "csv", policy: Policy = EXACT) -> Dissimi
         ):
             raise MalformedInput('"d" must be an n-row array matching "n"')
         return DissimilarityMatrix.from_rows(rows, policy)
-    raise MalformedInput(f"unknown matrix format {fmt!r}")
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise MalformedInput("empty matrix input")
+    raw_rows = []
+    for i, line in enumerate(lines, start=1):
+        if not line.strip():
+            raise MalformedInput("blank line inside matrix", row=i)
+        cells = line.split(",")
+        # A line with no whitespace has no cell to strip.
+        raw_rows.append(cells if line.split(None, 1) == [line] else [c.strip() for c in cells])
+    return DissimilarityMatrix.from_rows(raw_rows, policy)
 
 
 def parse_tree(text: str, policy: Policy = EXACT) -> WeightedTree:

@@ -326,7 +326,7 @@ class TestGen:
         assert code == 0
         doc = json.loads(out)
         generated = parse_tree(json.dumps(doc["tree"]))
-        matrix = parse_matrix(json.dumps(doc["matrix"]), fmt="json")
+        matrix = parse_matrix(json.dumps(doc["matrix"]))
         rebuilt = reconstruct(matrix)
         assert trees_equal(rebuilt, generated)
 
@@ -346,7 +346,7 @@ class TestGen:
         assert code == 0
         doc = json.loads(out)
         generated = parse_tree(json.dumps(doc["tree"]))
-        rebuilt = reconstruct(parse_matrix(json.dumps(doc["matrix"]), fmt="json"))
+        rebuilt = reconstruct(parse_matrix(json.dumps(doc["matrix"])))
         assert trees_equal(rebuilt, generated)
 
     def test_single_vertex(self, capsys):

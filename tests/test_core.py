@@ -75,7 +75,7 @@ class TestParseMatrix:
         assert str(err.value) == "row 2 has 2 entries, expected 3"
         assert (err.value.row, err.value.col) == (2, None)
         with pytest.raises(InvalidMatrix, match=r"^row 2 has 2 entries, expected 3$"):
-            parse_matrix('{"n": 3, "d": [[0, 1, 2], [1, 0], [2, 1, 0]]}', fmt="json")
+            parse_matrix('{"n": 3, "d": [[0, 1, 2], [1, 0], [2, 1, 0]]}')
 
     def test_csv_tolerates_spaces_and_trailing_newline(self):
         for tail in ("\n\n", "\n\n  \n\n"):
@@ -83,23 +83,19 @@ class TestParseMatrix:
             assert m.d(1, 2) == 3
 
     def test_json_strings_and_numbers(self):
-        m = parse_matrix(
-            '{"n": 2, "d": [["0", 0.1], [0.1, "0"]]}', fmt="json"
-        )
+        m = parse_matrix('{"n": 2, "d": [["0", 0.1], [0.1, "0"]]}')
         # exact policy reads the decimal literal losslessly
         assert m.d(1, 2) == Fraction(1, 10)
 
     def test_json_wrapped_matrix_object(self):
-        m = parse_matrix(
-            '{"tree": {}, "matrix": {"n": 2, "d": [[0, 7], [7, 0]]}}', fmt="json"
-        )
+        m = parse_matrix('{"tree": {}, "matrix": {"n": 2, "d": [[0, 7], [7, 0]]}}')
         assert m.d(1, 2) == 7
 
     def test_json_malformed(self):
         with pytest.raises(MalformedInput):
-            parse_matrix("{not json", fmt="json")
+            parse_matrix("{not json")
         with pytest.raises(MalformedInput):
-            parse_matrix('{"n": 2}', fmt="json")
+            parse_matrix('{"n": 2}')
 
     def test_empty_input(self):
         with pytest.raises(MalformedInput):
@@ -108,17 +104,13 @@ class TestParseMatrix:
     @pytest.mark.parametrize("policy", [EXACT, FloatPolicy()])
     def test_json_booleans_rejected(self, policy):
         with pytest.raises(MalformedInput):
-            parse_matrix('{"n": true, "d": [[0]]}', fmt="json", policy=policy)
+            parse_matrix('{"n": true, "d": [[0]]}', policy=policy)
         with pytest.raises(MalformedInput):
-            parse_matrix('{"n": 2, "d": [[0, true], [true, 0]]}', fmt="json", policy=policy)
-
-    def test_unknown_format(self):
-        with pytest.raises(MalformedInput, match="^unknown matrix format 'xml'$"):
-            parse_matrix("0", fmt="xml")
+            parse_matrix('{"n": 2, "d": [[0, true], [true, 0]]}', policy=policy)
 
     def test_json_rows_must_be_arrays(self):
         with pytest.raises(MalformedInput):
-            parse_matrix('{"n": 2, "d": [1, 2]}', fmt="json")
+            parse_matrix('{"n": 2, "d": [1, 2]}')
 
     def test_float_policy_parse(self):
         m = parse_matrix("0,1.5\n1.5,0", policy=FloatPolicy())
@@ -157,7 +149,7 @@ class TestExactBounds:
 
     def test_json_float_literal_beyond_bounds(self):
         with pytest.raises(MalformedInput):
-            parse_matrix('{"n": 2, "d": [[0, 1e-1001], [1e-1001, 0]]}', fmt="json")
+            parse_matrix('{"n": 2, "d": [[0, 1e-1001], [1e-1001, 0]]}')
         with pytest.raises(MalformedInput):
             parse_tree('{"n": 2, "edges": [{"u": 1, "v": 2, "w": 1e-1001}]}')
 

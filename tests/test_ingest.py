@@ -224,7 +224,7 @@ MIXED = [
 class TestParseMemo:
     @pytest.mark.parametrize("policy", [EXACT, FloatPolicy()])
     def test_json_types_read_alike(self, policy):
-        m = parse_matrix(json.dumps({"n": 4, "d": MIXED}), "json", policy)
+        m = parse_matrix(json.dumps({"n": 4, "d": MIXED}), policy=policy)
         assert all(value == 1 for _, _, value in m.pairs())
         assert all(m.rows[i][i] == 0 for i in range(1, 5))
 
@@ -394,7 +394,7 @@ class TestIngestDifferential:
                 assert built(parse_matrix, text) == want
             doc = json.dumps({"n": len(rows), "d": rows})
             read = json.loads(doc, parse_float=EXACT.json_parse_float)
-            assert built(lambda text: parse_matrix(text, "json"), doc) == built(reference_matrix, read["d"])
+            assert built(parse_matrix, doc) == built(reference_matrix, read["d"])
 
     @pytest.mark.parametrize("text", FIXED_CELLS)
     def test_fixed_places(self, text):

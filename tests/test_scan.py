@@ -603,15 +603,15 @@ def _writer_reports():
 
 
 def test_report_writer_matches_the_generic_dump():
-    """The CLI's `_write_json` fills templates rendered at import; from a
-    report's rows it must print what the generic sorted, indented dump prints
-    for the report, hand-made kinds among them. Its rows hold int labels and
-    bool flags, so the reports with other labels or flags are checked through
-    `CheckReport.to_json` alone, which must print the dump for every report."""
+    """`CheckReport.to_json` must print the generic sorted, indented dump for
+    every report, hand-made kinds, labels and flags among them. The CLI's
+    `_write_json` fills templates rendered at import for the kinds the scan
+    emits, so it is checked on `check_all`'s reports only: from their rows it
+    must print the same dump."""
     for name, report in _writer_reports().items():
         want = dump_json(report.to_json_dict())
         assert report.to_json() == want, name
-        if name not in ("string_labels", "bool_best_l", "int_flag"):
+        if name in _writer_matrices():
             assert conditions._write_json(*report_rows(report)) == want, name
 
 
