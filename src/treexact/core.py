@@ -15,16 +15,17 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import floordiv, getitem, itemgetter, mul
 from typing import NamedTuple
 
 from .errors import (
     InvalidMatrix, InvalidTree, MalformedInput, PolicyMismatch, TooLarge, UnknownVertex,
 )
 from .numeric import (
-    _MAX_GRID_BITS, EXACT, NUMBER_ERRORS, ExactPolicy, Policy, Scalar, _plain_decimals,
-    _scaled_texts, echo,
+    _MAX_DIGITS, _MAX_GRID_BITS, _PLAIN_DECIMAL, EXACT, NUMBER_ERRORS, ExactPolicy, Policy,
+    Scalar, _scaled_texts, echo,
 )
 
 __all__ = [
@@ -107,36 +108,108 @@ def _exact_ratio(cell) -> tuple[int, int]:
 
 def _exact_grid(raw_rows, n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The 1-based integer grid of an n x n nested sequence of exact cells
-    and the least scale that puts every cell on the integers. Rows that are
-    n lists of n strings, all plain decimals within the bound below, are read
-    together by `_plain_decimals`, and each grid row is built from its own ints.
-    Otherwise `_read_cells` reads each cell as a pair in lowest terms, and
-    over the lcm of the denominators no factor is common to the scale and
-    every lifted value. That lcm grows with the number of distinct
-    denominators, so the grid is refused as TooLarge once its bits would
-    pass _MAX_GRID_BITS, before any value is lifted."""
-    plain = None
-    if all(type(row) is list and len(row) == n for row in raw_rows):
-        plain = _plain_decimals(list(chain.from_iterable(raw_rows)))
-    if plain is None:
-        raw_rows = _read_cells(raw_rows, n, _exact_ratio)
-        ratios = set().union(*raw_rows)
-        most = _MAX_GRID_BITS // len(ratios)
-        scale = 1
-        for den in {den for _, den in ratios}:
-            scale = math.lcm(scale, den)
-            if scale.bit_length() > most:
-                raise TooLarge(
-                    f"the {len(ratios)} distinct values of the matrix over one denominator "
-                    f"exceed the {_MAX_GRID_BITS}-bit limit of the exact grid"
-                )
-        lifted = {(num, den): num * (scale // den) for num, den in ratios}
-        values = map(lifted.__getitem__, chain.from_iterable(raw_rows))
-    else:
-        values, scale = plain
-    values = iter(values)
+    and the least scale that puts every cell on the integers. `_read_cells`
+    reads each cell as a pair in lowest terms, and over the lcm of the
+    denominators no factor is common to the scale and every lifted value.
+    That lcm grows with the number of distinct denominators, so the grid is
+    refused as TooLarge once its bits would pass _MAX_GRID_BITS, before any
+    value is lifted."""
+    raw_rows = _read_cells(raw_rows, n, _exact_ratio)
+    ratios = set().union(*raw_rows)
+    most = _MAX_GRID_BITS // len(ratios)
+    scale = 1
+    for den in {den for _, den in ratios}:
+        scale = math.lcm(scale, den)
+        if scale.bit_length() > most:
+            raise TooLarge(
+                f"the {len(ratios)} distinct values of the matrix over one denominator "
+                f"exceed the {_MAX_GRID_BITS}-bit limit of the exact grid"
+            )
+    lifted = {(num, den): num * (scale // den) for num, den in ratios}
+    values = map(lifted.__getitem__, chain.from_iterable(raw_rows))
     zeros = (0,) * (n + 1)
     return (zeros, *((0, *islice(values, n)) for _ in range(n))), scale
+
+
+# The only bytes of a CSV that `_csv_matrix` reads: signs, spaces, exponents,
+# other line breaks and every other literal go to the per-cell reader.
+_CSV_BYTES = b"0123456789.,\n"
+# Writes every digit as 0: a plain decimal keeps its shape.
+_DIGITS_AS_ZERO = str.maketrans("123456789", "000000000")
+
+
+def _csv_matrix(text: str, policy: Policy) -> "DissimilarityMatrix | None":
+    """The matrix of a CSV of n lines of n unsigned plain decimals whose
+    mirror cells are the same text, with a zero diagonal and positive cells
+    off it; else None, and the per-cell reader reads it. Each line's cells
+    left of the diagonal are compared in C with the column above them; then
+    only the diagonal and upper triangle are read, by `float`, or by `int`
+    with the points dropped (lifted to the most places k after a shape check
+    when the text does not show one places for all). Each grid row is built
+    from those values, so mirror entries share one number. Exact cells have
+    at most _MAX_DIGITS characters, and n^2 times the bits of 10**k stays
+    within _MAX_GRID_BITS, as the scale is 10**k over its gcd with the values."""
+    if not text.isascii() or text.encode().translate(None, _CSV_BYTES):
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    n, exact = len(lines), isinstance(policy, ExactPolicy)
+    most, shapes, wide = 0, None, max(map(len, lines), default=0) > _MAX_DIGITS
+    if exact and "." in text:  # one point in each cell, with the first cell's places?
+        first = _PLAIN_DECIMAL.match(text)
+        most = len(first.group(2) or "") if first else 0
+        tail, shaped = "." + "0" * most, text.translate(_DIGITS_AS_ZERO)
+        ends = shaped.count(tail + ",") + shaped.count(tail + "\n") + shaped.endswith(tail)
+        shapes = None if text.count(".") == ends == n * n else set()
+    lines.reverse()
+    upper = []  # upper[i]: row i's cells from its diagonal on
+    for i in range(n):
+        line = lines.pop()
+        if shapes is not None:
+            shapes.update(line.translate(_DIGITS_AS_ZERO).split(","))
+        elif exact:
+            line = line.replace(".", "")
+        cells = line.split(",")
+        if len(cells) != n or cells[:i] != list(map(getitem, upper, range(i, 0, -1))):
+            return None
+        del cells[:i]
+        upper.append(cells)
+    if shapes:
+        if not all(len(s) <= _MAX_DIGITS and _PLAIN_DECIMAL.fullmatch(s) for s in shapes):
+            return None
+        places = {shape: len(shape.partition(".")[2]) for shape in shapes}
+        most = max(places.values())
+        lift = {shape: 10 ** (most - k) for shape, k in places.items()}
+    elif exact and wide and max(map(len, chain.from_iterable(upper))) > _MAX_DIGITS:
+        return None
+    if not n or exact and n * n * (10**most).bit_length() > _MAX_GRID_BITS:
+        return None
+    common = 10**most
+    try:
+        for i, cells in enumerate(upper):
+            if shapes:
+                lifts = "\n".join(cells).translate(_DIGITS_AS_ZERO).split("\n")
+                cells = map(str.replace, cells, repeat("."), repeat(""))
+                cells = map(mul, map(int, cells), map(lift.__getitem__, lifts))
+            upper[i] = values = list(map(int if exact else float, cells))
+            if common > 1:
+                common = math.gcd(common, *values)
+    except ValueError:  # an empty cell, or a lone point
+        return None
+    # No cell is negative, so the diagonal's n zeros must be all of them.
+    if any(map(itemgetter(0), upper)) or sum(map(list.count, upper, repeat(0))) != n:
+        return None
+    if not exact and max(map(max, upper)) == math.inf:
+        return None
+    if common > 1:
+        upper = [list(map(floordiv, values, repeat(common))) for values in upper]
+    zero, scale = (0, 10**most // common) if exact else (0.0, None)
+    grid = (zero,) * (n + 1), *(
+        (zero, *map(getitem, upper, range(i, 0, -1)), zero, *values[1:])
+        for i, values in enumerate(upper)
+    )
+    return DissimilarityMatrix(n, policy, grid, scale)
 
 
 def _canonical(cells, n: int, eq, zero) -> tuple[tuple, ...]:
@@ -187,12 +260,21 @@ class DissimilarityMatrix:
     def from_rows(cls, raw_rows, policy: Policy = EXACT) -> "DissimilarityMatrix":
         """Validate and build from an n x n nested sequence (0-based storage in,
         1-based labels out). Every number error comes before any validity
-        error."""
+        error. Rows that are n lists of n strings are read as the lines of a
+        CSV by `_csv_matrix` when it can; every other input, and every input
+        with an error, is read cell by cell."""
         if not isinstance(raw_rows, Sequence):  # an iterator has no length
             raise InvalidMatrix(f"matrix rows must be a sequence, got {type(raw_rows).__name__}")
         n = len(raw_rows)
         if n < 1:
             raise InvalidMatrix("matrix must have at least one row")
+        try:  # a cell with a line break or a comma fails the line or cell count
+            square = all(type(row) is list and len(row) == n for row in raw_rows)
+            text = "\n".join(map(",".join, raw_rows)) if square else ""
+        except TypeError:  # a cell that is not a string
+            text = ""
+        if text.count("\n") == n - 1 and (matrix := _csv_matrix(text, policy)):
+            return matrix
         if isinstance(policy, ExactPolicy):
             grid, scale = _exact_grid(raw_rows, n)
             # Equal values are equal integers, so whole-grid tests find whether
@@ -434,6 +516,9 @@ def parse_matrix(text: str, *, policy: Policy = EXACT) -> DissimilarityMatrix:
         ):
             raise MalformedInput('"d" must be an n-row array matching "n"')
         return DissimilarityMatrix.from_rows(rows, policy)
+    matrix = _csv_matrix(text, policy)
+    if matrix is not None:
+        return matrix
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -443,9 +528,7 @@ def parse_matrix(text: str, *, policy: Policy = EXACT) -> DissimilarityMatrix:
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             raise MalformedInput("blank line inside matrix", row=i)
-        cells = line.split(",")
-        # A line with no whitespace has no cell to strip.
-        raw_rows.append(cells if line.split(None, 1) == [line] else [c.strip() for c in cells])
+        raw_rows.append([cell.strip() for cell in line.split(",")])
     return DissimilarityMatrix.from_rows(raw_rows, policy)
 
 

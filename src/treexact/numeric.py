@@ -21,7 +21,6 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import ClassVar, Union
 
 Scalar = Union[Fraction, float]
@@ -135,8 +134,6 @@ _MAX_GRID_BITS = 200_000_000
 # A plain ASCII decimal. Every other literal, digits of other scripts
 # included, goes through `Fraction(text)`.
 _PLAIN_DECIMAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]*))?")
-# Writes every ASCII digit as 0: a plain decimal keeps its shape.
-_DIGITS_AS_ZERO = str.maketrans("123456789", "000000000")
 
 
 def _bounded_fraction(text: str) -> Fraction:
@@ -163,43 +160,6 @@ def _bounded_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ValueError as exc:
         raise _shortened(exc, text) from None
-
-
-def _plain_decimals(cells: list[str]) -> tuple[list[int], int] | None:
-    """Every cell of the list, in order, as an integer over one scale, when
-    each is a plain decimal of at most _MAX_DIGITS characters and the cells
-    times the bits of 10**k, k the most places, stay within _MAX_GRID_BITS;
-    else None, and the general reader, which shares repeated values, reads them.
-    The cells are checked by shape, their text with every digit written as
-    0: a matrix has few shapes, and a cell with a newline fails the count.
-    Each cell, its point dropped, is read by `int` in a map, one int per cell
-    and no Python code per cell, and multiplied up to the most places k when
-    the places differ. The ints and 10**k are then divided by their common
-    factor, so the scale is the least that puts every value on the integers."""
-    try:
-        joined = "\n".join(cells)
-    except TypeError:  # a cell that is not a string
-        return None
-    if joined.count("\n") != len(cells) - 1:
-        return None
-    shapes = joined.translate(_DIGITS_AS_ZERO)
-    places = {}
-    for shape in set(shapes.split("\n")):
-        if len(shape) > _MAX_DIGITS or not _PLAIN_DECIMAL.fullmatch(shape):
-            return None
-        places[shape] = len(shape.partition(".")[2])
-    most = max(places.values())
-    if len(cells) * (10**most).bit_length() > _MAX_GRID_BITS:
-        return None
-    values = map(int, map(str.replace, cells, repeat("."), repeat("")))
-    if min(places.values()) < most:
-        lift = {shape: 10 ** (most - k) for shape, k in places.items()}
-        values = map(operator.mul, values, map(lift.__getitem__, shapes.split("\n")))
-    values = list(values)
-    common = math.gcd(10**most, *values)
-    if common > 1:
-        values = list(map(operator.floordiv, values, repeat(common)))
-    return values, 10**most // common
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ class _Prim(NamedTuple):
     mismatch: tuple[int, int, int] | None  # the first (v, p, x), in Prim order
     residual: frozenset  # every label in a pair where d differs from the tree
     mismatched: tuple  # mismatched[x]: every l with d(x, l) != T(x, l)
-    path: list  # path[x][l]: T(x, l), the path weight in the tree
+    path: list  # path[x][l]: T(x, l), the path weight in the tree; grid[x] while T(x, .) = d(x, .)
 
 
 def _prim(m: DissimilarityMatrix) -> _Prim:
@@ -66,7 +66,10 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
     later endpoint joins, so the mismatches are exactly the pairs where d
     differs from the tree. Prim runs to the end past a mismatch, since the
     witness scan wants every such pair: it reads each label's mismatched
-    partners, and their union, the residual.
+    partners, and their union, the residual. T's row of a label is the
+    grid's own row until a sum differs from its entry (a plain `!=`, then
+    `eq`), and a list of its own from then on: a realizable exact matrix
+    stores no sum, and the record still holds T for every pair.
     """
     grid, eq, _ = m.comparison_view()
     n = m.n
@@ -74,22 +77,29 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
     outside = list(range(2, n + 1))
     key = list(grid[1])  # key[x]: least distance from x to the grown subtree
     parent = [1] * (n + 1)
-    path = [[0] * (n + 1) for _ in range(n + 1)]  # T: path weights in the tree
+    path = list(grid)
     edges, mismatch = [], None
     mismatched = [[] for _ in range(n + 1)]
     while outside:
         v = min(outside, key=key.__getitem__)
         outside.remove(v)
         p = parent[v]
-        row_v, path_v, path_p = grid[v], path[v], path[p]
+        row_v, path_p = grid[v], path[p]
+        path_v = row_v
         d_vp = row_v[p]
         for x in joined:
             through_p = d_vp + path_p[x]
-            if not eq(row_v[x], through_p):
-                mismatch = mismatch or (v, p, x)
-                mismatched[v].append(x)
-                mismatched[x].append(v)
-            path_v[x] = path[x][v] = through_p
+            if through_p != row_v[x]:
+                if not eq(row_v[x], through_p):
+                    mismatch = mismatch or (v, p, x)
+                    mismatched[v].append(x)
+                    mismatched[x].append(v)
+                if path_v is row_v:
+                    path_v = path[v] = list(row_v)
+                path_x = path[x]
+                if path_x is grid[x]:
+                    path_x = path[x] = list(path_x)
+                path_v[x] = path_x[v] = through_p
         joined.append(v)
         edges.append((v, p, d_vp))
         for x in outside:

@@ -1,6 +1,6 @@
-"""Exact ingest: the plain-decimal fast path, the per-matrix parse memo,
-the integer grid and its scale, and the text written from the grid, each
-against the arithmetic it replaced."""
+"""Ingest: the plain-decimal fast path, the per-matrix parse memo, the bulk
+CSV reader, the integer grid and its scale, and the text written from the
+grid, each against the reader or arithmetic it replaced."""
 
 import json
 import math
@@ -24,8 +24,9 @@ from treexact import (
     parse_matrix,
     path_weight,
 )
+from treexact import core
 from treexact.cli import main
-from treexact.core import _bad_entry
+from treexact.core import _bad_entry, _csv_matrix
 from treexact.numeric import _fraction_to_text, _scaled_texts, _widest_text
 
 
@@ -459,6 +460,144 @@ class TestIngestDifferential:
             }
             rows = [[pairs.get((min(i, j), max(i, j)), 0) for j in range(1, n + 1)] for i in range(1, n + 1)]
             assert DissimilarityMatrix.from_pairs(n, pairs) == reference_matrix(rows)
+
+
+def cell_by_cell(text, policy):
+    """`parse_matrix` with the bulk CSV reader switched off, so that every
+    line is split, every cell stripped and each read by the per-cell reader."""
+    saved = core._csv_matrix
+    core._csv_matrix = lambda text, policy: None
+    try:
+        return parse_matrix(text, policy=policy)
+    finally:
+        core._csv_matrix = saved
+
+
+def parsed(text, policy):
+    """`parse_matrix` as the program runs it: the bulk reader first."""
+    return parse_matrix(text, policy=policy)
+
+
+def read_outcome(read, text, policy):
+    """The matrix's n, scale and grid with every value's type and repr (so
+    -0.0 and 0.0 differ), or the error as (type, message, row, col)."""
+    try:
+        m = read(text, policy)
+    except TreexactError as exc:
+        return type(exc), str(exc), exc.row, exc.col
+    return m.n, m.scale, [[(type(x), repr(x)) for x in row] for row in m.grid]
+
+
+def assert_bulk_reads_like_cell_by_cell(rows, policy, bulk=None):
+    """The CSV of `rows` (and each line break and ending below) and the JSON
+    document of its string rows read alike with and without the bulk reader;
+    `bulk` says whether the bulk reader takes the plain CSV."""
+    text = "\n".join(map(",".join, rows))
+    if bulk is not None:
+        assert (_csv_matrix(text, policy) is not None) == bulk, text
+    doc = json.dumps({"n": len(rows), "d": rows})
+    variants = [text, text + "\n", text + "\n\n", text + " \n", text.replace("\n", "\r\n"),
+                text.replace("\n", "\x0b"), text.replace("\n", "\n\n", 1), doc]
+    for variant in variants:
+        want = read_outcome(cell_by_cell, variant, policy)
+        assert read_outcome(parsed, variant, policy) == want, variant
+
+
+def plain_rows(n, seed, places=3):
+    """A symmetric n x n matrix of plain decimal strings with `places`
+    places, positive off the diagonal and zero on it."""
+    rng = random.Random(seed)
+    rows = [["0." + "0" * places if places else "0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            digits = str(rng.randint(1, 99999)).rjust(places + 1, "0")
+            rows[i][j] = rows[j][i] = f"{digits[:-places]}.{digits[-places:]}" if places else digits
+    return rows
+
+
+EXACT_AND_FLOAT = [EXACT, FloatPolicy(), FloatPolicy(1e-3)]
+
+
+class TestBulkCsvReader:
+    """The bulk CSV reader against the per-cell reader, under both policies:
+    the same grid and scale, or the same first error at the same row and
+    column. Cells are set into a 4 x 4 matrix of three-place decimals: on a
+    mirror pair, on one side of it, or on the diagonal."""
+
+    @pytest.mark.parametrize("policy", EXACT_AND_FLOAT)
+    @pytest.mark.parametrize("places", [0, 1, 3])
+    def test_plain_matrices_take_the_bulk_path(self, policy, places):
+        for seed in range(5):
+            rows = plain_rows(1 + seed * 2, seed, places)
+            assert_bulk_reads_like_cell_by_cell(rows, policy, bulk=True)
+            m = parse_matrix("\n".join(map(",".join, rows)), policy=policy)
+            assert all(m.grid[i][j] is m.grid[j][i] for i in range(m.n + 1) for j in range(m.n + 1))
+
+    @pytest.mark.parametrize("policy", EXACT_AND_FLOAT)
+    @pytest.mark.parametrize("upper, lower, bulk", [
+        ("1.5", "1.50", False), ("+1", "1", False), ("1e0", "1", False), ("1", "2", False),
+        ("2.5", "2.500", False), ("01.5", "1.5", False), ("1.", "1", False), (".5", "0.5", False),
+        ("1.0", "1.0000000001", False), ("1.0", "1.0000001", False), (" 1.5", "1.5", False),
+        ("1.5", "1.5", True), ("2.25", "2.25", True), ("3", "3", True), ("7.", "7.", True),
+    ])
+    def test_mirror_pairs(self, policy, upper, lower, bulk):
+        rows = plain_rows(4, 1)
+        rows[0][2], rows[2][0] = upper, lower
+        assert_bulk_reads_like_cell_by_cell(rows, policy, bulk)
+        rows[0][2], rows[2][0] = lower, upper
+        assert_bulk_reads_like_cell_by_cell(rows, policy)
+
+    @pytest.mark.parametrize("policy", EXACT_AND_FLOAT)
+    @pytest.mark.parametrize("cell", [
+        "0", "00", "0.0", "-0", "+0", "+0.000", "-0.000", "0e0", "-0.0", "1e-12",
+        "0.0000000000001", "0.0001", "0." + "0" * 1200, "1", "0.001", "", ".", " 0",
+    ])
+    def test_diagonal_cells(self, policy, cell):
+        rows = plain_rows(4, 2)
+        rows[1][1] = cell
+        assert_bulk_reads_like_cell_by_cell(rows, policy)
+        try:
+            m = parse_matrix("\n".join(map(",".join, rows)), policy=policy)
+        except TreexactError:
+            return
+        assert {repr(m.grid[i][i]) for i in range(5)} == {"0" if m.scale else "0.0"}
+
+    @pytest.mark.parametrize("policy", EXACT_AND_FLOAT)
+    @pytest.mark.parametrize("cell", [
+        "-1.5", "+1.5", "-0.0", "0", "0.000", "1.2.3", "1..2", "", ".", "+", "1e3", "1E-2",
+        "1/2", "nan", "inf", "-inf", "1_0", "٣", "１", "0x10", " 1.5", "1.5\t", "9" * 400,
+        "9" * 1000, "9" * 1001, "0" * 1001, "1." + "0" * 999, "1." + "0" * 1000,
+        "0." + "0" * 400 + "1", "12.3456", "12", "1" + "0" * 308,
+    ])
+    def test_single_cells_and_mirrors(self, policy, cell):
+        rows = plain_rows(4, 3)
+        for cells in (((0, 2),), ((0, 2), (2, 0)), ((3, 1),)):
+            changed = [list(row) for row in rows]
+            for i, j in cells:
+                changed[i][j] = cell
+            assert_bulk_reads_like_cell_by_cell(changed, policy)
+
+    @pytest.mark.parametrize("policy", EXACT_AND_FLOAT)
+    def test_seeded_mixes(self, policy):
+        rng = random.Random(32)
+        cells = ["1.5", "1.50", "2.25", "3", "3.", "007", "+1", "-1", "1e0", ".5", "", "0",
+                 "9" * 1001, "0.000000000001", "1.0000000001"]
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            rows = plain_rows(n, rng.randrange(10**6), rng.choice((0, 1, 3)))
+            for _ in range(rng.randint(0, 3)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i][j] = rng.choice(cells)
+                if rng.random() < 0.5:
+                    rows[j][i] = rows[i][j]
+            assert_bulk_reads_like_cell_by_cell(rows, policy)
+
+    @pytest.mark.parametrize("policy", EXACT_AND_FLOAT)
+    def test_line_structure(self, policy):
+        for text in ("", "\n", "0", "0\n", "0,1\n1,0", "0,1\n1,0,\n", "0,1\n1", "0,1,2\n1,0,3",
+                     "0,1\n\n1,0", "0,1\n1,0\n\n", "0,1\r1,0", "0,1,\n1,0,", ",\n,", "0.5"):
+            want = read_outcome(cell_by_cell, text, policy)
+            assert read_outcome(parsed, text, policy) == want, text
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from treexact import (
+    EXACT,
     DissimilarityMatrix,
+    FloatPolicy,
     UnrealizableWitness,
     WeightedTree,
     all_pairs_weights,
@@ -15,6 +18,7 @@ from treexact import (
     reconstruct,
     trees_equal,
 )
+from treexact.reconstruct import _prim
 
 from helpers import all_two_matrix, matrices_entrywise_equal, path3_matrix, star_matrix
 
@@ -180,3 +184,81 @@ def test_agreement_with_checks_on_random_matrices():
         m = DissimilarityMatrix.from_pairs(n, pairs)
         rebuilt = reconstruct(m)
         assert isinstance(rebuilt, WeightedTree) == check_all(m).realizable
+
+
+def naive_prim(m):
+    """`_prim`'s record as the pass wrote it before T's rows were shared with
+    the grid: every pair's sum is stored in a fresh (n + 1)^2 matrix, and
+    every pair is compared with `eq`. Kept as the reference `_prim` is held to."""
+    grid, eq, _ = m.comparison_view()
+    n = m.n
+    joined, outside = [1], list(range(2, n + 1))
+    key, parent = list(grid[1]), [1] * (n + 1)
+    path = [[0] * (n + 1) for _ in range(n + 1)]
+    edges, mismatch = [], None
+    mismatched = [[] for _ in range(n + 1)]
+    while outside:
+        v = min(outside, key=key.__getitem__)
+        outside.remove(v)
+        p = parent[v]
+        for x in joined:
+            through_p = grid[v][p] + path[p][x]
+            if not eq(grid[v][x], through_p):
+                mismatch = mismatch or (v, p, x)
+                mismatched[v].append(x)
+                mismatched[x].append(v)
+            path[v][x] = path[x][v] = through_p
+        joined.append(v)
+        edges.append((v, p, grid[v][p]))
+        for x in outside:
+            if grid[v][x] < key[x]:
+                key[x], parent[x] = grid[v][x], v
+    residual = frozenset(x for x, others in enumerate(mismatched) if others)
+    return tuple(edges), mismatch, residual, tuple(map(tuple, mismatched)), path
+
+
+def _tree_pairs(rng, n, weight, policy):
+    """{(i, j): path weight} of a random tree on labels 1..n, and its edges."""
+    edges = [(rng.randint(1, v - 1), v, weight()) for v in range(2, n + 1)]
+    tree = WeightedTree.from_edges(n, edges, policy)
+    return {(i, j): d for i, j, d in all_pairs_weights(tree).pairs()}, edges
+
+
+def _prim_inputs():
+    """Exact trees at n = 24 and 48 with one pair moved by 1/1000, in turn any
+    pair and a tree edge, and float trees with noise far below and far above
+    eps, whose sums in Prim's order are often eq to their entry but not the
+    same float."""
+    rng = random.Random(8)
+    for n in (24, 48):
+        for index in range(12):
+            pairs, edges = _tree_pairs(rng, n, lambda: Fraction(rng.randint(1, 10000), 1000), EXACT)
+            u, v = rng.choice(edges)[:2] if index % 2 else rng.sample(range(1, n + 1), 2)
+            key, delta = (min(u, v), max(u, v)), Fraction(rng.choice((-1, 1)), 1000)
+            pairs[key] += delta if pairs[key] + delta > 0 else -delta
+            yield DissimilarityMatrix.from_pairs(n, pairs)
+    for n in (16, 24):
+        for noise in (0.0, 1e-13, 1e-6):
+            pairs, _ = _tree_pairs(rng, n, lambda: rng.uniform(0.001, 10.0), FloatPolicy())
+            pairs = {key: d * (1 + rng.uniform(-noise, noise)) for key, d in pairs.items()}
+            yield DissimilarityMatrix.from_pairs(n, pairs, FloatPolicy())
+
+
+def test_prim_record_matches_the_store_every_pair_loop():
+    """`_prim` gives the reference's edges, mismatch, residual, mismatched
+    lists and every T(x, y), exactly equal, including float sums that are eq
+    to their entry but a different float. A realizable exact matrix's T rows
+    are the grid's own rows."""
+    eq_not_same = 0
+    for m in _prim_inputs():
+        got, want = _prim(m), naive_prim(m)
+        assert tuple(got[:4]) == want[:4]
+        labels = range(m.n + 1)
+        assert all(got.path[x][y] == want[4][x][y] for x in labels for y in labels)
+        grid, eq, _ = m.comparison_view()
+        eq_not_same += sum(want[4][x][y] != grid[x][y] and eq(want[4][x][y], grid[x][y])
+                           for x in labels for y in labels)
+    assert eq_not_same
+    path48 = WeightedTree.from_edges(48, [(v - 1, v, Fraction(v, 8)) for v in range(2, 49)])
+    realizable = all_pairs_weights(path48)
+    assert all(row is grid_row for row, grid_row in zip(_prim(realizable).path, realizable.grid))
