@@ -106,14 +106,14 @@ def _exact_ratio(cell) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def _exact_grid(raw_rows, n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The 1-based integer grid of an n x n nested sequence of exact cells
-    and the least scale that puts every cell on the integers. `_read_cells`
-    reads each cell as a pair in lowest terms, and over the lcm of the
-    denominators no factor is common to the scale and every lifted value.
-    That lcm grows with the number of distinct denominators, so the grid is
-    refused as TooLarge once its bits would pass _MAX_GRID_BITS, before any
-    value is lifted."""
+def _exact_cells(raw_rows, n: int) -> tuple[list[list[int]], int]:
+    """The 0-based rows of an n x n nested sequence of exact cells, lifted to
+    integers over the least scale that puts every cell on them, and that
+    scale; `_canonical` checks them. `_read_cells` reads each cell as a pair
+    in lowest terms, and over the lcm of the denominators no factor is common
+    to the scale and every lifted value. That lcm grows with the number of
+    distinct denominators, so the grid is refused as TooLarge once its bits
+    would pass _MAX_GRID_BITS, before any value is lifted."""
     raw_rows = _read_cells(raw_rows, n, _exact_ratio)
     ratios = set().union(*raw_rows)
     most = _MAX_GRID_BITS // len(ratios)
@@ -126,9 +126,7 @@ def _exact_grid(raw_rows, n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
                 f"exceed the {_MAX_GRID_BITS}-bit limit of the exact grid"
             )
     lifted = {(num, den): num * (scale // den) for num, den in ratios}
-    values = map(lifted.__getitem__, chain.from_iterable(raw_rows))
-    zeros = (0,) * (n + 1)
-    return (zeros, *((0, *islice(values, n)) for _ in range(n))), scale
+    return [list(map(lifted.__getitem__, row)) for row in raw_rows], scale
 
 
 # The only bytes of a CSV that `_csv_matrix` reads: signs, spaces, exponents,
@@ -213,9 +211,9 @@ def _csv_matrix(text: str, policy: Policy) -> "DissimilarityMatrix | None":
 
 
 def _canonical(cells, n: int, eq, zero) -> tuple[tuple, ...]:
-    """Check the cells of an n x n matrix (0-based) and return its canonical
-    1-based grid: exact zeros on the diagonal, lower mirrors upper. One
-    row-major pass over the upper triangle raises the first invalid entry."""
+    """The one validity test of a matrix read cell by cell, under either policy:
+    check its 0-based n x n cells in one row-major pass over the upper triangle,
+    raise the first invalid entry, else return its canonical 1-based grid."""
     grid = [[zero] * (n + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
         row = cells[i - 1]
@@ -276,19 +274,10 @@ class DissimilarityMatrix:
         if text.count("\n") == n - 1 and (matrix := _csv_matrix(text, policy)):
             return matrix
         if isinstance(policy, ExactPolicy):
-            grid, scale = _exact_grid(raw_rows, n)
-            # Equal values are equal integers, so whole-grid tests find whether
-            # any entry is invalid; `_canonical` then reports the first one.
-            if (
-                any(grid[i][i] for i in range(1, n + 1))
-                or grid != tuple(zip(*grid))
-                or any(min(grid[i][i + 1:]) <= 0 for i in range(1, n))
-            ):
-                _canonical([row[1:] for row in grid[1:]], n, EXACT.eq, 0)
+            (cells, scale), zero = _exact_cells(raw_rows, n), 0
         else:
-            cells = _read_cells(raw_rows, n, policy.coerce)
-            grid, scale = _canonical(cells, n, policy.eq, policy.zero()), None
-        return cls(n, policy, grid, scale)
+            cells, scale, zero = _read_cells(raw_rows, n, policy.coerce), None, policy.zero()
+        return cls(n, policy, _canonical(cells, n, policy.eq, zero), scale)
 
     @classmethod
     def from_pairs(cls, n: int, pairs, policy: Policy = EXACT) -> "DissimilarityMatrix":

@@ -1,27 +1,45 @@
-"""Metamorphic relations of `check_all`: two runs of the same code on related
-matrices, so they need no second implementation and reach any n.
+"""Metamorphic relations of `check_all` and `reconstruct`: two runs of the
+same code on related matrices, so they need no second implementation and
+reach any n.
 
 Relabeling: for a permutation π of the labels, the report of the permuted
 matrix holds π applied to the original's witnesses. `best_l` is "the first l
 with the most", so a relabeling may move it to another l of the same score:
-it is compared by its score, the one the reference loops in
-`tests/test_scan.py` give.
+under the exact policy it is compared by its score, the one the reference
+loops in `tests/test_scan.py` give. Under the float policy it is not
+compared (see `test_float_relabeling_keeps_the_median_scores`), and neither
+is the triple of a `tree_fit` witness, which is Prim's first mismatch in
+Prim order from label 1.
+
+Pendant leaf: hanging a new label n + 1 from a label a by an edge of weight
+w > 0, so that d(n + 1, y) = w + d(a, y), keeps a realizable matrix
+realizable, and `reconstruct`'s tree gains exactly the edge (a, n + 1, w).
+
+`assert_relabeling` and `assert_pendant_leaf` are also run at larger n by a
+CI step on the benchmark generator's cases.
 """
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from treexact import EXACT, DissimilarityMatrix, WeightedTree, all_pairs_weights, check_all
+from treexact import (
+    EXACT, DissimilarityMatrix, FloatPolicy, WeightedTree, all_pairs_weights, check_all,
+    reconstruct, trees_equal,
+)
 
 from test_scan import _center_hits, _median_checks
 
-
-def _tree_rows(rng, n):
-    """The path weights of a random tree on 1..n (0-based rows) and its edges."""
-    edges = [(v, rng.randrange(1, v), rng.choice((1, 2, 3, 5))) for v in range(2, n + 1)]
-    m = all_pairs_weights(WeightedTree.from_edges(n, edges))
+def _tree_rows(rng, n, policy=EXACT):
+    """The path weights of a random tree on 1..n (0-based rows) and its
+    edges: weights in {1, 2, 3, 5} under the exact policy, in [1, 10] under
+    the float one."""
+    exact = policy is EXACT
+    weight = (lambda: rng.choice((1, 2, 3, 5))) if exact else (lambda: rng.uniform(1, 10))
+    edges = [(v, rng.randrange(1, v), weight()) for v in range(2, n + 1)]
+    m = all_pairs_weights(WeightedTree.from_edges(n, edges, policy))
     return [[m.d(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)], edges
 
 
@@ -38,27 +56,45 @@ def _moved(rng, n, shape):
     return DissimilarityMatrix.from_rows(rows, EXACT)
 
 
+def _float_moved(rng, n, eps):
+    """A float tree metric on n labels, weights in [1, 10], with three pairs
+    each moved by up to 1.5 eps of its value, up or down."""
+    policy = FloatPolicy(eps)
+    rows, _ = _tree_rows(rng, n, policy)
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = rows[i][j] * (1 + rng.uniform(-1.5, 1.5) * eps)
+    return DissimilarityMatrix.from_rows(rows, policy)
+
+
 def _relabeled(m, label):
-    """m with each label x renamed label[x]."""
-    return DissimilarityMatrix.from_pairs(m.n, {(label[i], label[j]): d for i, j, d in m.pairs()}, EXACT)
+    """m with each label x renamed label[x], under m's policy."""
+    return DissimilarityMatrix.from_pairs(
+        m.n, {(label[i], label[j]): d for i, j, d in m.pairs()}, m.policy
+    )
 
 
-def _report(m):
-    """`check_all(m)`'s fragment flags, and its witnesses as (condition,
-    code, quadruple, triple, best_l's score)."""
+def _report(m, scored):
+    """The verdicts of `check_all(m)` and `reconstruct(m)`, the report's
+    fragment flags, and its witnesses as (condition, code, quadruple,
+    triple, best_l's score); the score is None unless `scored`, and a
+    `tree_fit` witness keeps only its condition and code."""
     grid, eq, _ = m.comparison_view()
     report = check_all(m)
     witnesses = []
     for w in report.witnesses:
-        if w.best_l is None:
-            score = None
-        elif w.triple is None:
-            score = _center_hits(grid, eq, w.quadruple, w.best_l)
-        else:
-            score = sum(_median_checks(grid, eq, w.triple, w.best_l)[:5])
-        witnesses.append((w.condition, w.code, w.quadruple, w.triple, score))
+        quad, triple, score = w.quadruple, w.triple, None
+        if w.condition == "tree_fit":
+            triple = None
+        elif scored and w.best_l is not None:
+            if triple is None:
+                score = _center_hits(grid, eq, quad, w.best_l)
+            else:
+                score = sum(_median_checks(grid, eq, triple, w.best_l)[:5])
+        witnesses.append((w.condition, w.code, quad, triple, score))
     flags = [(f.ok, f.caveat) for f in (report.four_point, report.condition_i, report.condition_ii)]
-    return flags, witnesses
+    verdicts = report.realizable, isinstance(reconstruct(m), WeightedTree)
+    return verdicts, flags, witnesses
 
 
 def _renamed(witnesses, label):
@@ -67,15 +103,80 @@ def _renamed(witnesses, label):
     return Counter((c, code, rename(quad), rename(triple), s) for c, code, quad, triple, s in witnesses)
 
 
+def assert_relabeling(m, rng, scored, permutations=3):
+    """The relabeling relation on m for `permutations` random permutations
+    drawn from rng; returns the number of witnesses of m."""
+    verdicts, flags, witnesses = _report(m, scored)
+    identity = range(m.n + 1)
+    for _ in range(permutations):
+        label = [0, *rng.sample(range(1, m.n + 1), m.n)]
+        got_verdicts, got_flags, got = _report(_relabeled(m, label), scored)
+        assert (got_verdicts, got_flags, _renamed(got, identity)) == (
+            verdicts, flags, _renamed(witnesses, label)
+        ), f"permutation {label[1:]}"
+    return len(witnesses)
+
+
+def _pendant(m, a, w):
+    """m with a label n + 1 hung from label a by weight w."""
+    pairs = {(i, j): d for i, j, d in m.pairs()}
+    pairs.update({(y, m.n + 1): w + m.d(a, y) for y in range(1, m.n + 1) if y != a})
+    pairs[a, m.n + 1] = w
+    return DissimilarityMatrix.from_pairs(m.n + 1, pairs, m.policy)
+
+
+def assert_pendant_leaf(m, a, w):
+    """The pendant-leaf relation: m is realizable, and so is m with label
+    n + 1 hung from a by w, whose tree is m's plus the edge (a, n + 1, w)."""
+    tree = reconstruct(m)
+    assert isinstance(tree, WeightedTree), tree
+    grown = _pendant(m, a, w)
+    assert check_all(grown).realizable
+    want = WeightedTree.from_edges(m.n + 1, [*tree.edges, (a, m.n + 1, w)], m.policy)
+    got = reconstruct(grown)
+    assert isinstance(got, WeightedTree) and trees_equal(got, want), got
+
+
 @pytest.mark.parametrize("n", [24, 48])
 @pytest.mark.parametrize("shape", ["one", "two", "edge"])
 def test_relabeling_maps_the_witnesses(n, shape):
     rng = random.Random(f"relabel-{n}-{shape}")
-    m = _moved(rng, n, shape)
-    flags, witnesses = _report(m)
+    witnesses = assert_relabeling(_moved(rng, n, shape), rng, scored=True)
     assert witnesses, "a moved tree metric has witnesses"
-    identity = range(n + 1)
-    for _ in range(3):
-        label = [0, *rng.sample(range(1, n + 1), n)]
-        got_flags, got = _report(_relabeled(m, label))
-        assert (got_flags, _renamed(got, identity)) == (flags, _renamed(witnesses, label))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("n", [12, 24])
+def test_float_relabeling_maps_the_witnesses(n, eps, seed):
+    rng = random.Random(f"float-relabel-{n}-{eps}-{seed}")
+    assert_relabeling(_float_moved(rng, n, eps), rng, scored=False)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="conditions._median_best scores eq(x1, x2) and eq(x2, x3) but not eq(x1, x3), "
+    "so a median witness's best_l score depends on label order (CHANGES.md FOUND)",
+)
+def test_float_relabeling_keeps_the_median_scores():
+    # In two of this case's three permutations, 19 median witnesses have a
+    # best_l that scores 4 where the same witness of the original scores 3.
+    rng = random.Random("float-relabel-12-1e-06-1")
+    assert_relabeling(_float_moved(rng, 12, 1e-6), rng, scored=True)
+
+
+@pytest.mark.parametrize(
+    "policy", [EXACT, FloatPolicy(1e-9), FloatPolicy(1e-6)],
+    ids=["exact", "float-1e-9", "float-1e-6"],
+)
+@pytest.mark.parametrize("n", [24, 48])
+def test_pendant_leaf_keeps_the_tree(n, policy):
+    rng = random.Random(f"pendant-{n}-{policy}")
+    for _ in range(10):
+        m = DissimilarityMatrix.from_rows(_tree_rows(rng, n, policy)[0], policy)
+        a = rng.randint(1, n)
+        if policy is EXACT:
+            w = Fraction(rng.randint(1, 30), rng.choice((1, 2, 3)))
+        else:
+            w = rng.uniform(1, 10)
+        assert_pendant_leaf(m, a, w)
