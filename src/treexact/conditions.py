@@ -22,10 +22,10 @@ triples that decides each triple's triangle inequalities and median, and one
 pass that classifies each quadruple once, reading its center off the masks
 and its triples' median verdicts off a table. The residual X of a positive
 tree T on exactly the labels holds the labels in a pair where d differs from
-T (every label under the float policy). T is Prim's tree, read off the one
-Prim record that `_decide` hands down, with one edge refitted when that
-shrinks X (`_refit`): a moved tree edge leaves two labels in X, not all. The
-masks cost O(n^2 + |X| n^2): a pair outside X reads its mask off T's path.
+T (every label under the float policy). The scan takes T as its input, a
+record that `_tree` builds: Prim's tree from the one Prim record that
+`_decide` hands down, with one edge refitted when that shrinks X (`_refit`),
+so a moved tree edge leaves two labels in X, not all. The masks cost O(n^2 + |X| n^2): a pair outside X reads its mask off T's path.
 The two passes visit only the tuples with two or more members in X,
 O(|X|^2 n^2) of them. The witnesses of the tuples with one member in X are
 enumerated from T's branches, at a cost that follows their number. Under the
@@ -200,21 +200,20 @@ def _write_text(realizable, fragments, groups) -> str:
     return "\n".join(lines)
 
 
-def _between_masks(grid, eq, n, anc, residual):
+def _between_masks(grid, eq, n, anc, residual, outside):
     """`B[u][v]` for u != v: the bitmask of every l with d(u,v) = d(u,l) + d(v,l),
     bit l standing for label l.
 
     A pair that meets the residual X is tested against every l. For u and v
-    outside X, d agrees with the tree T of `anc` on every pair through u or
-    v, and T's weights are positive, so the l are the vertices of T's u-v
-    path: anc[u] ^ anc[v] and the deepest common ancestor, whose anc is
-    anc[u] & anc[v]. So the masks cost O(n^2 + |X| n^2), and O(n^3) when X
+    in `outside`, the labels not in X, d agrees with the tree T of `anc` on
+    every pair through u or v, and T's weights are positive, so the l are
+    the vertices of T's u-v path: anc[u] ^ anc[v] and the deepest common
+    ancestor, whose anc is anc[u] & anc[v]. So the masks cost O(n^2 + |X| n^2), and O(n^3) when X
     is every label.
     """
     labels = range(1, n + 1)
     between = [[0] * (n + 1) for _ in range(n + 1)]
     bit = {a: 1 << x for x, a in enumerate(anc)}
-    outside = [u for u in labels if u not in residual]
     for i, u in enumerate(outside):
         row, au = between[u], anc[u]
         for v in outside[i:]:
@@ -234,11 +233,11 @@ def _between_masks(grid, eq, n, anc, residual):
     return between
 
 
-def _refit(grid, path, anc, residual, mismatched):
-    """The residual and mismatched lists of Prim's tree T with the one edge
-    reweighted that leaves the fewest labels in the residual, or T's own if
-    none leaves fewer. A candidate edge, named by its endpoint c farther from
-    label 1, lies on every mismatched pair's path (bit c of anc[x] ^
+def _refit(grid, path, edges, anc, residual, mismatched):
+    """The edges, residual and mismatched lists of Prim's tree T with the one
+    edge reweighted that leaves the fewest labels in the residual, or T's own
+    if none leaves fewer. A candidate edge, named by its endpoint c farther
+    from label 1, lies on every mismatched pair's path (bit c of anc[x] ^
     anc[y]). It gets the weight w' = d(x,y) - (T(x,y) - w) that fits one
     mismatched pair (x, y), if positive, from T(c, .) = Prim's path[c]. The
     pairs off it agreed with T and keep their path weight, so only the pairs
@@ -253,7 +252,7 @@ def _refit(grid, path, anc, residual, mismatched):
             common &= anc[u] ^ anc[v]
     x = min(residual)
     y = mismatched[x][0]
-    best = residual, mismatched
+    best = edges, residual, mismatched
     for c in (c for c in labels if common >> c & 1):
         dist = path[c]
         shift = grid[x][y] - dist[x] - dist[y]
@@ -268,32 +267,34 @@ def _refit(grid, path, anc, residual, mismatched):
                     found.update((a, b))
                     pairs[a].append(b)
                     pairs[b].append(a)
-            if len(found) >= len(best[0]):
+            if len(found) >= len(best[1]):
                 break
         else:
-            best = found, pairs
+            best = [(v, p, w + shift if v == c else w) for v, p, w in edges], found, pairs
             if len(found) == 2:
                 break
     return best
 
 
 def _tree(m: DissimilarityMatrix, prim):
-    """anc[x] of the tree of Prim's record, the bitmask of x and its ancestors
-    from label 1, with the residual and mismatched lists of `_refit`'s tree
-    when more than one pair mismatches it. Under the float policy the tree
-    has no edges and the residual is every label."""
+    """The scan's steering tree T, as (anc, edges, residual, mismatched):
+    anc[x] the bitmask of x and its ancestors from label 1, T's edges (v, p,
+    w) in join order (p joined before v), and the residual and mismatched
+    lists of d against T (`_scan`). Under the exact policy T is the tree of
+    Prim's record, reweighted in one edge by `_refit` when more than one
+    pair mismatches it. Under the float policy T has no edges and the
+    residual is every label."""
     n = m.n
-    exact = isinstance(m.policy, ExactPolicy)
-    edges, _, residual, mismatched, path = prim
-    if not exact:
-        edges, residual, mismatched = (), range(1, n + 1), ((),) * (n + 1)
     anc = [0] * (n + 1)
     anc[1] = 2
+    if not isinstance(m.policy, ExactPolicy):
+        return anc, (), range(1, n + 1), ((),) * (n + 1)
+    edges, _, residual, mismatched, path = prim
     for v, p, _ in edges:  # p joined before v, so anc[p] is set
         anc[v] = anc[p] | 1 << v
-    if exact and sum(map(len, mismatched)) > 2:
-        residual, mismatched = _refit(m.grid, path, anc, residual, mismatched)
-    return anc, residual, mismatched
+    if sum(map(len, mismatched)) > 2:
+        edges, residual, mismatched = _refit(m.grid, path, edges, anc, residual, mismatched)
+    return anc, edges, residual, mismatched
 
 
 def _median_best(grid, eq, b, labels, u, v, w):
@@ -341,7 +342,7 @@ def _companions_agree(grid, eq, u, v, w, l):
     return eq(x1, x2) and eq(x2, x3) and eq(x1, x3)
 
 
-def _scan(m: DissimilarityMatrix, prim):
+def _scan(m: DissimilarityMatrix, tree):
     """The witness rows of all three checks, (triangles, max_once, centers,
     median, twin), each row in its kind's layout (`_KINDS`): triples,
     quadruples, (best_l, *quadruple) and (best_l, *quadruple, *triple).
@@ -350,11 +351,11 @@ def _scan(m: DissimilarityMatrix, prim):
     every label in a pair where d differs from T's path weight, and
     mismatched[x] the labels l with d(x,l) != T(x,l). The argument below
     needs only that T is a tree on exactly the labels with positive weights;
-    d then agrees with it on every pair that has a member outside X. T is
-    the tree of `prim`, m's Prim record (`_prim`), or that tree with one
-    edge reweighted when that leaves fewer labels in X (`_refit`). Under the
-    float policy eps-equality is not transitive, so X is every label and the
-    visit below is all of it.
+    d then agrees with it on every pair that has a member outside X. The
+    scan reads every fact of T off `tree`, a record as `_tree` builds it:
+    (anc, edges, residual, mismatched). Any such tree gives the same rows,
+    and its X sets only the cost. Under the float policy eps-equality is not
+    transitive, so X is every label and the visit below is all of it.
 
     Tuples with two or more members in X are visited in full: a pass over
     the triples decides each one's triangle inequalities and median, and a
@@ -407,8 +408,9 @@ def _scan(m: DissimilarityMatrix, prim):
     n = m.n
     labels = range(1, n + 1)
     exact = isinstance(m.policy, ExactPolicy)
-    anc, residual, mismatched = _tree(m, prim)
-    b = _between_masks(grid, eq, n, anc, residual)
+    anc, edges, residual, mismatched = tree
+    outside = [l for l in labels if l not in residual]
+    b = _between_masks(grid, eq, n, anc, residual, outside)
     # The tuples are enumerated lexicographically by nested loops. An index
     # runs over all of later[k] = (k, n] when the tuple can reach two members
     # in X without it, and otherwise only over later_x[k] = X & (k, n].
@@ -448,19 +450,14 @@ def _scan(m: DissimilarityMatrix, prim):
             lacks_median(u, v, w)
     # One-member tuples, enumerated from T's branches at each l that is
     # mismatched with x, as the docstring proves.
-    outside = [l for l in labels if l not in residual]
-    sides = {}
     for x in residual:
         for l in mismatched[x]:
-            if l not in sides:
-                branch = [1] * (n + 1)  # the branch toward label 1 is named 1
-                for v, p, _ in prim.edges:  # in join order: branch[p] is set
-                    branch[v] = v if p == l else branch[p]
-                groups = {}
-                for y in outside:
-                    groups.setdefault(branch[y], []).append(y)
-                sides[l] = branch, groups
-            branch, groups = sides[l]
+            branch = [1] * (n + 1)  # the branch toward label 1 is named 1
+            for v, p, _ in edges:  # in join order: branch[p] is set
+                branch[v] = v if p == l else branch[p]
+            groups = {}
+            for y in outside:
+                groups.setdefault(branch[y], []).append(y)
             own = groups.get(branch[x], [])
             parts = [group for root, group in groups.items() if root != branch[x]]
             for one, two in combinations(parts, 2):
@@ -522,7 +519,7 @@ def _scan_rows(m: DissimilarityMatrix, prim):
     """One scan's rows, as `_decide` returns them, without its shortcut. A
     quadruple's center is unique once the four-point check passes, so a
     second one raises UniquenessViolation under the exact policy."""
-    triangles, max_once, centers, median, twin = _scan(m, prim)
+    triangles, max_once, centers, median, twin = _scan(m, _tree(m, prim))
     failures = len(triangles) + len(max_once)
     if twin is not None and not failures and isinstance(m.policy, ExactPolicy):
         quad, first, second = twin

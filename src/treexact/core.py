@@ -68,9 +68,9 @@ def _bad_entry(cell, exc: Exception, row: int, col: int) -> MalformedInput:
 def _read_cells(raw_rows, n: int, read) -> list[list]:
     """Every cell of an n x n nested sequence read by `read`, in row-major
     order, so that the first short or long row or unreadable number raises at
-    its position. Each distinct string is read once, so a mirror cell and a
-    repeated value share one object. Only strings are keys: `True == 1 ==
-    1.0` and they hash alike, yet must be read apart."""
+    its position. Each distinct str or int is read once, so a mirror cell and
+    a repeated value share one object. Only those two types are keys, and no
+    str equals an int: `True == 1 == 1.0` hash alike, yet must be read apart."""
     cells = []
     memo = {}
     for i, row in enumerate(raw_rows, start=1):
@@ -86,7 +86,7 @@ def _read_cells(raw_rows, n: int, read) -> list[list]:
             raise InvalidMatrix(f"row {i} has {len(row)} entries, expected {n}", row=i)
         for j, cell in enumerate(row):
             try:
-                if type(cell) is str:
+                if type(cell) is str or type(cell) is int:
                     value = memo.get(cell)
                     if value is None:
                         value = memo[cell] = read(cell)

@@ -7,9 +7,9 @@ minimum spanning tree of d (Hakimi and Yau, 1965). `reconstruct` grows that
 tree by Prim in O(n^2) and checks each entry against the tree as it grows,
 so one pass both decides realizability and builds the tree, under either
 numeric policy. Prim runs to the end and reports the first mismatch; the
-same pass is `check_all`'s verdict, and `conditions._decide` hands its record
-down to the witness scan, which reads the endpoints of every mismatch, the
-tree and its path weights off it.
+same pass is `check_all`'s verdict, and `conditions._tree` builds the witness
+scan's steering tree from its record: the endpoints of every mismatch, the
+tree and its path weights.
 """
 
 from __future__ import annotations

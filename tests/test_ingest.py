@@ -249,6 +249,20 @@ class TestParseMemo:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("policy", [EXACT, FloatPolicy()])
+    def test_int_cells_are_read_once_and_apart_from_bools_and_floats(self, policy):
+        """Each distinct int cell is read once, as a string is. `true` and
+        `1.0` equal 1 and hash alike, yet a row holding 1 and then `true` is
+        refused at the `true`, and one holding 1 and then 1.0 reads as the
+        matrix of 1s."""
+        first, second = core._read_cells([[10**20, 10**20]], 2, policy.coerce)[0]
+        assert first is second
+        refused = {"n": 3, "d": [[0, 1, True], [1, 0, 1], [True, 1, 0]]}
+        with pytest.raises(MalformedInput, match="boolean True is not a number at row 1, column 3"):
+            parse_matrix(json.dumps(refused), policy=policy)
+        floats = {"n": 3, "d": [[0, 1, 1.0], [1, 0, 1], [1.0, 1, 0]]}
+        assert parse_matrix(json.dumps(floats), policy=policy) == parse_matrix("0,1,1\n1,0,1\n1,1,0", policy=policy)
+
     def test_shared_zero_text_still_checked_off_diagonal(self):
         with pytest.raises(InvalidMatrix, match="non-positive"):
             parse_matrix("0,0\n0,0")

@@ -15,8 +15,20 @@ Pendant leaf: hanging a new label n + 1 from a label a by an edge of weight
 w > 0, so that d(n + 1, y) = w + d(a, y), keeps a realizable matrix
 realizable, and `reconstruct`'s tree gains exactly the edge (a, n + 1, w).
 
-`assert_relabeling` and `assert_pendant_leaf` are also run at larger n by a
-CI step on the benchmark generator's cases.
+Steiner point: a new label s = n + 1 inside a tree edge (u, v, w), at
+distance 0 < a < w from u, keeps a realizable exact matrix realizable, and
+`reconstruct`'s tree has (u, s, a) and (s, v, w - a) in place of the edge.
+Hung from that interior point by h > 0 instead, s makes a tree metric whose
+tree has a vertex that is no label: four-point holds, yet the matrix is not
+realizable, and every witness holds s.
+
+Float scaling: multiplying a float matrix whose entries are all at least 1
+by 2^k rounds nothing, in its entries, its sums and the tolerance eps *
+max(1, |x|, |y|), so every comparison comes out as before: `_decide`'s rows
+are the same, `best_l` included, and `reconstruct`'s weights scale by 2^k.
+
+`assert_relabeling`, `assert_pendant_leaf` and `assert_steiner_point` are
+also run at larger n by a CI step on the benchmark generator's cases.
 """
 
 import random
@@ -26,9 +38,10 @@ from fractions import Fraction
 import pytest
 
 from treexact import (
-    EXACT, DissimilarityMatrix, FloatPolicy, WeightedTree, all_pairs_weights, check_all,
-    reconstruct, trees_equal,
+    EXACT, DissimilarityMatrix, FloatPolicy, UnrealizableWitness, WeightedTree,
+    all_pairs_weights, check_all, reconstruct, trees_equal,
 )
+from treexact.conditions import _decide
 
 from test_scan import _center_hits, _median_checks
 
@@ -180,3 +193,62 @@ def test_pendant_leaf_keeps_the_tree(n, policy):
         else:
             w = rng.uniform(1, 10)
         assert_pendant_leaf(m, a, w)
+
+
+def _steiner(m, u, v, a, h):
+    """m with a label s = n + 1 at distance a from u inside the tree edge
+    (u, v), hung from that point by h: d(s, y) is h plus the shorter of the
+    two ways round the edge."""
+    w = m.d(u, v)
+    pairs = {(i, j): d for i, j, d in m.pairs()}
+    pairs.update({(y, m.n + 1): h + min(a + m.d(u, y), w - a + m.d(v, y)) for y in range(1, m.n + 1)})
+    return DissimilarityMatrix.from_pairs(m.n + 1, pairs, m.policy)
+
+
+def assert_steiner_point(m, u, v, a, h):
+    """The Steiner-point relation on a realizable exact m, its tree edge (u,
+    v, w), 0 < a < w and h > 0; returns the number of witnesses of the label
+    hung by h."""
+    tree = reconstruct(m)
+    assert isinstance(tree, WeightedTree), tree
+    s, w = m.n + 1, m.d(u, v)
+    inside = _steiner(m, u, v, a, 0)
+    assert check_all(inside).realizable
+    split = [e for e in tree.edges if {e.u, e.v} != {u, v}] + [(u, s, a), (s, v, w - a)]
+    got = reconstruct(inside)
+    assert isinstance(got, WeightedTree) and trees_equal(got, WeightedTree.from_edges(s, split)), got
+    off = _steiner(m, u, v, a, h)
+    report = check_all(off)
+    assert report.four_point.ok and not report.realizable and report.tree_fit is None
+    assert isinstance(reconstruct(off), UnrealizableWitness)
+    assert report.witnesses
+    for witness in report.witnesses:
+        assert s in (witness.quadruple or ()) + (witness.triple or ()), witness
+    return len(report.witnesses)
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_steiner_point_splits_an_edge(n):
+    rng = random.Random(f"steiner-{n}")
+    for _ in range(10):
+        rows, edges = _tree_rows(rng, n)
+        u, v, w = rng.choice(edges)
+        a = w * Fraction(rng.randint(1, 9), 10)
+        assert_steiner_point(DissimilarityMatrix.from_rows(rows), u, v, a, Fraction(rng.randint(1, 30), 3))
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("n", [12, 24])
+def test_float_scaling_keeps_the_rows(n, eps, k):
+    rng = random.Random(f"float-scale-{n}-{eps}-{k}")
+    for _ in range(4):
+        m = _float_moved(rng, n, eps)
+        assert min(d for _, _, d in m.pairs()) >= 1
+        scaled = DissimilarityMatrix.from_pairs(n, {(i, j): d * 2**k for i, j, d in m.pairs()}, m.policy)
+        assert _decide(scaled) == _decide(m)
+        tree, got = reconstruct(m), reconstruct(scaled)
+        if isinstance(tree, WeightedTree):
+            assert got.edges == tuple((e.u, e.v, e.w * 2**k) for e in tree.edges)
+        else:
+            assert got.indices == tree.indices

@@ -35,7 +35,7 @@ from treexact import (
 from treexact import conditions
 from treexact.cli import main
 from treexact.conditions import _scan, _tree
-from treexact.core import dump_json
+from treexact.core import _adjacency, _walk, dump_json
 from treexact.numeric import ExactPolicy
 from treexact.reconstruct import _prim
 
@@ -384,7 +384,7 @@ def test_scan_matches_naive_loops():
         codes.update(w.code for w in want.witnesses)
         if m.n >= 9 and want.witnesses:
             prim = _prim(m)
-            residual = _tree(m, prim)[1]
+            _, _, residual, _ = _tree(m, prim)
             size = len(residual)
             residuals["two" if size == 2 else "all" if size == m.n else "other"] += 1
             if moved == "pairs" and sum(map(len, prim.mismatched)) > 2:
@@ -451,10 +451,10 @@ def test_two_centers_raise_only_when_four_point_is_trusted(monkeypatch):
     pairs.update({(i, c): 1 for i in range(1, 5) for c in (5, 6)})
     pairs[(5, 6)] = 2
     m = DissimilarityMatrix.from_pairs(6, pairs)
-    triangles, max_once, centers, median, twin = _scan(m, _prim(m))
+    triangles, max_once, centers, median, twin = _scan(m, _tree(m, _prim(m)))
     assert (triangles or max_once) and twin == ((1, 2, 3, 4), 5, 6)
     assert check_all(m) == ref_check_all(m)
-    monkeypatch.setattr(conditions, "_scan", lambda m, prim: ([], [], centers, median, twin))
+    monkeypatch.setattr(conditions, "_scan", lambda m, tree: ([], [], centers, median, twin))
     with pytest.raises(UniquenessViolation, match=r"\(1, 2, 3, 4\) admits two centers 5 and 6"):
         scan_report(m)
 
@@ -539,12 +539,77 @@ def test_refit_keeps_the_least_residual_of_one_edge_refits():
                 outcome["not positive"] += 1
                 continue
             fits.add(frozenset(_mismatches(m, reweighted(refit))))
-        _, residual, mismatched = _tree(m, prim)
+        _, _, residual, mismatched = _tree(m, prim)
         got = {(i, j) for i in residual for j in mismatched[i] if i < j}
         assert got in fits and len(residual) == min(len({*chain(*fit)}) for fit in fits), m.rows
         assert residual == {*chain(*got)}
         outcome["refit" if got != pairs else "kept"] += 1
     assert min(outcome.values()) > 5 and len(outcome) == 3
+
+
+def steering_record(m, edges):
+    """`_tree`'s record (anc, edges, residual, mismatched) of the tree of
+    `edges`, (u, v, w) on m's labels in any order with w on m's exact grid:
+    its edges in the join order of a walk from label 1, and the residual and
+    mismatched lists of the grid against its path weights, summed by
+    `all_pairs_weights`."""
+    joined = [(v, p, w) for p, v, w in _walk(_adjacency(m.n, edges), 1)]
+    anc = [0] * (m.n + 1)
+    anc[1] = 2
+    for v, p, _ in joined:
+        anc[v] = anc[p] | 1 << v
+    tree = all_pairs_weights(WeightedTree.from_edges(m.n, edges))
+    labels = range(1, m.n + 1)
+    mismatched = [()] + [tuple(l for l in labels if m.grid[x][l] != tree.d(x, l)) for x in labels]
+    return anc, joined, frozenset(x for x in labels if mismatched[x]), tuple(mismatched)
+
+
+def raised_edge(n, edges, rng):
+    """(matrix, raised pair): the path weights of the tree of `edges`, (u, v,
+    w) on 1..n, with the entry of one tree edge raised by w2 / 2, w2 or
+    w2 + 1, w2 the weight of an edge that meets it at one end. Raised by
+    w2 + 1 the pair is the heaviest of a triangle, so it leaves Prim's
+    tree; by w2 it ties, and by w2 / 2 it may stay."""
+    u, v, w = rng.choice(edges)
+    w2 = rng.choice([x for a, b, x in edges if len({a, b, u, v}) == 3])
+    pairs = {(i, j): d for i, j, d in all_pairs_weights(WeightedTree.from_edges(n, edges)).pairs()}
+    pairs[min(u, v), max(u, v)] += rng.choice((Fraction(w2, 2), w2, w2 + 1))
+    return DissimilarityMatrix.from_pairs(n, pairs, EXACT), {u, v}
+
+
+def assert_steering(m, edges, raised):
+    """The scan's rows steered by the tree of `edges` equal its rows steered
+    by `_tree`'s Prim tree, whose record is the record of its own edges;
+    d differs from the tree of `edges` only on the `raised` pair. Returns
+    the residual sizes of both trees, `_tree`'s first."""
+    prim = _tree(m, _prim(m))
+    own = steering_record(m, prim[1])
+    assert own[0] == prim[0] and sorted(own[1]) == sorted(prim[1]), m.rows
+    assert own[2] == prim[2] and [set(x) for x in own[3]] == [set(x) for x in prim[3]], m.rows
+    record = steering_record(m, [(u, v, w * m.scale) for u, v, w in edges])
+    assert record[2] == raised, m.rows
+    assert _scan(m, record) == _scan(m, prim), m.rows
+    return len(prim[2]), len(record[2])
+
+
+def test_any_steering_tree_gives_the_same_rows():
+    """The scan needs only some positive tree on exactly the labels: steered
+    by the generating tree of a matrix with one tree edge's entry raised,
+    whose residual is that pair, it gives the rows it gives steered by
+    Prim's tree and its refit, whose residual is often most labels once the
+    edge leaves Prim's tree. 60 trees at n = 24 and 20 at n = 48, weights in
+    {1, 2, 3, 5}."""
+    sizes, left = Counter(), Counter()
+    for n, count in ((24, 60), (48, 20)):
+        rng = random.Random(f"steering-{n}")
+        for _ in range(count):
+            edges = [(v, rng.randrange(1, v), rng.choice((1, 2, 3, 5))) for v in range(2, n + 1)]
+            m, raised = raised_edge(n, edges, rng)
+            size, _ = assert_steering(m, edges, raised)
+            sizes["2" if size == 2 else "3-8" if size <= 8 else ">8"] += 1
+            left[all({v, p} != raised for v, p, _ in _prim(m).edges)] += 1
+    assert left[True] > 20 and left[False] > 20
+    assert min(sizes.values()) > 5 and len(sizes) == 3
 
 
 def _n24_perturbed_matrix():
