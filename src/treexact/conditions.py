@@ -22,10 +22,10 @@ triples that decides each triple's triangle inequalities and median, and one
 pass that classifies each quadruple once, reading its center off the masks
 and its triples' median verdicts off a table. The residual X of a positive
 tree T on exactly the labels holds the labels in a pair where d differs from
-T (every label under the float policy). The scan takes T as its input, a
-record that `_tree` builds: Prim's tree from the one Prim record that
-`_decide` hands down, with one edge refitted when that shrinks X (`_refit`),
-so a moved tree edge leaves two labels in X, not all. The masks cost O(n^2 + |X| n^2): a pair outside X reads its mask off T's path.
+T (every label under the float policy). The scan takes T as input, `_tree`'s
+record of Prim's tree with one edge refitted when that shrinks X (`_refit`):
+a moved tree edge leaves two labels in X, not all. The masks cost
+O(n^2 + |X| n^2): a pair outside X reads its mask off T's path.
 The two passes visit only the tuples with two or more members in X,
 O(|X|^2 n^2) of them. The witnesses of the tuples with one member in X are
 enumerated from T's branches, at a cost that follows their number. Under the
@@ -204,12 +204,12 @@ def _between_masks(grid, eq, n, anc, residual, outside):
     """`B[u][v]` for u != v: the bitmask of every l with d(u,v) = d(u,l) + d(v,l),
     bit l standing for label l.
 
-    A pair that meets the residual X is tested against every l. For u and v
-    in `outside`, the labels not in X, d agrees with the tree T of `anc` on
-    every pair through u or v, and T's weights are positive, so the l are
-    the vertices of T's u-v path: anc[u] ^ anc[v] and the deepest common
-    ancestor, whose anc is anc[u] & anc[v]. So the masks cost O(n^2 + |X| n^2), and O(n^3) when X
-    is every label.
+    A pair that meets the residual X is tested against every l. For u and v in
+    `outside`, the labels not in X, d agrees with the tree T of `anc` on every
+    pair through u or v, and T's weights are positive, so the l are the
+    vertices of T's u-v path: anc[u] ^ anc[v] and the deepest common ancestor,
+    whose anc is anc[u] & anc[v]. So the masks cost O(n^2 + |X| n^2), and
+    O(n^3) when X is every label.
     """
     labels = range(1, n + 1)
     between = [[0] * (n + 1) for _ in range(n + 1)]
