@@ -449,8 +449,9 @@ def _scan(m: DissimilarityMatrix, tree):
                 continue
             lacks_median(u, v, w)
     # One-member tuples, enumerated from T's branches at each l that is
-    # mismatched with x, as the docstring proves.
-    for x in residual:
+    # mismatched with x, as the docstring proves; with every label in X there
+    # are none.
+    for x in residual if outside else ():
         for l in mismatched[x]:
             branch = [1] * (n + 1)  # the branch toward label 1 is named 1
             for v, p, _ in edges:  # in join order: branch[p] is set

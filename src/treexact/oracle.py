@@ -4,9 +4,10 @@ generate random weighted trees for property tests.
 
 Edge weights on a fixed topology are forced (adjacent vertices' path is the
 single edge between them), so realization per topology is just a consistency
-check, no solving involved. The census grows every topology edge by edge
-and tests each path sum once, when its path closes; a failing sum drops
-every topology that holds the edges chosen so far.
+check, no solving involved. The census grows every topology point by
+point, breadth first from point 1, and tests each path sum once, when the
+later of its two points joins; a failing sum drops every topology that
+extends the tree grown so far.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DissimilarityMatrix, Edge, WeightedTree, _is_int, dump_json
-from .errors import BadRange, BadSequence, InvalidTree, TooLarge
+from .errors import BadRange, BadSequence, TooLarge
 from .numeric import _INT_LIMIT, _MAX_DIGITS, EXACT, NUMBER_ERRORS, ExactPolicy, Policy, echo
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "RealizationCensus",
     "prufer_decode",
-    "realize_on_topology",
     "count_realizations",
     "random_weighted_tree",
 ]
@@ -101,60 +101,6 @@ def _decode(entries, n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _fits(grid, eq, n: int, edges) -> bool:
-    """True iff every path sum of the tree `edges` on 1..n, weighted by
-    `grid`, equals the grid entry of its pair under `eq`.
-
-    A DFS from each source accumulates each path sum edge by edge outward
-    from the source, so float sums do not depend on the visiting order.
-    """
-    adjacency: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    dist = [0] * (n + 1)
-    for src in range(1, n + 1):
-        target = grid[src]
-        dist[src] = 0
-        seen = [False] * (n + 1)
-        seen[src] = True
-        stack = [src]
-        while stack:
-            here = stack.pop()
-            dhere = dist[here]
-            step = grid[here]
-            for nxt in adjacency[here]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    dist[nxt] = dhere + step[nxt]
-                    if not eq(dist[nxt], target[nxt]):
-                        return False
-                    stack.append(nxt)
-    return True
-
-
-def realize_on_topology(m: DissimilarityMatrix, topology) -> WeightedTree | None:
-    """Weight a fixed topology by the matrix and keep it iff it reproduces
-    every pairwise value. Returns None when the topology cannot realize m.
-
-    Raises InvalidTree unless `topology` is the edge set of a tree on 1..n;
-    `WeightedTree.from_edges` checks it with unit weights, once.
-    """
-    unit = []
-    for edge in topology:
-        try:
-            u, v = edge
-        except (TypeError, ValueError):
-            raise InvalidTree(f"edge {edge!r} is not a pair of labels") from None
-        unit.append((u, v, 1))
-    shape = WeightedTree.from_edges(m.n, unit, m.policy)
-    grid, eq, _ = m.comparison_view()
-    if not _fits(grid, eq, m.n, [(u, v) for u, v, _ in shape.edges]):
-        return None
-    rows = m.rows
-    return WeightedTree(m.n, tuple(Edge(u, v, rows[u][v]) for u, v, _ in shape.edges), m.policy)
-
-
 def _outward(adjacency, root: int, entry: int) -> list[tuple[int, int]]:
     """The component of `root` in the forest `adjacency` as (vertex,
     predecessor) pairs, each after its predecessor, walking outward from
@@ -168,30 +114,22 @@ def _outward(adjacency, root: int, entry: int) -> list[tuple[int, int]]:
     return walk
 
 
-def _joins(adjacency, v: int, n: int):
-    """Each parent p of v outside v's component, with the walks of both
-    sides outward from the new edge (v, p). The forest must be the same
-    each time the generator resumes."""
-    rest = _outward(adjacency, v, v)[1:]
-    inside = {v, *(x for x, _ in rest)}
-    for p in range(1, n + 1):
-        if p not in inside:
-            yield p, [(v, p), *rest], _outward(adjacency, p, v)
+def _attaches(grid, eq, dist, adjacency, u: int, c: int) -> bool:
+    """True iff, with c joined to the grown tree `adjacency` by the edge
+    (u, c), every pair (c, y) with y in the tree has path sums equal to its
+    entries in both directions.
 
-
-def _crosses(grid, eq, dist, sources, walk) -> bool:
-    """True iff every pair (a, b), a from `sources` and b from `walk` on
-    the other side of a new edge, has a path sum equal to its entry.
-
-    As in `_fits`, each sum is built one edge at a time outward from its
-    source a, starting from dist[a][x], a's sum to each x on its own side;
-    the sums to b are kept in dist[a][b]."""
-    for a, _ in sources:
-        row, target = dist[a], grid[a]
-        for b, pred in walk:
-            row[b] = row[pred] + grid[pred][b]
-            if not eq(row[b], target[b]):
-                return False
+    Each sum is built one edge at a time outward from its source, as a walk
+    over the finished tree would build it: dist[c][y] along the walk outward
+    from u, and dist[y][c] as dist[y][u] + d(u, c). Both are kept in
+    `dist`."""
+    row, target, step = dist[c], grid[c], grid[u][c]
+    for y, pred in _outward(adjacency, u, c):
+        row[y] = row[pred] + grid[pred][y]
+        back = dist[y][u] + step
+        dist[y][c] = back
+        if not (eq(row[y], target[y]) and eq(back, grid[y][c])):
+            return False
     return True
 
 
@@ -200,16 +138,20 @@ def count_realizations(
 ) -> RealizationCensus:
     """Census over all n^(n-2) labeled topologies (1 by convention for n <= 2).
 
-    A depth-first search chooses a parent p(v) for v = 2..n in turn, in
-    another component of the forest chosen so far; these choices are the
-    trees rooted at 1, each once (Cayley). Each new edge tests every path
-    sum across it, in both directions, and a failing one rejects every tree
-    that holds the forest. So every ordered pair of a tree is tested once,
-    with the sum and comparison of `_fits`, and every topology is decided by
-    the path-sum definition. A realization's weights are read off the
-    matrix's `rows` view. The census keeps nothing across calls. Raises
-    TooLarge above the cap. The realization list is sorted by edge set so
-    identical inputs yield identical censuses.
+    Every labeled tree is grown once, breadth first from point 1: the
+    search pops the queue's head u and decides, for each label not yet in
+    the tree and in increasing order, whether it is a child of u; each child
+    joins the queue. A tree is done when every label is in it, and a branch
+    dies when the queue runs out first. When a label c joins through u,
+    every pair of c and a point of the grown tree is tested in both
+    directions, and a failing one drops every tree that extends the grown
+    one. So every ordered pair of a tree is tested once, with the sums and
+    comparison of the reference decider in `tests/test_oracle.py` (`_fits`),
+    and every topology is decided by the path-sum definition. The search
+    keeps its own stack and never recurses. A realization's weights are
+    read off the matrix's `rows` view. The census keeps nothing across
+    calls. Raises TooLarge above the cap. The realization list is sorted by
+    edge set so identical inputs yield identical censuses.
     """
     n = m.n
     if n > cap:
@@ -221,28 +163,39 @@ def count_realizations(
     adjacency: list[list[int]] = [[] for _ in range(n + 1)]
     dist = [[0] * (n + 1) for _ in range(n + 1)]
     parent = [0] * (n + 1)
+    grown = [False] * (n + 1)
+    grown[1] = True
+    queue = [1]  # the grown tree's points in breadth-first order
+    head, c = 0, 1  # queue[head] decides the free labels above c
     found = []
-    stack = [_joins(adjacency, 2, n)]  # stack[i] chooses the parent of i + 2
-    while stack:
-        v = len(stack) + 1
-        for p, near, far in stack[-1]:
-            if _crosses(grid, eq, dist, near, far) and _crosses(grid, eq, dist, far, near):
-                parent[v] = p
-                if v == n:
-                    edges = (
-                        Edge(min(a, b), max(a, b), rows[a][b]) for a, b in enumerate(parent[2:], 2)
-                    )
-                    found.append(WeightedTree(n, tuple(sorted(edges)), m.policy))
-                    continue
-                adjacency[v].append(p)
-                adjacency[p].append(v)
-                stack.append(_joins(adjacency, v + 1, n))
-                break
-        else:
-            stack.pop()
-            if stack:
-                adjacency[v - 1].pop()
-                adjacency[parent[v - 1]].pop()
+    while True:
+        c += 1
+        while c <= n and grown[c]:
+            c += 1
+        if c <= n:
+            u = queue[head]
+            if _attaches(grid, eq, dist, adjacency, u, c):
+                parent[c], grown[c] = u, True
+                queue.append(c)
+                adjacency[u].append(c)
+                adjacency[c].append(u)
+            continue
+        head += 1
+        if head < len(queue):
+            c = 1
+            continue
+        if len(queue) == n:
+            edges = (Edge(min(a, b), max(a, b), rows[a][b]) for a, b in enumerate(parent[2:], 2))
+            found.append(WeightedTree(n, tuple(sorted(edges)), m.policy))
+        if len(queue) == 1:
+            break
+        # Undo the last join, a leaf, and go on with it not a child of its parent.
+        c = queue.pop()
+        u = parent[c]
+        grown[c] = False
+        adjacency[u].pop()
+        adjacency[c].pop()
+        head = queue.index(u)
     found.sort(key=lambda t: t.edges)  # two trees first differ in an edge's labels
     return RealizationCensus(n, n ** (n - 2), tuple(found))
 

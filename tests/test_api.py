@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 
 import treexact
-from treexact import conditions, errors, numeric
+from treexact import conditions, errors, numeric, oracle
 
 PUBLIC = [
     "BadRange",
@@ -44,7 +44,6 @@ PUBLIC = [
     "path_weight",
     "prufer_decode",
     "random_weighted_tree",
-    "realize_on_topology",
     "reconstruct",
     "tree_to_dot",
     "trees_equal",
@@ -58,6 +57,7 @@ REMOVED = [
     "condition_i_check",
     "condition_ii_check",
     "four_point_check",
+    "realize_on_topology",
 ]
 
 
@@ -72,6 +72,7 @@ def test_removed_names_are_gone():
         assert not hasattr(treexact, name), name
         assert not hasattr(conditions, name), name
         assert not hasattr(errors, name), name
+        assert not hasattr(oracle, name), name
     assert conditions.__all__ == ["Witness", "CheckFragment", "CheckReport", "check_all"]
     for prop in ("four_point_ok", "condition_i_ok", "condition_ii_ok"):
         assert not hasattr(treexact.CheckReport, prop), prop

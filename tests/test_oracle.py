@@ -1,8 +1,12 @@
-"""Prüfer enumeration, forced-weight realization, and the census."""
+"""Prüfer enumeration, forced-weight realization, and the census.
+
+`_fits` and `realize_on_topology` are the census's reference: they decide
+one topology at a time by the path-sum definition."""
 
 import random
+import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -20,13 +24,67 @@ from treexact import (
     count_realizations,
     prufer_decode,
     random_weighted_tree,
-    realize_on_topology,
     reconstruct,
     trees_equal,
 )
-from treexact.oracle import _decode, _fits
+from treexact.core import Edge
+from treexact.oracle import _decode
 
 from helpers import all_two_matrix, path3_matrix, perturb_one_pair, star_matrix
+
+
+def _fits(grid, eq, n: int, edges) -> bool:
+    """True iff every path sum of the tree `edges` on 1..n, weighted by
+    `grid`, equals the grid entry of its pair under `eq`.
+
+    A DFS from each source accumulates each path sum edge by edge outward
+    from the source, so float sums do not depend on the visiting order.
+    """
+    adjacency: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    dist = [0] * (n + 1)
+    for src in range(1, n + 1):
+        target = grid[src]
+        dist[src] = 0
+        seen = [False] * (n + 1)
+        seen[src] = True
+        stack = [src]
+        while stack:
+            here = stack.pop()
+            dhere = dist[here]
+            step = grid[here]
+            for nxt in adjacency[here]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    dist[nxt] = dhere + step[nxt]
+                    if not eq(dist[nxt], target[nxt]):
+                        return False
+                    stack.append(nxt)
+    return True
+
+
+def realize_on_topology(m: DissimilarityMatrix, topology) -> WeightedTree | None:
+    """Weight a fixed topology by the matrix and keep it iff it reproduces
+    every pairwise value. Returns None when the topology cannot realize m.
+
+    Raises InvalidTree unless `topology` is the edge set of a tree on 1..n;
+    `WeightedTree.from_edges` checks it with unit weights, once.
+    """
+    unit = []
+    for edge in topology:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise InvalidTree(f"edge {edge!r} is not a pair of labels") from None
+        unit.append((u, v, 1))
+    shape = WeightedTree.from_edges(m.n, unit, m.policy)
+    grid, eq, _ = m.comparison_view()
+    if not _fits(grid, eq, m.n, [(u, v) for u, v, _ in shape.edges]):
+        return None
+    rows = m.rows
+    return WeightedTree(m.n, tuple(Edge(u, v, rows[u][v]) for u, v, _ in shape.edges), m.policy)
 
 
 def prufer_encode(edges, n):
@@ -217,9 +275,9 @@ def test_census_matches_a_path_weight_reference():
 
 
 def _full_census(m):
-    """The census without the two-edge test: every Prüfer sequence is
-    decoded by `_decode` and decided by `_fits`. Returns the number of
-    sequences and the sorted edge sets of the realizations."""
+    """The census without pruning: every Prüfer sequence is decoded by
+    `_decode` and decided by `_fits`. Returns the number of sequences and
+    the sorted edge sets of the realizations."""
     n = m.n
     grid, eq, _ = m.comparison_view()
     examined, hits = 0, []
@@ -250,10 +308,14 @@ def _jittered_tree_metric(n, seed, eps, inside):
 def test_census_matches_a_census_without_the_two_edge_test():
     """The search only cuts short topologies that `_fits` rejects: on
     random {1..3} matrices under exact, on jittered non-integer float tree
-    metrics under two tolerances, and on non-integer float tree metrics at a
-    tolerance below the float spacing, the census has the same number of topologies
-    and the same ordered realizations as one that decides every Prüfer
-    sequence with `_fits`."""
+    metrics under two tolerances, on non-integer float tree metrics at a
+    tolerance below the float spacing, and on all 4^6 symmetric 4 x 4
+    matrices over 1..4 under exact and eps 0.3, the census has the same
+    number of topologies and the same ordered realizations as one that
+    decides every Prüfer sequence with `_fits`. Under exact, `check_all`
+    also calls d realizable iff `reconstruct` builds a tree iff the census
+    finds one, and the two trees are equal; under float, near ties split
+    the deciders from the census (ROADMAP item 3)."""
     rng = random.Random(11)
     corpus = []
     for _ in range(24):
@@ -272,15 +334,25 @@ def test_census_matches_a_census_without_the_two_edge_test():
         for _ in range(10):
             tree = random_weighted_tree(n, "0.5", "5", seed=rng.randrange(10**6), policy=FloatPolicy(1e-16))
             corpus.append(all_pairs_weights(tree))
-    counts = []
+    pairs = list(combinations(range(1, 5), 2))
+    for policy in (EXACT, FloatPolicy(0.3)):
+        for values in product(range(1, 5), repeat=len(pairs)):
+            corpus.append(DissimilarityMatrix.from_pairs(4, dict(zip(pairs, values)), policy))
+    counts = set()
     for m in corpus:
         census = count_realizations(m)
         examined, want = _full_census(m)
         assert census.topologies_examined == examined == m.n ** (m.n - 2)
         assert census.count == len(want)
         assert [tuple((u, v) for u, v, _ in t.edges) for t in census.realizations] == want
-        counts.append((m.policy.name, census.count))
-    assert {("exact", 0), ("exact", 1), ("float", 0), ("float", 1)} <= set(counts)
+        counts.add((m.policy.name, census.count))
+        if m.policy.name == "exact":
+            rebuilt = reconstruct(m)
+            built = isinstance(rebuilt, WeightedTree)
+            assert (census.count == 1) == built == check_all(m).realizable
+            if built:
+                assert trees_equal(census.realizations[0], rebuilt)
+    assert {("exact", 0), ("exact", 1), ("float", 0), ("float", 1)} <= counts
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -318,7 +390,7 @@ def _steiner_tree_metric(n, seed):
     )
 
 
-@pytest.mark.parametrize("n", [9, 10, 11])
+@pytest.mark.parametrize("n", range(9, 15))
 def test_deciders_agree_above_the_default_cap(n):
     """Above n = 8, under a raised cap: the census finds one tree iff
     `reconstruct` builds one iff `check_all` calls d realizable, and the
@@ -339,7 +411,7 @@ def test_deciders_agree_above_the_default_cap(n):
     ]
     verdicts = []
     for m in corpus:
-        census = count_realizations(m, cap=11)
+        census = count_realizations(m, cap=14)
         rebuilt = reconstruct(m)
         built = isinstance(rebuilt, WeightedTree)
         assert census.topologies_examined == n ** (n - 2)
@@ -349,6 +421,22 @@ def test_deciders_agree_above_the_default_cap(n):
             assert trees_equal(census.realizations[0], rebuilt)
         verdicts.append(built)
     assert verdicts == [True, False, False, False]
+
+
+def test_census_keeps_its_own_stack():
+    """An n = 14 census runs two dozen frames above the caller's depth, so
+    a raised `--cap` cannot reach the recursion limit."""
+    m = all_pairs_weights(random_weighted_tree(14, "0.5", "5", seed=14))
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 24)
+    try:
+        census = count_realizations(m, cap=14)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert census.count == 1
 
 
 class TestRandomWeightedTree:
