@@ -49,7 +49,7 @@ from itertools import chain, combinations, product
 from operator import itemgetter
 
 from .core import DissimilarityMatrix, _json_text, dump_json
-from .errors import TooSmall, UniquenessViolation
+from .errors import TooSmall
 from .numeric import ExactPolicy
 from .reconstruct import _prim
 
@@ -344,8 +344,8 @@ def _companions_agree(grid, eq, u, v, w, l):
 
 def _scan(m: DissimilarityMatrix, tree):
     """The witness rows of all three checks, (triangles, max_once, centers,
-    median, twin), each row in its kind's layout (`_KINDS`): triples,
-    quadruples, (best_l, *quadruple) and (best_l, *quadruple, *triple).
+    median), each row in its kind's layout (`_KINDS`): triples, quadruples,
+    (best_l, *quadruple) and (best_l, *quadruple, *triple).
 
     Under the exact policy a tree T sorts the labels: the residual X holds
     every label in a pair where d differs from T's path weight, and
@@ -364,7 +364,11 @@ def _scan(m: DissimilarityMatrix, tree):
     Their number is O(|X|^2 n^2). A tuple disjoint from X sees only T, so it
     has no witness: the four-point rule and the triangle inequalities hold,
     and its median or center is the vertex of T that lies in every mask it
-    needs, the only one there.
+    needs, the only one there. The pass asks only whether a center exists:
+    once the four-point rule holds, d is a tree metric (Buneman), a center
+    lies on all six paths of its quadruple, which meet in one point of that
+    tree, and two centers there would be labels at distance 0, which no
+    matrix holds.
 
     A tuple with exactly one member x in X also sees only T's distances,
     since every pair in it has a member outside X; so it has no four-point
@@ -382,13 +386,13 @@ def _scan(m: DissimilarityMatrix, tree):
     * A quadruple {x, a, b, c} has all three pair sums equal iff T has a
       vertex m on all six of its paths, the median of each of its triples.
       The AND of its three masks outside X is the median of {a, b, c}, m,
-      a single vertex, so it has no twin. m is in B[x][a] iff d(x,m) +
-      T(a,m) = T(x,a) = T(x,m) + T(a,m), so the quadruple lacks a center
-      iff m lies in mismatched[x]. Then m is in X and none of the four, so
-      they lie in four branches at m; conversely four labels in four
-      branches at l tie all three sums at l. So the quadruples without a
-      center are x with a, b, c from three further branches at an l in
-      mismatched[x], none of them in x's branch.
+      a single vertex. m is in B[x][a] iff d(x,m) + T(a,m) = T(x,a) =
+      T(x,m) + T(a,m), so the quadruple lacks a center iff m lies in
+      mismatched[x]. Then m is in X and none of the four, so they lie in
+      four branches at m; conversely four labels in four branches at l tie
+      all three sums at l. So the quadruples without a center are x with a,
+      b, c from three further branches at an l in mismatched[x], none of
+      them in x's branch.
     * A quadruple reports a median witness for each of its triples without
       a median when two pair sums tie at the top. A one-member quadruple's
       triple without x is disjoint from X, so the witnesses are its triples
@@ -400,9 +404,7 @@ def _scan(m: DissimilarityMatrix, tree):
     reads the one-member triples of its two-member quadruples off
     `no_median`. Each witness list comes out in report order, lexicographic
     by quadruple, then by triple; with three points `median` holds the lone
-    triple's row (best_l, 1, 2, 3). `twin` is the first quadruple with two
-    centers, and its two smallest centers; whether it is an error depends on
-    the four-point verdict.
+    triple's row (best_l, 1, 2, 3).
     """
     grid, eq, lt = m.comparison_view()
     n = m.n
@@ -417,7 +419,6 @@ def _scan(m: DissimilarityMatrix, tree):
     later = [range(k + 1, n + 1) for k in range(n + 1)]
     later_x = [[l for l in later[k] if l in residual] for k in range(n + 1)]
     triangles, max_once, centers, median = [], [], [], []
-    twin = None
     # A triple u < v < w without a median maps to its best failing l, and
     # sets bit w of no_median[u][v] and bit u of no_median[v][w]: two entries
     # then hold the verdicts of a quadruple's four triples.
@@ -491,11 +492,8 @@ def _scan(m: DissimilarityMatrix, tree):
                 if hits == 1:
                     max_once.append(quad)
                 elif hits == 3:
-                    common = bi[j] & bi[k] & bi[t] & bj[k] & bj[t] & b[k][t]
-                    if not common:
+                    if not bi[j] & bi[k] & bi[t] & bj[k] & bj[t] & b[k][t]:
                         centers.append((_no_center(b, labels, quad), *quad))
-                    elif twin is None and common & (common - 1):
-                        twin = (quad, *[l for l in labels if common >> l & 1][:2])
                 elif no_median[i][j] & (1 << k | 1 << t) or no_median[k][t] & (1 << i | 1 << j):
                     for triple in ((i, j, k), (i, j, t), (i, k, t), (j, k, t)):
                         best = failing.get(triple)
@@ -513,21 +511,13 @@ def _scan(m: DissimilarityMatrix, tree):
     # lone triple's verdict is reported directly.
     if n == 3 and failing:
         median.append((failing[1, 2, 3], 1, 2, 3))
-    return triangles, max_once, centers, median, twin
+    return triangles, max_once, centers, median
 
 
 def _scan_rows(m: DissimilarityMatrix, prim):
-    """One scan's rows, as `_decide` returns them, without its shortcut. A
-    quadruple's center is unique once the four-point check passes, so a
-    second one raises UniquenessViolation under the exact policy."""
-    triangles, max_once, centers, median, twin = _scan(m, _tree(m, prim))
+    """One scan's rows, as `_decide` returns them, without its shortcut."""
+    triangles, max_once, centers, median = _scan(m, _tree(m, prim))
     failures = len(triangles) + len(max_once)
-    if twin is not None and not failures and isinstance(m.policy, ExactPolicy):
-        quad, first, second = twin
-        raise UniquenessViolation(
-            f"quadruple {quad} admits two centers {first} and {second} "
-            "although the four-point check passed"
-        )
     fragments = [(not failures, False, failures)]
     fragments += [(not rows, failures > 0, len(rows)) for rows in (centers, median)]
     groups = (

@@ -388,7 +388,7 @@ class WeightedTree:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable, policy: Policy = EXACT) -> "WeightedTree":
         if not _is_int(n) or n < 1:
-            raise InvalidTree(f"vertex count must be a positive integer, got {n!r}")
+            raise InvalidTree(f"vertex count must be a positive integer, got {echo(n)}")
         normalized = []
         for item in edges:
             try:
@@ -398,19 +398,23 @@ class WeightedTree:
             if not _is_int(u) or not _is_int(v):
                 raise InvalidTree(f"non-integer endpoint in edge {echo(item)}")
             if not (1 <= u <= n and 1 <= v <= n):
-                raise InvalidTree(f"edge ({u},{v}) has an endpoint outside 1..{n}")
+                raise InvalidTree(
+                    f"edge ({echo(u)},{echo(v)}) has an endpoint outside 1..{echo(n)}"
+                )
             if u == v:
-                raise InvalidTree(f"loop edge at vertex {u}")
+                raise InvalidTree(f"loop edge at vertex {echo(u)}")
             try:
                 weight = policy.coerce(w)
             except NUMBER_ERRORS as exc:
-                raise InvalidTree(f"bad weight on edge ({u},{v}): {exc}")
+                raise InvalidTree(f"bad weight on edge ({echo(u)},{echo(v)}): {exc}")
             if weight <= 0:
-                raise InvalidTree(f"non-positive weight on edge ({u},{v})")
+                raise InvalidTree(f"non-positive weight on edge ({echo(u)},{echo(v)})")
             normalized.append(Edge(min(u, v), max(u, v), weight))
         normalized.sort(key=lambda e: (e.u, e.v))
         if len(normalized) != n - 1:
-            raise InvalidTree(f"{len(normalized)} edges for {n} vertices, expected {n - 1}")
+            raise InvalidTree(
+                f"{len(normalized)} edges for {echo(n)} vertices, expected {echo(n - 1)}"
+            )
         for prev, cur in zip(normalized, normalized[1:]):
             if (prev.u, prev.v) == (cur.u, cur.v):
                 raise InvalidTree(f"parallel edges between {cur.u} and {cur.v}")

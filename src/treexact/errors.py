@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .numeric import echo
+
 __all__ = [
     "TreexactError",
     "MalformedInput",
@@ -13,7 +15,6 @@ __all__ = [
     "TooLarge",
     "BadSequence",
     "BadRange",
-    "UniquenessViolation",
 ]
 
 
@@ -51,7 +52,7 @@ class UnknownVertex(TreexactError):
     """A vertex label lies outside {1..n}."""
 
     def __init__(self, label: int, n: int):
-        super().__init__(f"vertex label {label} outside 1..{n}")
+        super().__init__(f"vertex label {echo(label)} outside 1..{echo(n)}")
         self.label = label
         self.n = n
 
@@ -77,11 +78,3 @@ class BadSequence(TreexactError):
 
 class BadRange(TreexactError):
     """Generator parameters are out of range (size, weight bounds, or empty grid)."""
-
-
-class UniquenessViolation(TreexactError):
-    """Two distinct vertices satisfied an identity that admits at most one solution.
-
-    This cannot happen for inputs passing the four-point check under the exact
-    policy; seeing it indicates a bug, so it is raised rather than reported.
-    """

@@ -66,13 +66,13 @@ def prufer_decode(seq, n: int) -> tuple[tuple[int, int], ...]:
     u < v per edge.
     """
     if not _is_int(n) or n < 2:
-        raise BadSequence(f"decoding needs n >= 2, got {n!r}")
+        raise BadSequence(f"decoding needs n >= 2, got {echo(n)}")
     entries = tuple(seq)
     if len(entries) != n - 2:
-        raise BadSequence(f"sequence has length {len(entries)}, expected {n - 2}")
+        raise BadSequence(f"sequence has length {len(entries)}, expected {echo(n - 2)}")
     for entry in entries:
         if not _is_int(entry) or not 1 <= entry <= n:
-            raise BadSequence(f"sequence entry {entry!r} outside 1..{n}")
+            raise BadSequence(f"sequence entry {echo(entry)} outside 1..{echo(n)}")
     return tuple(sorted((min(u, v), max(u, v)) for u, v in _decode(entries, n)))
 
 
@@ -155,7 +155,7 @@ def count_realizations(
     """
     n = m.n
     if n > cap:
-        raise TooLarge(f"n = {n} exceeds the enumeration cap {cap}")
+        raise TooLarge(f"n = {n} exceeds the enumeration cap {echo(cap)}")
     if n == 1:
         return RealizationCensus(1, 1, (WeightedTree.from_edges(1, [], m.policy),))
     grid, eq, _ = m.comparison_view()

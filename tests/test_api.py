@@ -31,7 +31,6 @@ PUBLIC = [
     "TooLarge",
     "TooSmall",
     "TreexactError",
-    "UniquenessViolation",
     "UnknownVertex",
     "UnrealizableWitness",
     "WeightedTree",
@@ -53,6 +52,7 @@ REMOVED = [
     "DuplicateIndex",
     "QuadrupleClass",
     "QuadrupleKind",
+    "UniquenessViolation",
     "classify_quadruple",
     "condition_i_check",
     "condition_ii_check",

@@ -27,6 +27,7 @@ PATH_TREE_JSON = json.dumps(
 )
 BIG = "1e308"  # a float whose sum with itself overflows
 BIG_INT = "1" + "0" * 399  # a JSON integer literal beyond the float range
+NINES = int("9" * 3000)  # a 3000-digit integer
 DIGITS_1001 = "1" + "0" * 1000  # one digit beyond the exact bound
 
 
@@ -561,12 +562,28 @@ class TestInputBoundary:
         assert "(500 characters)" in err
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_long_edge_with_non_integer_endpoint_is_shortened(self, tmp_path, capsys, mode):
-        doc = json.dumps({"n": 2, "edges": [{"u": 1.5, "v": 2, "w": "1" * 3000}]})
+    @pytest.mark.parametrize(
+        "n, edge, reason",
+        [
+            (2, (1.5, 2, "1" * 3000), "non-integer endpoint in edge"),
+            (NINES, None, "0 edges for"),
+            (-NINES, None, "vertex count must be a positive integer"),
+            (2, (NINES, 2, 1), "edge (9999999999999999..."),
+            (NINES, (NINES, NINES, 1), "loop edge at vertex"),
+            (NINES, (NINES, 1, 0), "non-positive weight on edge"),
+            (NINES, (NINES, 1, "x"), "bad weight on edge"),
+        ],
+        ids=["non_integer_endpoint", "n", "negative_n", "endpoint", "loop", "weight", "bad_weight"],
+    )
+    def test_long_tree_values_are_echoed_short(self, tmp_path, capsys, mode, n, edge, reason):
+        """A 3000-character edge, or a 3000-digit vertex count or endpoint, is
+        cut to its head and tail and its length, as a long literal is."""
+        edges = [] if edge is None else [dict(zip("uvw", edge))]
+        doc = json.dumps({"n": n, "edges": edges})
         code, out, err = run_cli(capsys, ["weights", "--mode", mode, "-i", write(tmp_path, "t.json", doc)])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: non-integer endpoint in edge") and err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + reason) and err.count("\n") == 1
+        assert " characters)" in err
         assert len(err.encode()) < 200, err
 
     def test_non_utf8_file_invalid(self, tmp_path, capsys):

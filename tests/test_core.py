@@ -242,6 +242,10 @@ class TestMatrixValidation:
             m.d(0, 1)
         with pytest.raises(UnknownVertex):
             m.d(1, 3)
+        huge = int("9" * 3000)
+        with pytest.raises(UnknownVertex) as err:
+            m.d(1, huge)
+        assert err.value.label == huge and len(str(err.value)) < 100
 
     def test_one_point_matrix(self):
         m = parse_matrix("0")

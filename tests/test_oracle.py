@@ -30,7 +30,8 @@ from treexact import (
 from treexact.core import Edge
 from treexact.oracle import _decode
 
-from helpers import all_two_matrix, path3_matrix, perturb_one_pair, star_matrix
+from helpers import all_two_matrix, path3_matrix, perturb_one_pair, scan_report, star_matrix
+from test_scan import ref_check_all
 
 
 def _fits(grid, eq, n: int, edges) -> bool:
@@ -125,6 +126,13 @@ class TestPruferDecode:
         with pytest.raises(BadSequence):
             prufer_decode((), 1)
 
+    def test_huge_integers_are_echoed_short(self):
+        huge = int("9" * 3000)
+        for seq, n in [((), -huge), ((), huge), ((huge,), 3), ((huge,), huge)]:
+            with pytest.raises(BadSequence) as err:
+                prufer_decode(seq, n)
+            assert len(str(err.value)) < 200
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_bijection(self, n):
         decoded = {
@@ -209,6 +217,9 @@ class TestCountRealizations:
         # override below the default also enforced
         with pytest.raises(TooLarge):
             count_realizations(star_matrix(), cap=3)
+        with pytest.raises(TooLarge) as err:
+            count_realizations(star_matrix(), cap=-int("9" * 3000))
+        assert len(str(err.value)) < 100
 
     def test_single_vertex_and_edge_conventions(self):
         from treexact import DissimilarityMatrix
@@ -334,10 +345,8 @@ def test_census_matches_a_census_without_the_two_edge_test():
         for _ in range(10):
             tree = random_weighted_tree(n, "0.5", "5", seed=rng.randrange(10**6), policy=FloatPolicy(1e-16))
             corpus.append(all_pairs_weights(tree))
-    pairs = list(combinations(range(1, 5), 2))
     for policy in (EXACT, FloatPolicy(0.3)):
-        for values in product(range(1, 5), repeat=len(pairs)):
-            corpus.append(DissimilarityMatrix.from_pairs(4, dict(zip(pairs, values)), policy))
+        corpus.extend(symmetric_matrices(4, range(1, 5), policy))
     counts = set()
     for m in corpus:
         census = count_realizations(m)
@@ -353,6 +362,51 @@ def test_census_matches_a_census_without_the_two_edge_test():
             if built:
                 assert trees_equal(census.realizations[0], rebuilt)
     assert {("exact", 0), ("exact", 1), ("float", 0), ("float", 1)} <= counts
+
+
+def symmetric_matrices(n, values, policy):
+    """Every symmetric n x n matrix whose off-diagonal entries are drawn
+    from `values`, in lexicographic order of its upper triangle."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    for cells in product(values, repeat=len(pairs)):
+        yield DissimilarityMatrix.from_pairs(n, dict(zip(pairs, cells)), policy)
+
+
+def assert_small_scope(m, census):
+    """`check_all` calls m realizable iff `reconstruct` builds a tree, and
+    the scan equals the naive loops of `tests/test_scan.py`: `check_all`
+    itself under exact, the scan without Prim's shortcut under float, where
+    an all-ok report skips it. With `census`, the census finds one tree iff
+    `reconstruct` does, and the two are equal."""
+    report, rebuilt = check_all(m), reconstruct(m)
+    built = isinstance(rebuilt, WeightedTree)
+    assert report.realizable == built, m.rows
+    exact = m.policy.name == "exact"
+    assert (report if exact else scan_report(m)) == ref_check_all(m), m.rows
+    if census:
+        found = count_realizations(m)
+        assert (found.count == 1) == built, m.rows
+        if built:
+            assert trees_equal(found.realizations[0], rebuilt), m.rows
+
+
+@pytest.mark.parametrize(
+    "values, policy",
+    [
+        (range(1, 5), EXACT),
+        (range(1, 5), FloatPolicy(0.1)),
+        (range(1, 5), FloatPolicy(0.3)),
+        ((0.05, 1, 1.02, 2, 2.05), FloatPolicy(0.03)),
+    ],
+    ids=["exact", "eps0.1", "eps0.3", "five-values-eps0.03"],
+)
+def test_every_small_matrix_matches_the_naive_loops(values, policy):
+    """Every symmetric 4 x 4 matrix over `values`: check and reconstruct
+    agree, and the scan's report equals the naive loops'. The census is
+    compared under exact by the sweep above; under float, near ties split
+    it from the deciders (ROADMAP item 3)."""
+    for m in symmetric_matrices(4, values, policy):
+        assert_small_scope(m, census=False)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -16,15 +16,12 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations, islice
 
-import pytest
-
 from treexact import (
     CheckFragment,
     CheckReport,
     DissimilarityMatrix,
     EXACT,
     FloatPolicy,
-    UniquenessViolation,
     UnrealizableWitness,
     WeightedTree,
     Witness,
@@ -114,8 +111,9 @@ def ref_condition_i(m, four_point_ok):
                 centers.append(l)
                 if not enforce_unique:
                     break
-        if len(centers) > 1:
-            raise UniquenessViolation(f"{quad} {centers}")
+        # Once four-point passes under exact, d is a tree metric and a
+        # center is the one point where the quadruple's six paths meet.
+        assert len(centers) <= 1, f"quadruple {quad} has centers {centers}"
         if not centers:
             best = _best(n, lambda l: _center_hits(grid, eq, quad, l))
             witnesses.append(
@@ -442,21 +440,20 @@ def test_strict_triangle_on_three_points():
     assert (witness.quadruple, witness.triple) == (None, (1, 2, 3))
 
 
-def test_two_centers_raise_only_when_four_point_is_trusted(monkeypatch):
+def test_two_centers_only_where_four_point_fails():
     """Labels 5 and 6 are both centers of {1,2,3,4}; the quadruple {1,2,5,6}
     breaks the four-point rule, which is what makes a second center possible.
-    A scan that reported the twin with the four-point check passing would
-    contradict the uniqueness of the center, and the report refuses it."""
+    The report still equals the naive loops'."""
     pairs = {(i, j): 2 for i, j in combinations(range(1, 5), 2)}
     pairs.update({(i, c): 1 for i in range(1, 5) for c in (5, 6)})
     pairs[(5, 6)] = 2
     m = DissimilarityMatrix.from_pairs(6, pairs)
-    triangles, max_once, centers, median, twin = _scan(m, _tree(m, _prim(m)))
-    assert (triangles or max_once) and twin == ((1, 2, 3, 4), 5, 6)
-    assert check_all(m) == ref_check_all(m)
-    monkeypatch.setattr(conditions, "_scan", lambda m, tree: ([], [], centers, median, twin))
-    with pytest.raises(UniquenessViolation, match=r"\(1, 2, 3, 4\) admits two centers 5 and 6"):
-        scan_report(m)
+    grid, eq, _ = m.comparison_view()
+    assert [l for l in range(1, 7) if _center_hits(grid, eq, (1, 2, 3, 4), l) == 6] == [5, 6]
+    report = check_all(m)
+    assert not report.four_point.ok
+    assert (1, 2, 5, 6) in [w.quadruple for w in report.four_point.witnesses]
+    assert report == scan_report(m) == ref_check_all(m)
 
 
 def test_residual_is_the_moved_pair():
