@@ -49,7 +49,6 @@ from itertools import chain, combinations, product
 from operator import itemgetter
 
 from .core import DissimilarityMatrix, _json_text, dump_json
-from .errors import TooSmall
 from .numeric import ExactPolicy
 from .reconstruct import _prim
 
@@ -282,16 +281,22 @@ def _tree(m: DissimilarityMatrix, prim):
     w) in join order (p joined before v), and the residual and mismatched
     lists of d against T (`_scan`). Under the exact policy T is the tree of
     Prim's record, reweighted in one edge by `_refit` when more than one
-    pair mismatches it. Under the float policy T has no edges and the
-    residual is every label."""
+    pair mismatches it. Prim's T row of a label is the grid's own row until a
+    sum differs from d, a mismatch under the exact policy: so the residual
+    is the labels with a row of their own, and mismatched[x], ascending,
+    where it differs from the grid's, in O(|X| n). Under the float policy T
+    has no edges and the residual is every label."""
     n = m.n
     anc = [0] * (n + 1)
     anc[1] = 2
     if not isinstance(m.policy, ExactPolicy):
         return anc, (), range(1, n + 1), ((),) * (n + 1)
-    edges, _, residual, mismatched, path = prim
+    edges, _, path = prim
     for v, p, _ in edges:  # p joined before v, so anc[p] is set
         anc[v] = anc[p] | 1 << v
+    rows = zip(path, m.grid)
+    mismatched = [() if t is d else [l for l, w in enumerate(t) if w != d[l]] for t, d in rows]
+    residual = frozenset(x for x, others in enumerate(mismatched) if others)
     if sum(map(len, mismatched)) > 2:
         edges, residual, mismatched = _refit(m.grid, path, edges, anc, residual, mismatched)
     return anc, edges, residual, mismatched
@@ -533,8 +538,6 @@ def _decide(m: DissimilarityMatrix):
     rows of the scan it hands Prim's record to, whose cost the module
     docstring gives. When the scan finds no witness, which the theorem rules
     out under the exact policy, a `tree_fit` row holds Prim's failing (v, p, x)."""
-    if m.n < 3:
-        raise TooSmall(f"realizability checks need n >= 3, got n = {m.n}")
     prim = _prim(m)
     if prim.mismatch is None:
         return True, [(True, False, 0)] * 3, ()

@@ -11,7 +11,6 @@ __all__ = [
     "InvalidTree",
     "UnknownVertex",
     "PolicyMismatch",
-    "TooSmall",
     "TooLarge",
     "BadSequence",
     "BadRange",
@@ -59,10 +58,6 @@ class UnknownVertex(TreexactError):
 
 class PolicyMismatch(TreexactError):
     """Two values built under different numeric policies met in one computation."""
-
-
-class TooSmall(TreexactError):
-    """The operation requires more points than the input provides."""
 
 
 class TooLarge(TreexactError):

@@ -156,8 +156,6 @@ def count_realizations(
     n = m.n
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the enumeration cap {echo(cap)}")
-    if n == 1:
-        return RealizationCensus(1, 1, (WeightedTree.from_edges(1, [], m.policy),))
     grid, eq, _ = m.comparison_view()
     rows = m.rows
     adjacency: list[list[int]] = [[] for _ in range(n + 1)]
@@ -197,7 +195,7 @@ def count_realizations(
         adjacency[c].pop()
         head = queue.index(u)
     found.sort(key=lambda t: t.edges)  # two trees first differ in an edge's labels
-    return RealizationCensus(n, n ** (n - 2), tuple(found))
+    return RealizationCensus(n, n ** max(n - 2, 0), tuple(found))
 
 
 def random_weighted_tree(

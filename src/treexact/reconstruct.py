@@ -7,9 +7,7 @@ minimum spanning tree of d (Hakimi and Yau, 1965). `reconstruct` grows that
 tree by Prim in O(n^2) and checks each entry against the tree as it grows,
 so one pass both decides realizability and builds the tree, under either
 numeric policy. Prim runs to the end and reports the first mismatch; the
-same pass is `check_all`'s verdict, and `conditions._tree` builds the witness
-scan's steering tree from its record: the endpoints of every mismatch, the
-tree and its path weights.
+same pass is `check_all`'s verdict.
 """
 
 from __future__ import annotations
@@ -51,8 +49,6 @@ class UnrealizableWitness:
 class _Prim(NamedTuple):
     edges: tuple  # (v, p, grid[v][p]) in join order: v joined through p, which came earlier
     mismatch: tuple[int, int, int] | None  # the first (v, p, x), in Prim order
-    residual: frozenset  # every label in a pair where d differs from the tree
-    mismatched: tuple  # mismatched[x]: every l with d(x, l) != T(x, l)
     path: list  # path[x][l]: T(x, l), the path weight in the tree; grid[x] while T(x, .) = d(x, .)
 
 
@@ -64,12 +60,10 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
     every x already in the subtree passes through p: the tree's path weight
     is T(v, x) = d(v, p) + T(p, x). Each pair is compared once, when its
     later endpoint joins, so the mismatches are exactly the pairs where d
-    differs from the tree. Prim runs to the end past a mismatch, since the
-    witness scan wants every such pair: it reads each label's mismatched
-    partners, and their union, the residual. T's row of a label is the
-    grid's own row until a sum differs from its entry (a plain `!=`, then
-    `eq`), and a list of its own from then on: a realizable exact matrix
-    stores no sum, and the record still holds T for every pair.
+    differs from the tree. Prim runs to the end past a mismatch, so the
+    record holds T for every pair. T's row of a label is the grid's own row
+    until a sum differs from its entry (a plain `!=`), and a list of its own
+    from then on: a realizable exact matrix stores no sum.
     """
     grid, eq, _ = m.comparison_view()
     n = m.n
@@ -79,7 +73,6 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
     parent = [1] * (n + 1)
     path = list(grid)
     edges, mismatch = [], None
-    mismatched = [[] for _ in range(n + 1)]
     while outside:
         v = min(outside, key=key.__getitem__)
         outside.remove(v)
@@ -90,10 +83,8 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
         for x in joined:
             through_p = d_vp + path_p[x]
             if through_p != row_v[x]:
-                if not eq(row_v[x], through_p):
-                    mismatch = mismatch or (v, p, x)
-                    mismatched[v].append(x)
-                    mismatched[x].append(v)
+                if mismatch is None and not eq(row_v[x], through_p):
+                    mismatch = v, p, x
                 if path_v is row_v:
                     path_v = path[v] = list(row_v)
                 path_x = path[x]
@@ -106,8 +97,7 @@ def _prim(m: DissimilarityMatrix) -> _Prim:
             if row_v[x] < key[x]:
                 key[x] = row_v[x]
                 parent[x] = v
-    residual = frozenset(x for x, others in enumerate(mismatched) if others)
-    return _Prim(tuple(edges), mismatch, residual, tuple(map(tuple, mismatched)), path)
+    return _Prim(tuple(edges), mismatch, path)
 
 
 def reconstruct(m: DissimilarityMatrix) -> WeightedTree | UnrealizableWitness:

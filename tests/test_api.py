@@ -29,7 +29,6 @@ PUBLIC = [
     "RealizationCensus",
     "Scalar",
     "TooLarge",
-    "TooSmall",
     "TreexactError",
     "UnknownVertex",
     "UnrealizableWitness",
@@ -52,6 +51,7 @@ REMOVED = [
     "DuplicateIndex",
     "QuadrupleClass",
     "QuadrupleKind",
+    "TooSmall",
     "UniquenessViolation",
     "classify_quadruple",
     "condition_i_check",

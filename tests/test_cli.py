@@ -85,10 +85,15 @@ class TestCheck:
         code, out, err = run_cli(capsys, ["check"], stdin=stdin, monkeypatch=monkeypatch)
         assert (code, out, err) == (2, "", "error: blank line inside matrix at row 2\n")
 
-    def test_too_small_invalid(self, tmp_path, capsys):
-        code, _, err = run_cli(capsys, ["check", "-i", write(tmp_path, "m.csv", "0,1\n1,0\n")])
-        assert code == 2
-        assert "n >= 3" in err
+    @pytest.mark.parametrize("csv", ["0\n", "0,1\n1,0\n"])
+    def test_one_and_two_points_all_ok(self, tmp_path, capsys, csv):
+        code, out, err = run_cli(capsys, ["check", "-i", write(tmp_path, "m.csv", csv)])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "realizable": True, "four_point": {"ok": True},
+            "condition_i": {"ok": True, "caveat": False},
+            "condition_ii": {"ok": True, "caveat": False}, "witnesses": [],
+        }
 
     def test_text_format(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from treexact import (
     DissimilarityMatrix,
-    TooSmall,
     all_pairs_weights,
     check_all,
     random_weighted_tree,
@@ -121,9 +120,11 @@ class TestCheckAll:
         assert report.condition_ii.ok
         assert not report.realizable
 
-    def test_too_small(self):
-        with pytest.raises(TooSmall):
-            check_all(DissimilarityMatrix.from_pairs(2, {(1, 2): 1}))
+    @pytest.mark.parametrize("pairs", [{}, {(1, 2): 1}])
+    def test_one_and_two_points_are_all_ok(self, pairs):
+        report = check_all(DissimilarityMatrix.from_pairs(len(pairs) + 1, pairs))
+        assert report.realizable and report.witnesses == ()
+        assert (report.four_point.ok, report.condition_i.ok, report.condition_ii.ok) == (True,) * 3
 
     def test_report_json_is_deterministic(self):
         a = check_all(caterpillar_outer_matrix()).to_json()

@@ -130,6 +130,8 @@ def _cases():
     for name, flags, csv in reports:
         for fmt in ("json", "text"):
             add(f"check-{name}-{fmt}", ["check", "-f", fmt, *flags], csv)
+    # Two points: Prim's tree is their one edge, so the report is all ok.
+    add("check-two-points", ["check"], "0,1\n1,0\n")
 
     # A fixed-places CSV (three places in every cell, as the benchmark writes
     # it) with cell (2, 5), and with `mirror` also cell (5, 2), rewritten.
@@ -180,7 +182,6 @@ def _cases():
 
     # Invalid inputs and flags, each ending in one `error:` line and exit 2.
     add("check-asymmetric", ["check"], "0,1\n2,0\n")
-    add("check-too-small", ["check"], "0,1\n1,0\n")
     add("check-nonzero-diagonal", ["check"], "1,1,1\n1,0,1\n1,1,0\n")
     add("check-negative", ["check"], "0,-1,1\n-1,0,1\n1,1,0\n")
     add("check-ragged", ["check"], "0,1,1\n1,0\n1,1,0\n")

@@ -377,7 +377,8 @@ def assert_small_scope(m, census):
     the scan equals the naive loops of `tests/test_scan.py`: `check_all`
     itself under exact, the scan without Prim's shortcut under float, where
     an all-ok report skips it. With `census`, the census finds one tree iff
-    `reconstruct` does, and the two are equal."""
+    `reconstruct` does, and the two are equal. Returns whether
+    `reconstruct` built a tree."""
     report, rebuilt = check_all(m), reconstruct(m)
     built = isinstance(rebuilt, WeightedTree)
     assert report.realizable == built, m.rows
@@ -388,25 +389,77 @@ def assert_small_scope(m, census):
         assert (found.count == 1) == built, m.rows
         if built:
             assert trees_equal(found.realizations[0], rebuilt), m.rows
+    return built
 
 
 @pytest.mark.parametrize(
-    "values, policy",
+    "values, policy, smaller",
     [
-        (range(1, 5), EXACT),
-        (range(1, 5), FloatPolicy(0.1)),
-        (range(1, 5), FloatPolicy(0.3)),
-        ((0.05, 1, 1.02, 2, 2.05), FloatPolicy(0.03)),
+        (range(1, 5), EXACT, (True, 18)),
+        (range(1, 5), FloatPolicy(0.1), (True, 18)),
+        (range(1, 5), FloatPolicy(0.3), (False, 39)),
+        ((0.05, 1, 1.02, 2, 2.05), FloatPolicy(0.03), None),
     ],
     ids=["exact", "eps0.1", "eps0.3", "five-values-eps0.03"],
 )
-def test_every_small_matrix_matches_the_naive_loops(values, policy):
+def test_every_small_matrix_matches_the_naive_loops(values, policy, smaller):
     """Every symmetric 4 x 4 matrix over `values`: check and reconstruct
-    agree, and the scan's report equals the naive loops'. The census is
-    compared under exact by the sweep above; under float, near ties split
-    it from the deciders (ROADMAP item 3)."""
+    agree, and the scan's report equals the naive loops'. With `smaller`,
+    (census, built), so do the one matrix at n = 1 and every one at n = 2
+    and 3, each of those at n <= 2 realizable and `built` of the 64 at n = 3.
+    The census runs on them where `census` is set. At eps 0.3 it is left
+    out: six of the n = 3 matrices fit two trees within eps, which the
+    command line reports as exit 3. At n = 4 the census is compared under
+    exact by the sweep above; under float, near ties split it from the
+    deciders (ROADMAP item 3, `test_float_splits_of_the_small_sweeps`)."""
     for m in symmetric_matrices(4, values, policy):
         assert_small_scope(m, census=False)
+    if smaller:
+        census, built = smaller
+        counts = [
+            sum(assert_small_scope(m, census) for m in symmetric_matrices(n, values, policy))
+            for n in (1, 2, 3)
+        ]
+        assert counts == [1, 4, built]
+
+
+# The 4 x 4 matrices of the float sweeps above on which `check_all` and
+# `reconstruct` say no and the census finds exactly one tree, each as the
+# indices into `values` of its upper triangle in row order: 43 of the 4096
+# over 1..4 at eps 0.3, and 9 of the 15625 over the five values at eps 0.03.
+FLOAT_SPLITS = [
+    (range(1, 5), 0.3, (
+        "012022", "013033", "021202", "022123", "022213", "022320", "023213", "023220",
+        "031303", "032123", "032220", "102022", "103033", "120202", "130303", "201220",
+        "202132", "202231", "202302", "203202", "203231", "210220", "220032", "220312",
+        "220321", "222010", "222100", "223021", "223031", "230022", "230321", "232201",
+        "232301", "301330", "302132", "302202", "310330", "320022", "320312", "322210",
+        "322310", "333010", "333100",
+    )),
+    ((0.05, 1, 1.02, 2, 2.05), 0.03, (
+        "033430", "034330", "043330", "303403", "304303", "330043", "340033", "403303",
+        "430033",
+    )),
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: under float a tree other than Prim's can fit within eps",
+)
+def test_float_splits_of_the_small_sweeps():
+    """`check_all` calls each pinned split realizable iff the census finds
+    exactly one tree. It holds on none: check and reconstruct say no, and
+    the census finds one. Left out are the splits where `reconstruct`
+    builds a tree and the census finds two (36 and 12 of the sweeps), which
+    the command line reports as exit 3."""
+    pairs = list(combinations(range(1, 5), 2))
+    for values, eps, splits in FLOAT_SPLITS:
+        for split in splits:
+            cells = [values[int(index)] for index in split]
+            m = DissimilarityMatrix.from_pairs(4, dict(zip(pairs, cells)), FloatPolicy(eps))
+            assert check_all(m).realizable == (count_realizations(m).count == 1), split
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from treexact import (
     EXACT,
     DissimilarityMatrix,
+    ExactPolicy,
     FloatPolicy,
     UnrealizableWitness,
     WeightedTree,
@@ -18,6 +19,7 @@ from treexact import (
     reconstruct,
     trees_equal,
 )
+from treexact.conditions import _tree
 from treexact.reconstruct import _prim
 
 from helpers import all_two_matrix, matrices_entrywise_equal, path3_matrix, star_matrix
@@ -189,7 +191,10 @@ def test_agreement_with_checks_on_random_matrices():
 def naive_prim(m):
     """`_prim`'s record as the pass wrote it before T's rows were shared with
     the grid: every pair's sum is stored in a fresh (n + 1)^2 matrix, and
-    every pair is compared with `eq`. Kept as the reference `_prim` is held to."""
+    every pair is compared with `eq`. Kept as the reference `_prim` is held to,
+    as (edges, mismatch, residual, mismatched, path): mismatched[x] lists, in
+    join order, every l with d(x, l) not eq T(x, l), and the residual is their
+    union."""
     grid, eq, _ = m.comparison_view()
     n = m.n
     joined, outside = [1], list(range(2, n + 1))
@@ -245,20 +250,33 @@ def _prim_inputs():
 
 
 def test_prim_record_matches_the_store_every_pair_loop():
-    """`_prim` gives the reference's edges, mismatch, residual, mismatched
-    lists and every T(x, y), exactly equal, including float sums that are eq
-    to their entry but a different float. A realizable exact matrix's T rows
-    are the grid's own rows."""
-    eq_not_same = 0
+    """`_prim` gives the reference's edges, mismatch and every T(x, y),
+    exactly equal, including float sums that are eq to their entry but a
+    different float. Under the exact policy the labels whose T row is not
+    the grid's own are the reference's residual, and each such row differs
+    from the grid's exactly at the reference's mismatched partners, which
+    `_tree` reads as its residual and mismatched lists wherever it keeps
+    Prim's tree. A realizable exact matrix's T rows are the grid's own rows."""
+    eq_not_same = kept = 0
     for m in _prim_inputs():
         got, want = _prim(m), naive_prim(m)
-        assert tuple(got[:4]) == want[:4]
+        assert got[:2] == want[:2]
         labels = range(m.n + 1)
         assert all(got.path[x][y] == want[4][x][y] for x in labels for y in labels)
         grid, eq, _ = m.comparison_view()
+        if isinstance(m.policy, ExactPolicy):
+            residual, mismatched = want[2], [tuple(sorted(row)) for row in want[3]]
+            assert {x for x in labels if got.path[x] is not grid[x]} == residual
+            rows = [tuple(y for y in labels if got.path[x][y] != grid[x][y]) for x in labels]
+            assert rows == mismatched
+            _, edges, steer_residual, steer_mismatched = _tree(m, got)
+            if edges == got.edges:
+                assert steer_residual == residual
+                assert [tuple(row) for row in steer_mismatched] == mismatched
+                kept += 1
         eq_not_same += sum(want[4][x][y] != grid[x][y] and eq(want[4][x][y], grid[x][y])
                            for x in labels for y in labels)
-    assert eq_not_same
+    assert eq_not_same and kept > 5
     path48 = WeightedTree.from_edges(48, [(v - 1, v, Fraction(v, 8)) for v in range(2, 49)])
     realizable = all_pairs_weights(path48)
     assert all(row is grid_row for row, grid_row in zip(_prim(realizable).path, realizable.grid))

@@ -385,8 +385,10 @@ def test_scan_matches_naive_loops():
             _, _, residual, _ = _tree(m, prim)
             size = len(residual)
             residuals["two" if size == 2 else "all" if size == m.n else "other"] += 1
-            if moved == "pairs" and sum(map(len, prim.mismatched)) > 2:
-                kept[residual == prim.residual] += 1
+            if moved == "pairs":
+                pairs = _mismatches(m, [(v, p, m.d(v, p)) for v, p, _ in prim.edges])
+                if len(pairs) > 1:
+                    kept[residual == {*chain(*pairs)}] += 1
             elif moved and any({v, p} == moved for v, p, _ in prim.edges):
                 edge_residuals[size] += 1
             for w in want.condition_i.witnesses + want.condition_ii.witnesses:
@@ -456,12 +458,17 @@ def test_two_centers_only_where_four_point_fails():
     assert report == scan_report(m) == ref_check_all(m)
 
 
+def _residual(m):
+    """The residual of the scan's steering tree, as `_tree` derives it."""
+    return _tree(m, _prim(m))[2]
+
+
 def test_residual_is_the_moved_pair():
     """On a tree metric with one pair off the tree moved, the tree Prim grows
     is still the tree, so the residual is exactly that pair's two labels."""
     tree = WeightedTree.from_edges(6, [(1, 2, 1), (2, 3, 2), (2, 4, 3), (4, 5, 1), (4, 6, 2)])
     rows = [list(row[1:]) for row in all_pairs_weights(tree).rows[1:]]
-    assert not _prim(DissimilarityMatrix.from_rows(rows)).residual
+    assert not _residual(DissimilarityMatrix.from_rows(rows))
     edges = {(u, v) for u, v, _ in tree.edges}
     for i, j in combinations(range(1, 7), 2):
         if (i, j) in edges:
@@ -469,29 +476,34 @@ def test_residual_is_the_moved_pair():
         moved = [row[:] for row in rows]
         moved[i - 1][j - 1] += 1
         moved[j - 1][i - 1] += 1
-        assert _prim(DissimilarityMatrix.from_rows(moved)).residual == {i, j}
+        assert _residual(DissimilarityMatrix.from_rows(moved)) == {i, j}
 
 
 def test_mismatched_are_the_pairs_off_the_grown_tree():
-    """`_prim`'s mismatched[x] is every l where d(x,l) differs from the path
-    weight of the tree Prim grew, as `all_pairs_weights` computes it, and the
-    residual is the labels with a mismatch."""
+    """`_tree`'s mismatched[x] is every l, ascending, where d(x,l) differs
+    from the path weight of its steering tree, as `all_pairs_weights`
+    computes it, and the residual is the labels with a mismatch. The tree is
+    Prim's on most inputs and on every input with one mismatched pair, and
+    its one-edge refit on others."""
     corpus = chain(
         (m for m in _matrices(300, seed=7500) if isinstance(m.policy, ExactPolicy)),
         _perturbed_trees(50, seed=7600), _moved_trees(50, seed=7700),
     )
-    sizes = Counter()
+    sizes, trees = Counter(), Counter()
     for m in corpus:
-        edges, _, residual, mismatched, _ = _prim(m)
-        weighted = [(v, p, m.d(v, p)) for v, p, _ in edges]
+        prim = _prim(m)
+        _, edges, residual, mismatched = _tree(m, prim)
+        weighted = [(v, p, Fraction(w, m.scale)) for v, p, w in edges]
         tree = all_pairs_weights(WeightedTree.from_edges(m.n, weighted))
         labels = range(1, m.n + 1)
         for x in labels:
-            want = {l for l in labels if m.d(x, l) != tree.d(x, l)}
-            assert set(mismatched[x]) == want and len(mismatched[x]) == len(want), m.rows
+            want = [l for l in labels if m.d(x, l) != tree.d(x, l)]
+            assert list(mismatched[x]) == want, m.rows
         assert residual == {x for x in labels if mismatched[x]}
         sizes["none" if not residual else "all" if len(residual) == m.n else "some"] += 1
+        trees["prim" if edges == prim.edges else "refit"] += 1
     assert min(sizes.values()) > 10 and len(sizes) == 3
+    assert trees["prim"] > 100 and trees["refit"] > 10
 
 
 def _mismatches(m, edges):
@@ -505,10 +517,10 @@ def test_refit_keeps_the_least_residual_of_one_edge_refits():
     """When more than one pair mismatches Prim's tree T, the scan's
     mismatched pairs are those of T or of T with one edge reweighted, with
     the fewest labels. The candidate edges lie on every mismatched pair's
-    path; each is refitted to the first mismatched pair of the least label
-    in T's residual, and skipped unless its weight stays positive. Here each
-    path weight is summed by `all_pairs_weights`, and an edge lies on a
-    pair's path iff doubling its weight moves the pair's path weight."""
+    path; each is refitted to the pair of the least label in T's residual
+    and its least partner, and skipped unless its weight stays positive.
+    Here each path weight is summed by `all_pairs_weights`, and an edge lies
+    on a pair's path iff doubling its weight moves the pair's path weight."""
     corpus = chain(
         (m for m, _ in _moved_edges(150, seed=7900)),
         _moved_trees(100, seed=8000), _perturbed_trees(100, seed=8100),
@@ -520,8 +532,8 @@ def test_refit_keeps_the_least_residual_of_one_edge_refits():
         pairs = _mismatches(m, edges)
         if len(pairs) < 2:
             continue
-        x = min(prim.residual)
-        y = prim.mismatched[x][0]
+        x = min(chain(*pairs))
+        y = min(j if i == x else i for i, j in pairs if x in (i, j))
         tree = all_pairs_weights(WeightedTree.from_edges(m.n, edges))
         fits = {frozenset(pairs)}
         for index, (v, p, w) in enumerate(edges):

@@ -70,7 +70,7 @@ def test_reconstruct_is_the_function_in_every_import_order(tmp_path, first):
 def test_star_import_binds_every_public_name():
     code = "import json\nns = {}\nexec('from treexact import *', ns)\nprint(json.dumps(sorted(set(ns) - {'__builtins__'})))"
     names = json.loads(run_fresh(code))
-    assert names == PUBLIC and len(names) == 35
+    assert names == PUBLIC and len(names) == 34
 
 
 def test_dir_lists_every_public_name():
